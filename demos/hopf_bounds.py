@@ -4,21 +4,20 @@ Run:  python demos/hopf_bounds.py
 """
 
 from sosforms import (
-    binom_parity,
     binom_parity_pascal,
     bound_table,
     hopf_admissible,
     hopf_lower_bound,
     rho,
 )
-from sosforms.hopf import bound_table_text, hopf_violation_witness
+from sosforms.hopf import binom_is_odd, bound_table_text, hopf_violation_witness
 
 print("=== binomial parity, two ways ===")
 print("row 10 of Pascal's triangle mod 2, Lucas vs Pascal:")
-lucas = [binom_parity(10, i) for i in range(11)]
+lucas = [binom_is_odd(10, i) for i in range(11)]
 pascal = [binom_parity_pascal(10, i) for i in range(11)]
-print("  lucas :", " ".join("1" if p == "odd" else "." for p in lucas))
-print("  pascal:", " ".join("1" if p == "odd" else "." for p in pascal))
+print("  lucas :", " ".join("1" if odd else "." for odd in lucas))
+print("  pascal:", " ".join("1" if odd else "." for odd in pascal))
 
 print("\n=== the Hopf condition: C(n,i) even for n-r < i < s ===")
 for (r, s, n) in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 3, 4), (5, 5, 8), (10, 10, 16)):

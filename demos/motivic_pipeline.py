@@ -8,13 +8,11 @@ from sosforms import (
     DQClass,
     DQRingSpec,
     M2Poly,
-    bockstein,
     diagonal_power,
     dq_power_a,
     hopf_admissible,
     hopf_via_motivic,
     motivic_binomial_mismatches,
-    restrict_class,
     ring_additive_basis,
 )
 
@@ -36,20 +34,20 @@ print(f"in DQ_5 with rho formal: a^2 = {(a5 * a5).to_text()}")
 print("\n=== the Bockstein: beta(a) = b, extended as a derivation ===")
 spec9 = DQRingSpec(9, rho=True)
 a9, b9 = DQClass.gen_a(spec9), DQClass.gen_b(spec9)
-print(f"beta(a)      = {bockstein(a9).to_text()}")
-print(f"beta(a*b^2)  = {bockstein(a9 * b9 * b9).to_text()}")
+print(f"beta(a)      = {a9.bockstein().to_text()}")
+print(f"beta(a*b^2)  = {(a9 * b9 * b9).bockstein().to_text()}")
 tau = DQClass(spec9, {(0, 0): M2Poly.tau_power(1)})
-print(f"beta(tau)    = {bockstein(tau).to_text()}")
-print(f"beta(beta(a)) = {bockstein(bockstein(a9)).to_text()}")
+print(f"beta(tau)    = {tau.bockstein().to_text()}")
+print(f"beta(beta(a)) = {a9.bockstein().bockstein().to_text()}")
 
 print("\n=== restriction DQ_(n+1) -> DQ_n sends a -> a, b -> b ===")
 b7 = DQClass.gen_b(DQRingSpec(7))
 cube = b7 ** 3
 print(f"b^3 in DQ_7:              {cube.to_text()}")
-print(f"restricted to DQ_6:        {restrict_class(cube).to_text()}")
+print(f"restricted to DQ_6:        {cube.restrict().to_text()}")
 abk = DQClass.gen_a(DQRingSpec(7)) * b7 ** 3
 print(f"a*b^3 in DQ_7:             {abk.to_text()}")
-print(f"restricted to DQ_6 (eps=0): {restrict_class(abk).to_text()}")
+print(f"restricted to DQ_6 (eps=0): {abk.restrict().to_text()}")
 
 print("\n=== diagonal powers in the tensor product ===")
 for (r, s, n) in ((2, 2, 2), (3, 3, 3), (3, 3, 4), (5, 5, 6), (5, 5, 8)):

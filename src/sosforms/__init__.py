@@ -10,7 +10,6 @@ odd-prime fields.
 from .chow import (
     ChowClass,
     GysinTable,
-    chow_mul,
     dq_additive_basis_localization,
     even_intersection_table,
     gysin_pullback,
@@ -31,7 +30,6 @@ from .grading import BiDegree, ceil_half
 from .hopf import (
     BoundEntry,
     HopfTriple,
-    binom_parity,
     binom_parity_pascal,
     bound_table,
     hopf_admissible,
@@ -43,15 +41,11 @@ from .motivic import (
     DQRingSpec,
     M2Poly,
     TensorClass,
-    bockstein,
     diagonal_power,
-    dq_mul,
     dq_power_a,
     hopf_via_motivic,
     motivic_binomial_mismatches,
-    restrict_class,
     ring_additive_basis,
-    tensor_mul,
 )
 from .poly import SparsePoly, hyperbolic_coordinate_change
 from .rings import (
@@ -99,18 +93,14 @@ __all__ = [
     "SweepReport",
     "TensorClass",
     "ZZ",
-    "binom_parity",
     "binom_parity_pascal",
-    "bockstein",
     "bound_table",
     "ceil_half",
-    "chow_mul",
     "construct_classical",
     "construct_hurwitz_radon",
     "construct_trivial",
     "diagonal_power",
     "dq_additive_basis_localization",
-    "dq_mul",
     "dq_power_a",
     "even_intersection_table",
     "gaussian_ext",
@@ -126,9 +116,7 @@ __all__ = [
     "orthonormal_vectors",
     "projection_formula_check",
     "quadric_generator_degrees",
-    "restrict_class",
     "rho",
     "ring_additive_basis",
     "search",
-    "tensor_mul",
 ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .algebra import NormalForm, mono_text
 from .grading import BiDegree
 
 
@@ -44,27 +45,22 @@ def y_codim(m: int) -> int:
     return _k_of(m) + 1 if m % 2 else _k_of(m)
 
 
-def _reduce_monomial(m: int, i: int, j: int) -> dict:
-    """Normal form of x^i y^j in CH*(Q_m) as {(i', ybit): int coeff}."""
+def _reduce_monomial(m: int, i: int, j: int) -> tuple:
+    """Normal form of x^i y^j in CH*(Q_m) as (((i', ybit), int unit), ...)."""
     k = _k_of(m)
     odd = m % 2 == 1
     if j >= 2:
         if odd or k % 2 == 1:
-            return {}  # y^2 = 0
+            return ()  # y^2 = 0
         # k even: y^2 = x^k y
         return _reduce_monomial(m, i + k, j - 1)
-    if j == 1:
-        if i <= k:
-            return {(i, 1): 1}
-        return {}  # x^(k+1) y = 0 in every case
     if i <= k:
-        return {(i, 0): 1}
+        return (((i, j), 1),)
+    if j == 1:
+        return ()  # x^(k+1) y = 0 in every case
     # x^(k+1) = 2y (odd) or 2xy (even)
     shift = i - k - 1 if odd else i - k
-    out = {}
-    for key, c in _reduce_monomial(m, shift, 1).items():
-        out[key] = out.get(key, 0) + 2 * c
-    return out
+    return tuple((key, 2 * c) for key, c in _reduce_monomial(m, shift, 1))
 
 
 def basis_monomials(m: int) -> list[tuple[int, int]]:
@@ -74,35 +70,23 @@ def basis_monomials(m: int) -> list[tuple[int, int]]:
     return [(i, 0) for i in range(k + 1)] + [(i, 1) for i in range(k + 1)]
 
 
-class ChowClass:
+class ChowClass(NormalForm):
     """Integer combination of the normal-form monomials of CH*(Q_m)."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
+    UNIT = ((0, 0), 1)
 
     def __init__(self, m: int, terms=None):
         if m < 0:
             raise ValueError("quadric dimension must be >= 0")
-        self.m = m
-        clean: dict = {}
-        if terms:
-            for (i, j), coeff in terms.items():
-                if coeff == 0:
-                    continue
-                for key, c in _reduce_monomial(m, i, j).items():
-                    merged = clean.get(key, 0) + c * coeff
-                    if merged:
-                        clean[key] = merged
-                    else:
-                        clean.pop(key, None)
-        self.terms = clean
+        super().__init__(m, terms)
 
-    @classmethod
-    def zero(cls, m: int) -> "ChowClass":
-        return cls(m)
+    @property
+    def m(self) -> int:
+        return self.ring
 
-    @classmethod
-    def one(cls, m: int) -> "ChowClass":
-        return cls(m, {(0, 0): 1})
+    def _reduce(self, key) -> tuple:
+        return _reduce_monomial(self.ring, *key)
 
     @classmethod
     def x(cls, m: int) -> "ChowClass":
@@ -133,104 +117,33 @@ class ChowClass:
         """The class [*] of a rational point (top codimension)."""
         return cls(m, {(_k_of(m), 1): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "ChowClass"):
-        if self.m != other.m:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            merged = terms.get(key, 0) + c
-            if merged:
-                terms[key] = merged
-            else:
-                terms.pop(key, None)
-        out = ChowClass.__new__(ChowClass)
-        out.m, out.terms = self.m, terms
-        return out
-
     def __neg__(self) -> "ChowClass":
-        out = ChowClass.__new__(ChowClass)
-        out.m, out.terms = self.m, {key: -c for key, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return ChowClass.zero(self.m)
-            out = ChowClass.__new__(ChowClass)
-            out.m, out.terms = self.m, {k: other * c for k, c in self.terms.items()}
-            return out
-        self._check(other)
-        terms: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                for key, c in _reduce_monomial(self.m, i1 + i2, j1 + j2).items():
-                    merged = terms.get(key, 0) + c * c1 * c2
-                    if merged:
-                        terms[key] = merged
-                    else:
-                        terms.pop(key, None)
-        out = ChowClass.__new__(ChowClass)
-        out.m, out.terms = self.m, terms
-        return out
+            return self._new(self.m, {k: other * c for k, c in self.terms.items()} if other else {})
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exp: int) -> "ChowClass":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ChowClass.one(self.m)
-        for _ in range(exp):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    __hash__ = None
-
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        def mono_text(i, ybit):
-            factors = []
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if ybit:
-                factors.append("y")
-            return "*".join(factors) or "1"
-
         parts = []
-        for (i, ybit) in sorted(self.terms, key=lambda t: (t[0] + t[1] * y_codim(self.m), t[1])):
-            c = self.terms[(i, ybit)]
-            mono = mono_text(i, ybit)
-            if mono == "1":
+        for key in sorted(self.terms, key=lambda t: (t[0] + t[1] * y_codim(self.m), t[1])):
+            c, mono = self.terms[key], mono_text(("x", "y"), key)
+            if not mono:
                 parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
+            elif c in (1, -1):
+                parts.append(mono if c == 1 else f"-{mono}")
             else:
                 parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
     def __repr__(self):
         return f"ChowClass(Q_{self.m}: {self.to_text()})"
-
-
-def chow_mul(u: ChowClass, v: ChowClass) -> ChowClass:
-    return u * v
 
 
 def presentation_text(m: int) -> str:

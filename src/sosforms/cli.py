@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     p.add_argument("--signed-monomial", action="store_true")
     p.add_argument("--no-canonical", action="store_true", help="do not pin B_1")
-    add_format(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="existence vs Hopf consistency sweep")

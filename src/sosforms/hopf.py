@@ -37,23 +37,18 @@ def binom_is_odd(n: int, i: int) -> bool:
     return 0 <= i <= n and (i & n) == i
 
 
-def binom_parity(n: int, i: int) -> str:
-    return "odd" if binom_is_odd(n, i) else "even"
-
-
 _PASCAL_ROWS: list[int] = [1]  # row k stored as a bitmask: bit i = C(k, i) mod 2
 
 
-def binom_parity_pascal(n: int, i: int) -> str:
-    """Independent oracle: parity read off Pascal's triangle built mod 2."""
+def binom_parity_pascal(n: int, i: int) -> bool:
+    """Independent oracle for binom_is_odd: parity read off Pascal's
+    triangle built mod 2."""
     if n < 0:
         raise ValueError("n must be non-negative")
     while len(_PASCAL_ROWS) <= n:
         row = _PASCAL_ROWS[-1]
         _PASCAL_ROWS.append(row ^ (row << 1))
-    if i < 0 or i > n:
-        return "even"
-    return "odd" if (_PASCAL_ROWS[n] >> i) & 1 else "even"
+    return 0 <= i <= n and bool(_PASCAL_ROWS[n] >> i & 1)
 
 
 def hopf_admissible(r: int, s: int, n: int) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import NormalForm, accumulate, mono_text
 from .grading import BiDegree
 from .hopf import hopf_admissible
 
@@ -51,6 +52,9 @@ class M2Poly:
     def is_zero(self) -> bool:
         return not self.monos
 
+    def __bool__(self) -> bool:
+        return bool(self.monos)
+
     def __add__(self, other: "M2Poly") -> "M2Poly":
         return M2Poly(self.monos ^ other.monos)
 
@@ -66,8 +70,9 @@ class M2Poly:
         return M2Poly(acc)
 
     def strip_rho(self) -> "M2Poly":
-        """Image under rho -> 0."""
-        return M2Poly((t, m) for t, m in self.monos if m == 0)
+        """Image under rho -> 0 (self when there is no rho to strip)."""
+        kept = [(t, m) for t, m in self.monos if m == 0]
+        return self if len(kept) == len(self.monos) else M2Poly(kept)
 
     def bidegrees(self) -> set[BiDegree]:
         return {BiDegree(m, t + m) for t, m in self.monos}
@@ -79,24 +84,13 @@ class M2Poly:
         return hash(self.monos)
 
     def to_text(self) -> str:
-        if not self.monos:
-            return "0"
-        return " + ".join(_m2_mono_text(t, m) or "1" for t, m in sorted(self.monos))
+        return " + ".join(mono_text(_TR, tm) or "1" for tm in sorted(self.monos)) or "0"
 
     def __repr__(self):
         return f"M2Poly({self.to_text()})"
 
 
-def _m2_mono_text(t: int, m: int) -> str:
-    parts = []
-    if t:
-        parts.append("t" if t == 1 else f"t^{t}")
-    if m:
-        parts.append("r" if m == 1 else f"r^{m}")
-    return "*".join(parts)
-
-
-M2_ZERO = M2Poly()
+_TR = ("t", "r")
 M2_ONE = M2Poly.monomial(0, 0)
 M2_TAU = M2Poly.monomial(1, 0)
 M2_RHO = M2Poly.monomial(0, 1)
@@ -145,62 +139,50 @@ class DQRingSpec:
         return [BiDegree(e + 2 * j, e + j) for e, j in self.basis_monomials()]
 
 
-def _coeff_for_spec(spec: DQRingSpec, coeff: M2Poly) -> M2Poly:
-    return coeff if spec.rho else coeff.strip_rho()
-
-
-def _normalize_monomial(spec: DQRingSpec, e: int, j: int, coeff: M2Poly):
-    """Rewrite coeff * a^e b^j into basis terms [((e', j'), coeff'), ...]."""
-    coeff = _coeff_for_spec(spec, coeff)
-    if coeff.is_zero:
-        return []
+def _dq_reduce(spec: DQRingSpec, e: int, j: int) -> list:
+    """Normal form of a^e b^j as [((e', j'), unit), ...]; a key may repeat."""
     if e >= 2:
         # a^2 = rho*a + tau*b
-        out = []
-        out += _normalize_monomial(spec, e - 1, j, coeff * M2_RHO)
-        out += _normalize_monomial(spec, e - 2, j + 1, coeff * M2_TAU)
+        out = [(key, u * M2_TAU) for key, u in _dq_reduce(spec, e - 2, j + 1)]
+        if spec.rho:
+            out += [(key, u * M2_RHO) for key, u in _dq_reduce(spec, e - 1, j)]
         return out
     if j > spec.k:
         return []
     if spec.is_even and e == 1 and j == spec.k:
         # a*b^k = eps*b^k
-        if spec.eps_is_rho:
-            return _normalize_monomial(spec, 0, j, coeff * M2_RHO)
-        return []
-    return [((e, j), coeff)]
+        return [((0, j), M2_RHO)] if spec.eps_is_rho else []
+    return [((e, j), M2_ONE)]
 
 
-def _accumulate(terms: dict, key, coeff: M2Poly):
-    merged = terms.get(key, M2_ZERO) + coeff
-    if merged.is_zero:
-        terms.pop(key, None)
-    else:
-        terms[key] = merged
+def _class_text(terms: dict, names: tuple) -> str:
+    """Terms with M2Poly coefficients as ``coeff*basis`` words, basis
+    monomials in decreasing exponent order."""
+    words = (
+        "*".join(filter(None, (mono_text(_TR, tm), mono_text(names, key)))) or "1"
+        for key in sorted(terms, reverse=True)
+        for tm in sorted(terms[key].monos)
+    )
+    return " + ".join(words) or "0"
 
 
-class DQClass:
-    """A normal-form element: M2Poly coefficients on the basis monomials."""
+class DQClass(NormalForm):
+    """A normal-form element: M2Poly coefficients on the basis monomials a^e b^j."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
+    UNIT = ((0, 0), M2_ONE)
 
-    def __init__(self, spec: DQRingSpec, terms=None):
-        self.spec = spec
-        clean: dict = {}
-        if terms:
-            for (e, j), coeff in terms.items():
-                if not isinstance(coeff, M2Poly):
-                    raise TypeError("coefficients must be M2Poly")
-                for key, c in _normalize_monomial(spec, e, j, coeff):
-                    _accumulate(clean, key, c)
-        self.terms = clean
+    @property
+    def spec(self) -> DQRingSpec:
+        return self.ring
 
-    @classmethod
-    def zero(cls, spec: DQRingSpec) -> "DQClass":
-        return cls(spec)
+    def _scalar(self, coeff: M2Poly) -> M2Poly:
+        if not isinstance(coeff, M2Poly):
+            raise TypeError("coefficients must be M2Poly")
+        return coeff if self.ring.rho else coeff.strip_rho()
 
-    @classmethod
-    def one(cls, spec: DQRingSpec) -> "DQClass":
-        return cls(spec, {(0, 0): M2_ONE})
+    def _reduce(self, key) -> list:
+        return _dq_reduce(self.ring, *key)
 
     @classmethod
     def gen_a(cls, spec: DQRingSpec) -> "DQClass":
@@ -209,55 +191,6 @@ class DQClass:
     @classmethod
     def gen_b(cls, spec: DQRingSpec) -> "DQClass":
         return cls(spec, {(0, 1): M2_ONE})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_spec(self, other: "DQClass"):
-        if self.spec != other.spec:
-            raise ValueError(f"spec mismatch: {self.spec} vs {other.spec}")
-
-    def __add__(self, other: "DQClass") -> "DQClass":
-        self._check_spec(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(terms, key, coeff)
-        out = DQClass.__new__(DQClass)
-        out.spec, out.terms = self.spec, terms
-        return out
-
-    def __mul__(self, other: "DQClass") -> "DQClass":
-        self._check_spec(other)
-        spec = self.spec
-        terms: dict = {}
-        for (e1, j1), c1 in self.terms.items():
-            for (e2, j2), c2 in other.terms.items():
-                for key, c in _normalize_monomial(spec, e1 + e2, j1 + j2, c1 * c2):
-                    _accumulate(terms, key, c)
-        out = DQClass.__new__(DQClass)
-        out.spec, out.terms = spec, terms
-        return out
-
-    def __pow__(self, exp: int) -> "DQClass":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = DQClass.one(self.spec)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            if exp > 1:
-                base = base * base
-            exp >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DQClass):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    __hash__ = None
 
     def bidegree(self) -> BiDegree | None:
         """The common bidegree of all terms, or None if inhomogeneous/zero."""
@@ -270,21 +203,16 @@ class DQClass:
     def bockstein(self) -> "DQClass":
         """The derivation with beta(tau) = rho, beta(a) = b, beta(rho) =
         beta(b) = 0, extended by the Leibniz rule (characteristic 2)."""
-        spec = self.spec
         terms: dict = {}
         for (e, j), coeff in self.terms.items():
             for t, m in coeff.monos:
                 if t % 2 == 1:
                     # beta(tau^t) = t tau^(t-1) rho
-                    for key, c in _normalize_monomial(spec, e, j, M2Poly.monomial(t - 1, m + 1)):
-                        _accumulate(terms, key, c)
+                    accumulate(terms, (e, j), M2Poly.monomial(t - 1, m + 1))
                 if e == 1:
                     # beta(a b^j) = b^(j+1)
-                    for key, c in _normalize_monomial(spec, 0, j + 1, M2Poly.monomial(t, m)):
-                        _accumulate(terms, key, c)
-        out = DQClass.__new__(DQClass)
-        out.spec, out.terms = spec, terms
-        return out
+                    accumulate(terms, (0, j + 1), M2Poly.monomial(t, m))
+        return DQClass(self.ring, terms)
 
     def restrict(self, *, eps_is_rho: bool = False) -> "DQClass":
         """Image in the ring of DQ_(n-1) under a -> a, b -> b, renormalized
@@ -295,47 +223,16 @@ class DQClass:
         return DQClass(target, self.terms)
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (e, j) in sorted(self.terms, reverse=True):
-            coeff = self.terms[(e, j)]
-            basis = []
-            if e:
-                basis.append("a")
-            if j:
-                basis.append("b" if j == 1 else f"b^{j}")
-            basis_str = "*".join(basis)
-            for t, m in sorted(coeff.monos):
-                coeff_str = _m2_mono_text(t, m)
-                if coeff_str and basis_str:
-                    parts.append(f"{coeff_str}*{basis_str}")
-                elif basis_str:
-                    parts.append(basis_str)
-                else:
-                    parts.append(coeff_str or "1")
-        return " + ".join(parts)
+        return _class_text(self.terms, ("a", "b"))
 
     def __repr__(self):
         return f"DQClass(n={self.spec.n}: {self.to_text()})"
-
-
-def dq_mul(x: DQClass, y: DQClass) -> DQClass:
-    return x * y
 
 
 def dq_power_a(spec: DQRingSpec, m: int) -> DQClass:
     """Normal form of a^m.  In the rho = 0 model this is tau^(m//2) b^(m//2)
     (m even) or tau^((m-1)/2) a b^((m-1)/2) (m odd), hence zero iff m > n."""
     return DQClass.gen_a(spec) ** m
-
-
-def bockstein(x: DQClass) -> DQClass:
-    return x.bockstein()
-
-
-def restrict_class(x: DQClass, *, eps_is_rho: bool = False) -> DQClass:
-    return x.restrict(eps_is_rho=eps_is_rho)
 
 
 def ring_additive_basis(spec_or_n) -> list[BiDegree]:
@@ -347,32 +244,30 @@ def ring_additive_basis(spec_or_n) -> list[BiDegree]:
 # -- Kunneth tensor products -------------------------------------------------------
 
 
-class TensorClass:
+class TensorClass(NormalForm):
     """An element of the tensor product of two deleted-quadric rings over the
-    coefficient model, on the product basis a1^e1 b1^j1 (x) a2^e2 b2^j2."""
+    coefficient model, on the product basis a1^e1 b1^j1 (x) a2^e2 b2^j2.
+    The ring parameter is the pair (left spec, right spec)."""
 
-    __slots__ = ("left_spec", "right_spec", "terms")
+    __slots__ = ()
+    UNIT = ((0, 0, 0, 0), M2_ONE)
 
     def __init__(self, left_spec: DQRingSpec, right_spec: DQRingSpec, terms=None):
         if left_spec.rho != right_spec.rho:
             raise ValueError("tensor factors must share the coefficient model")
-        self.left_spec = left_spec
-        self.right_spec = right_spec
-        clean: dict = {}
-        if terms:
-            for (e1, j1, e2, j2), coeff in terms.items():
-                for (le, lj), lc in _normalize_monomial(left_spec, e1, j1, coeff):
-                    for (re, rj), rc in _normalize_monomial(right_spec, e2, j2, lc):
-                        _accumulate(clean, (le, lj, re, rj), rc)
-        self.terms = clean
+        super().__init__((left_spec, right_spec), terms)
 
-    @classmethod
-    def zero(cls, left_spec, right_spec) -> "TensorClass":
-        return cls(left_spec, right_spec)
+    def _scalar(self, coeff: M2Poly) -> M2Poly:
+        return coeff if self.ring[0].rho else coeff.strip_rho()
 
-    @classmethod
-    def one(cls, left_spec, right_spec) -> "TensorClass":
-        return cls(left_spec, right_spec, {(0, 0, 0, 0): M2_ONE})
+    def _reduce(self, key) -> list:
+        left, right = self.ring
+        rights = _dq_reduce(right, key[2], key[3])
+        return [
+            (lk + rk, ru if lu is M2_ONE else lu if ru is M2_ONE else lu * ru)
+            for lk, lu in _dq_reduce(left, key[0], key[1])
+            for rk, ru in rights
+        ]
 
     @classmethod
     def a_left(cls, left_spec, right_spec) -> "TensorClass":
@@ -382,93 +277,11 @@ class TensorClass:
     def a_right(cls, left_spec, right_spec) -> "TensorClass":
         return cls(left_spec, right_spec, {(0, 0, 1, 0): M2_ONE})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_spec(self, other: "TensorClass"):
-        if self.left_spec != other.left_spec or self.right_spec != other.right_spec:
-            raise ValueError("spec mismatch")
-
-    def __add__(self, other: "TensorClass") -> "TensorClass":
-        self._check_spec(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(terms, key, coeff)
-        return self._raw(terms)
-
-    def __mul__(self, other: "TensorClass") -> "TensorClass":
-        self._check_spec(other)
-        terms: dict = {}
-        for (e1, j1, e2, j2), c1 in self.terms.items():
-            for (f1, i1, f2, i2), c2 in other.terms.items():
-                left_parts = _normalize_monomial(self.left_spec, e1 + f1, j1 + i1, c1 * c2)
-                for (le, lj), lc in left_parts:
-                    for (re, rj), rc in _normalize_monomial(self.right_spec, e2 + f2, j2 + i2, lc):
-                        _accumulate(terms, (le, lj, re, rj), rc)
-        return self._raw(terms)
-
-    def __pow__(self, exp: int) -> "TensorClass":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = TensorClass.one(self.left_spec, self.right_spec)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            if exp > 1:
-                base = base * base
-            exp >>= 1
-        return result
-
-    def _raw(self, terms: dict) -> "TensorClass":
-        out = TensorClass.__new__(TensorClass)
-        out.left_spec, out.right_spec, out.terms = self.left_spec, self.right_spec, terms
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorClass):
-            return NotImplemented
-        return (
-            self.left_spec == other.left_spec
-            and self.right_spec == other.right_spec
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (e1, j1, e2, j2) in sorted(self.terms, reverse=True):
-            coeff = self.terms[(e1, j1, e2, j2)]
-            basis = []
-            if e1:
-                basis.append("a1")
-            if j1:
-                basis.append("b1" if j1 == 1 else f"b1^{j1}")
-            if e2:
-                basis.append("a2")
-            if j2:
-                basis.append("b2" if j2 == 1 else f"b2^{j2}")
-            basis_str = "*".join(basis)
-            for t, m in sorted(coeff.monos):
-                coeff_str = _m2_mono_text(t, m)
-                if coeff_str and basis_str:
-                    parts.append(f"{coeff_str}*{basis_str}")
-                elif basis_str:
-                    parts.append(basis_str)
-                else:
-                    parts.append(coeff_str or "1")
-        return " + ".join(parts)
+        return _class_text(self.terms, ("a1", "b1", "a2", "b2"))
 
     def __repr__(self):
         return f"TensorClass({self.to_text()})"
-
-
-def tensor_mul(x: TensorClass, y: TensorClass) -> TensorClass:
-    return x * y
 
 
 def diagonal_power(r: int, s: int, n: int) -> TensorClass:

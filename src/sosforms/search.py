@@ -61,8 +61,9 @@ class SearchResult:
         return bool(self.formulas)
 
 
-def _unit_columns(p: int, n: int, signed_only: bool) -> list[tuple[int, ...]]:
-    """Candidate columns: unit vectors for the standard bilinear form."""
+def _unit_columns(p: int, n: int, signed_only: bool, deadline: float | None) -> list[tuple[int, ...]]:
+    """Candidate columns: unit vectors for the standard bilinear form.  The
+    full enumeration visits p^n vectors, so it watches the deadline too."""
     if signed_only:
         cols = []
         for pos in range(n):
@@ -72,7 +73,9 @@ def _unit_columns(p: int, n: int, signed_only: bool) -> list[tuple[int, ...]]:
                 cols.append(tuple(v))
         return cols
     cols = []
-    for v in itertools.product(range(p), repeat=n):
+    for count, v in enumerate(itertools.product(range(p), repeat=n)):
+        if deadline is not None and count % 1024 == 0 and time.monotonic() >= deadline:
+            raise _Timeout
         if sum(c * c for c in v) % p == 1:
             cols.append(v)
     return cols
@@ -97,7 +100,6 @@ def search(problem: SearchProblem) -> SearchResult:
         return SearchResult([], exhausted=True, elapsed=time.monotonic() - start)
 
     field_ring = PrimeField(p)
-    candidates = _unit_columns(p, n, opts.signed_monomial_only)
 
     pinned = 0
     matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
@@ -137,9 +139,9 @@ def search(problem: SearchProblem) -> SearchResult:
         solutions.append(f)
 
     def extend(mi: int, ci: int) -> None:
-        state["nodes"] += 1
-        if deadline is not None and state["nodes"] % 256 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             raise _Timeout
+        state["nodes"] += 1
         if mi == r:
             emit()
             if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
@@ -159,6 +161,7 @@ def search(problem: SearchProblem) -> SearchResult:
     exhausted = True
     matrices.append([])
     try:
+        candidates = _unit_columns(p, n, opts.signed_monomial_only, deadline)
         if pinned == 1 and r == 1:
             # nothing left to search: the pinned frame is the whole solution
             matrices.pop()

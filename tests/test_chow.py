@@ -1,6 +1,8 @@
 """Chow rings of split quadrics, Gysin tables, and localization bookkeeping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosforms.chow import (
     ChowClass,
@@ -156,29 +158,23 @@ def test_fold_pushforward_on_middle_classes():
 # -- ring axioms -------------------------------------------------------------------------
 
 
-def test_chow_ring_axioms_on_random_classes():
-    import random
-
-    rng = random.Random(31)
-    for m in (2, 3, 4, 5, 8):
-        monos = basis_monomials(m)
-
-        def random_class():
-            terms = {}
-            for key in monos:
-                if rng.random() < 0.4:
-                    terms[key] = rng.randint(-3, 3)
-            return ChowClass(m, terms)
-
-        one = ChowClass.one(m)
-        for _ in range(25):
-            x, y, z = random_class(), random_class(), random_class()
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * y == y * x
-            assert x * (y + z) == x * y + x * z
-            assert x * one == x
-            assert (x - x).is_zero
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_chow_ring_axioms_on_random_classes(data):
+    m = data.draw(st.integers(0, 9))
+    # raw exponents past the basis, so the constructor's reduction is exercised too
+    keys = st.tuples(st.integers(0, m + 2), st.integers(0, 2))
+    classes = st.dictionaries(keys, st.integers(-3, 3), max_size=4).map(lambda terms: ChowClass(m, terms))
+    x, y, z = data.draw(classes), data.draw(classes), data.draw(classes)
+    one, zero = ChowClass.one(m), ChowClass.zero(m)
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x * one == x and x + zero == x
+    assert (x - x).is_zero
+    assert 2 * x == x + x and -x == x * -1
 
 
 # -- generator degrees and the localization basis ---------------------------------------

@@ -127,6 +127,7 @@ def test_usage_errors_exit_two(capsys):
     assert main(["hopf", "x", "y", "z"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["search", "1", "1", "1", "2"]) == 2  # char 2 field
+    assert main(["search", "2", "2", "2", "3", "--format", "json"]) == 2  # search has no --format
 
 
 def test_bounds_json_round_trip(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from sosforms.hopf import (
     HopfTriple,
-    binom_parity,
+    binom_is_odd,
     binom_parity_pascal,
     bound_table,
     bound_table_csv,
@@ -20,25 +20,25 @@ from sosforms.hopf import (
 
 
 def test_parity_examples():
-    assert binom_parity(3, 1) == "odd"
-    assert binom_parity(8, 4) == "even"
+    assert binom_is_odd(3, 1)
+    assert not binom_is_odd(8, 4)
     for n in (0, 1, 7, 100):
-        assert binom_parity(n, 0) == "odd"
-    assert binom_parity(5, -1) == "even"
-    assert binom_parity(5, 6) == "even"
+        assert binom_is_odd(n, 0)
+    assert not binom_is_odd(5, -1)
+    assert not binom_is_odd(5, 6)
 
 
 def test_parity_against_math_comb():
     for n in range(0, 30):
         for i in range(-1, n + 2):
-            expected = "odd" if 0 <= i <= n and math.comb(n, i) % 2 else "even"
-            assert binom_parity(n, i) == expected
+            expected = 0 <= i <= n and math.comb(n, i) % 2 == 1
+            assert binom_is_odd(n, i) == expected
 
 
 def test_lucas_vs_pascal_full_range():
     for n in range(0, 513):
         for i in range(0, n + 1):
-            assert binom_parity(n, i) == binom_parity_pascal(n, i)
+            assert binom_is_odd(n, i) == binom_parity_pascal(n, i)
 
 
 def test_admissible_examples():

@@ -4,6 +4,8 @@ products, and the diagonal-power pipeline."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosforms.grading import BiDegree, ceil_half
 from sosforms.hopf import hopf_admissible
@@ -15,15 +17,11 @@ from sosforms.motivic import (
     M2_TAU,
     M2Poly,
     TensorClass,
-    bockstein,
     diagonal_power,
-    dq_mul,
     dq_power_a,
     hopf_via_motivic,
     motivic_binomial_mismatches,
-    restrict_class,
     ring_additive_basis,
-    tensor_mul,
 )
 
 
@@ -78,7 +76,7 @@ def test_eps_normalized_away_without_rho():
 
 def test_mul_examples():
     a3 = DQClass.gen_a(DQRingSpec(3))
-    assert dq_mul(a3, a3) == DQClass(DQRingSpec(3), {(0, 1): M2_TAU})  # a*a = tau b
+    assert a3 * a3 == DQClass(DQRingSpec(3), {(0, 1): M2_TAU})  # a*a = tau b
     b3 = DQClass.gen_b(DQRingSpec(3))
     assert (b3 * b3).is_zero  # b^2 = 0 when k = 1
     spec2 = DQRingSpec(2)
@@ -135,17 +133,17 @@ def test_power_closed_form_before_truncation():
 def test_bockstein_generators():
     spec = DQRingSpec(9, rho=True)
     a, b = DQClass.gen_a(spec), DQClass.gen_b(spec)
-    assert bockstein(a) == b
-    assert bockstein(b).is_zero
+    assert a.bockstein() == b
+    assert b.bockstein().is_zero
     tau_one = DQClass(spec, {(0, 0): M2_TAU})
-    assert bockstein(tau_one) == DQClass(spec, {(0, 0): M2_RHO})
+    assert tau_one.bockstein() == DQClass(spec, {(0, 0): M2_RHO})
 
 
 def test_bockstein_on_a_b_powers():
     spec = DQRingSpec(11)
     a, b = DQClass.gen_a(spec), DQClass.gen_b(spec)
     for i in range(0, 5):
-        assert bockstein(a * b ** i) == b ** (i + 1)
+        assert (a * b ** i).bockstein() == b ** (i + 1)
 
 
 def test_bockstein_squares_to_zero_on_bases():
@@ -153,7 +151,7 @@ def test_bockstein_squares_to_zero_on_bases():
         spec = DQRingSpec(n, rho=True)
         for (e, j) in spec.basis_monomials():
             x = DQClass(spec, {(e, j): M2_ONE})
-            assert bockstein(bockstein(x)).is_zero
+            assert x.bockstein().bockstein().is_zero
 
 
 def _random_class(rng, spec):
@@ -171,14 +169,14 @@ def test_bockstein_leibniz_on_random_classes():
         spec = DQRingSpec(n, rho=True)
         for _ in range(60):
             x, y = _random_class(rng, spec), _random_class(rng, spec)
-            assert bockstein(x * y) == bockstein(x) * y + x * bockstein(y)
+            assert (x * y).bockstein() == x.bockstein() * y + x * y.bockstein()
 
 
 def test_bockstein_raises_first_degree_by_one():
     spec = DQRingSpec(8, rho=True)
     x = DQClass(spec, {(1, 2): M2_TAU})
     deg = x.bidegree()
-    image = bockstein(x)
+    image = x.bockstein()
     for term_deg in [image.bidegree()]:
         assert term_deg == BiDegree(deg.p + 1, deg.q)
 
@@ -190,13 +188,13 @@ def test_restriction_examples():
     for k in (1, 2, 3):
         top = DQRingSpec(2 * k + 1)
         bk = DQClass.gen_b(top) ** k
-        down = restrict_class(bk)
+        down = bk.restrict()
         assert down.spec.n == 2 * k
         assert not down.is_zero
         abk = DQClass.gen_a(top) * bk
-        assert restrict_class(abk).is_zero  # a b^k dies when eps = 0
+        assert abk.restrict().is_zero  # a b^k dies when eps = 0
     b2 = DQClass.gen_b(DQRingSpec(2))
-    assert restrict_class(b2).is_zero  # b = 0 in the ring of DQ_1
+    assert b2.restrict().is_zero  # b = 0 in the ring of DQ_1
 
 
 def test_restriction_is_ring_map():
@@ -206,7 +204,7 @@ def test_restriction_is_ring_map():
             spec = DQRingSpec(n, rho=rho_flag)
             for _ in range(25):
                 x, y = _random_class(rng, spec), _random_class(rng, spec)
-                assert restrict_class(x * y) == restrict_class(x) * restrict_class(y)
+                assert (x * y).restrict() == x.restrict() * y.restrict()
 
 
 # -- tensor products ------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_tensor_bilinearity_example():
     left, right = _pair(4, 4)
     a1 = TensorClass.a_left(left, right)
     a2 = TensorClass.a_right(left, right)
-    prod = tensor_mul(a1, a2)
+    prod = a1 * a2
     assert prod == TensorClass(left, right, {(1, 0, 1, 0): M2_ONE})
 
 
@@ -297,22 +295,39 @@ def test_engines_agree_spot_triples():
 # -- ring axioms and grading -------------------------------------------------------------------
 
 
-def test_dq_ring_axioms_on_random_classes():
-    rng = random.Random(41)
-    for n in (2, 5, 8):
-        for rho_flag in (False, True):
-            spec = DQRingSpec(n, rho=rho_flag)
-            for _ in range(30):
-                x = _random_class(rng, spec)
-                y = _random_class(rng, spec)
-                z = _random_class(rng, spec)
-                assert (x + y) + z == x + (y + z)
-                assert x + y == y + x
-                assert (x * y) * z == x * (y * z)
-                assert x * y == y * x
-                assert x * (y + z) == x * y + x * z
-                assert x + x == DQClass.zero(spec)  # characteristic 2
-                assert x * DQClass.one(spec) == x
+# rho = 0; rho formal with eps = 0; rho formal with eps = rho
+MODELS = ((False, False), (True, False), (True, True))
+m2_polys = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3).map(M2Poly)
+
+
+def dq_classes(spec):
+    # raw exponents past the basis, so the constructor's reduction is exercised too
+    keys = st.tuples(st.integers(0, 3), st.integers(0, spec.n // 2 + 1))
+    return st.dictionaries(keys, m2_polys, max_size=4).map(lambda terms: DQClass(spec, terms))
+
+
+def tensor_classes(left, right):
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3))
+    return st.dictionaries(keys, m2_polys, max_size=4).map(lambda terms: TensorClass(left, right, terms))
+
+
+def assert_z2_algebra_axioms(x, y, z, zero, one):
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x * one == x and x + zero == x
+    assert x + x == zero  # characteristic 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dq_ring_axioms_on_random_classes(data):
+    rho, eps = data.draw(st.sampled_from(MODELS))
+    spec = DQRingSpec(data.draw(st.integers(0, 9)), rho=rho, eps_is_rho=eps)
+    x, y, z = (data.draw(dq_classes(spec)) for _ in range(3))
+    assert_z2_algebra_axioms(x, y, z, DQClass.zero(spec), DQClass.one(spec))
 
 
 def test_dq_mul_adds_bidegrees():
@@ -330,25 +345,36 @@ def test_dq_mul_adds_bidegrees():
             assert prod.bidegree() == x.bidegree() + y.bidegree()
 
 
-def test_tensor_ring_axioms_on_random_classes():
-    rng = random.Random(23)
-    left, right = DQRingSpec(3), DQRingSpec(4)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_ring_axioms_on_random_classes(data):
+    rho, eps = data.draw(st.sampled_from(MODELS))
+    left = DQRingSpec(data.draw(st.integers(0, 5)), rho=rho, eps_is_rho=eps)
+    right = DQRingSpec(data.draw(st.integers(0, 5)), rho=rho, eps_is_rho=eps)
+    x, y, z = (data.draw(tensor_classes(left, right)) for _ in range(3))
+    zero, one = TensorClass.zero(left, right), TensorClass.one(left, right)
+    assert_z2_algebra_axioms(x, y, z, zero, one)
 
-    def random_tensor():
-        terms = {}
-        for (e1, j1) in left.basis_monomials():
-            for (e2, j2) in right.basis_monomials():
-                if rng.random() < 0.2:
-                    terms[(e1, j1, e2, j2)] = M2Poly.monomial(rng.randint(0, 2), 0)
-        return TensorClass(left, right, terms)
 
-    one = TensorClass.one(left, right)
-    for _ in range(25):
-        x, y, z = random_tensor(), random_tensor(), random_tensor()
-        assert (x * y) * z == x * (y * z)
-        assert x * y == y * x
-        assert x * (y + z) == x * y + x * z
-        assert x * one == x
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rho_to_zero_is_a_ring_map(data):
+    # re-normalising into the rho = 0 ring (which also sends eps = rho to 0)
+    # commutes with the product, in one ring and in a tensor product
+    eps = data.draw(st.booleans())
+    n, m = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    formal, flat = DQRingSpec(n, rho=True, eps_is_rho=eps), DQRingSpec(n)
+    x, y = data.draw(dq_classes(formal)), data.draw(dq_classes(formal))
+    assert DQClass(flat, (x * y).terms) == DQClass(flat, x.terms) * DQClass(flat, y.terms)
+    other = DQRingSpec(m, rho=True, eps_is_rho=eps)
+    u, v = data.draw(tensor_classes(formal, other)), data.draw(tensor_classes(formal, other))
+    flat_other = DQRingSpec(m)
+
+    def strip(w):
+        return TensorClass(flat, flat_other, w.terms)
+
+    assert strip(u * v) == strip(u) * strip(v)
+    assert strip(u + v) == strip(u) + strip(v)
 
 
 # -- rendering --------------------------------------------------------------------------------

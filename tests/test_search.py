@@ -1,6 +1,7 @@
 """Backtracking search over GF(p) and the existence-vs-Hopf sweep."""
 
 import itertools
+import time
 
 import pytest
 
@@ -123,6 +124,22 @@ def test_time_budget_partial():
     # an absurdly small budget forces a timeout on a nontrivial cell
     result = run(3, 3, 4, 5, time_budget=0.0)
     assert not result.exhausted
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_zero_budget_expands_no_node(signed):
+    result = run(2, 2, 8, 5, time_budget=0, signed_monomial_only=signed)
+    assert result.nodes == 0
+    assert not result.exhausted and not result.found
+
+
+def test_time_budget_bounds_wall_time():
+    # 5^8 candidate vectors take about 0.3 s to enumerate: the deadline must
+    # interrupt the enumeration, not only the tree walk after it
+    start = time.perf_counter()
+    result = run(2, 2, 8, 5, time_budget=0.05)
+    assert not result.exhausted
+    assert time.perf_counter() - start < 0.25
 
 
 def test_even_char_rejected():
