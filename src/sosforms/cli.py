@@ -37,6 +37,13 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     by_expansion = formula.verify_by_expansion()
     by_hurwitz = formula.verify_by_hurwitz()
+    if not by_hurwitz:
+        a, b, j, k = formula.to_hurwitz().defect()
+        print(
+            f"Gram defect at (a, b, j, k) = ({a}, {b}, {j}, {k}): entry (j, k) of "
+            "B_a^T B_b + B_b^T B_a is not 2 delta_ab delta_jk (indices from 0)",
+            file=sys.stderr,
+        )
     r, s, n = formula.type_triple
     verdict = by_expansion and by_hurwitz
     if args.format == "json":
@@ -204,7 +211,7 @@ def cmd_search(args) -> int:
         print(f.to_json())
     print(
         f"found={len(result.formulas)} exhausted={str(result.exhausted).lower()} "
-        f"nodes={result.nodes}",
+        f"nodes={result.nodes} stop={result.stop_reason}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -214,37 +214,50 @@ class HurwitzSystem:
             if len(mat) != n or any(len(row) != s for row in mat):
                 raise ValueError("matrix has wrong shape")
 
-    def _gram(self, a, b):
-        """B_a^T B_b + B_b^T B_a as an s x s matrix."""
+    def defect(self) -> tuple[int, int, int, int] | None:
+        """The first (a, b, j, k) with a <= b, in lexicographic order, at which
+        B_a^T B_b + B_b^T B_a differs from 2 delta_ab delta_jk; None if none.
+
+        Only nonzero entries are touched.  For each pair a <= b the Gram
+        matrix G = P + P^T, P = B_a^T B_b, is accumulated on and above its
+        diagonal from the products of nonzeros sharing a row, which costs
+        sum_m nnz(B_a[m]) * nnz(B_b[m]) ring products.  G can differ from its
+        target only on that support, or on the diagonal when a = b.
+        """
         ring = self.ring
-        A, B = self.matrices[a], self.matrices[b]
-        out = []
-        for j in range(self.s):
-            row = []
-            for k in range(self.s):
-                acc = ring.zero()
-                for m in range(self.n):
-                    acc = ring.add(acc, ring.mul(A[m][j], B[m][k]))
-                    acc = ring.add(acc, ring.mul(B[m][j], A[m][k]))
-                row.append(acc)
-            out.append(row)
-        return out
+        if ring.characteristic() == 2:  # unreachable: such rings are rejected
+            raise ValueError("matrix criterion needs characteristic != 2")
+        add, mul = ring.add, ring.mul
+        zero, two = ring.zero(), ring.coerce(2)
+        nonzeros = [
+            [tuple((j, c) for j, c in enumerate(row) if c != zero) for row in mat]
+            for mat in self.matrices
+        ]
+        for a, rows_a in enumerate(nonzeros):
+            for b in range(a, len(nonzeros)):
+                # upper[j, k] is G[j][k] for j < k, and P[j][j] = G[j][j] / 2 for j = k
+                upper = {}
+                for row_a, row_b in zip(rows_a, nonzeros[b]):
+                    for j, x in row_a:
+                        for k, y in row_b:
+                            key = (j, k) if j <= k else (k, j)
+                            term = mul(x, y)
+                            upper[key] = add(upper[key], term) if key in upper else term
+                if a == b:
+                    for j in range(self.s):
+                        upper.setdefault((j, j), zero)
+                diagonal = two if a == b else zero
+                bad = [
+                    (j, k)
+                    for (j, k), g in upper.items()
+                    if (add(g, g) != diagonal if j == k else g != zero)
+                ]
+                if bad:
+                    return (a, b, *min(bad))
+        return None
 
     def verify(self) -> bool:
-        if self.ring.characteristic() == 2:  # unreachable: such rings are rejected
-            raise ValueError("matrix criterion needs characteristic != 2")
-        ring = self.ring
-        two = ring.coerce(2)
-        for a in range(len(self.matrices)):
-            for b in range(a, len(self.matrices)):
-                expected = two if a == b else ring.zero()
-                gram = self._gram(a, b)
-                for j in range(self.s):
-                    for k in range(self.s):
-                        want = expected if j == k else ring.zero()
-                        if gram[j][k] != want:
-                            return False
-        return True
+        return self.defect() is None
 
 
 # -- classical constructions ------------------------------------------------------

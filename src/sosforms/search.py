@@ -11,9 +11,11 @@ frame to the standard one by an isometry acting on all matrices at once, so
 existence is unaffected.  Disabling the pin recovers the full solution set
 (used to test that the canonical search misses nothing on tiny instances).
 
-An empty result with ``exhausted=True`` is a proof of nonexistence within the
-searched class; timeouts never masquerade as proofs.  Every emitted formula
-is re-verified by polynomial expansion before it is returned.
+A result says why the search stopped: ``exhausted`` (the whole tree was
+walked), ``max_solutions`` or ``timeout``.  An empty exhausted result is a
+proof of nonexistence within the searched class; timeouts never masquerade
+as proofs.  Every emitted formula is re-verified by polynomial expansion
+before it is returned.
 """
 
 from __future__ import annotations
@@ -52,9 +54,13 @@ class SearchProblem:
 @dataclass
 class SearchResult:
     formulas: list[SosFormula]
-    exhausted: bool
+    stop_reason: str  # "exhausted" | "max_solutions" | "timeout"
     nodes: int = 0
     elapsed: float = 0.0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.stop_reason == "exhausted"
 
     @property
     def found(self) -> bool:
@@ -81,6 +87,15 @@ def _unit_columns(p: int, n: int, signed_only: bool, deadline: float | None) -> 
     return cols
 
 
+def _watched(candidates, deadline: float):
+    """The candidates, checking the deadline every 32 of them: one node's
+    scan of a long candidate list must not overrun a time budget."""
+    for count, v in enumerate(candidates):
+        if count % 32 == 0 and time.monotonic() >= deadline:
+            raise _Timeout
+        yield v
+
+
 def _dot(u, v, p) -> int:
     return sum(a * b for a, b in zip(u, v)) % p
 
@@ -97,7 +112,7 @@ def search(problem: SearchProblem) -> SearchResult:
 
     # B_1^T B_1 = I_s forces n >= s; r <-> s symmetry forces n >= r.
     if s > n or r > n:
-        return SearchResult([], exhausted=True, elapsed=time.monotonic() - start)
+        return SearchResult([], "exhausted", elapsed=time.monotonic() - start)
 
     field_ring = PrimeField(p)
 
@@ -147,7 +162,7 @@ def search(problem: SearchProblem) -> SearchResult:
             if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
                 raise _Stop
             return
-        for v in candidates:
+        for v in candidates if deadline is None else _watched(candidates, deadline):
             if column_ok(mi, ci, v):
                 matrices[mi].append(v)
                 if ci + 1 == s:
@@ -158,7 +173,7 @@ def search(problem: SearchProblem) -> SearchResult:
                     extend(mi, ci + 1)
                 matrices[mi].pop()
 
-    exhausted = True
+    stop_reason = "exhausted"
     matrices.append([])
     try:
         candidates = _unit_columns(p, n, opts.signed_monomial_only, deadline)
@@ -170,13 +185,13 @@ def search(problem: SearchProblem) -> SearchResult:
             extend(pinned, 0)
             matrices.pop()
     except _Stop:
-        exhausted = False
+        stop_reason = "max_solutions"
     except _Timeout:
-        exhausted = False
+        stop_reason = "timeout"
 
     solutions.sort(key=lambda f: f.to_json())
     return SearchResult(
-        solutions, exhausted=exhausted, nodes=state["nodes"], elapsed=time.monotonic() - start
+        solutions, stop_reason, nodes=state["nodes"], elapsed=time.monotonic() - start
     )
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sosforms.cli import main
-from sosforms.formulas import SosFormula, construct_classical
+from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
 
 
 @pytest.fixture
@@ -45,6 +45,30 @@ def test_verify_broken_formula_exit_one(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", str(path)]) == 1
     assert "NOT verified" in capsys.readouterr().out
+
+
+def test_verify_corrupted_hurwitz_radon_names_gram_witness(tmp_path, capsys):
+    f = construct_hurwitz_radon(8)
+    data = f.to_json_dict()
+    data["tensor"][5][3][2] += 1
+    broken = SosFormula.from_json_dict(data)
+    witness = broken.to_hurwitz().defect()
+    assert witness is not None
+    path = tmp_path / "broken_hr8.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "r": 8, "s": 8, "n": 8, "field": "Z",
+        "verified": False, "by_expansion": False, "by_hurwitz": False,
+    }
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "(a, b, j, k) = ({}, {}, {}, {})".format(*witness) in lines[0]
+    # a formula that holds prints nothing on stderr
+    path.write_text(f.to_json())
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_malformed_exit_two(tmp_path, capsys):
@@ -114,6 +138,15 @@ def test_search_streams_json_lines(capsys):
         f = SosFormula.from_json(line)
         assert f.verify_by_expansion()
     assert "exhausted=true" in captured.err
+    assert "stop=exhausted" in captured.err
+
+
+def test_search_summary_is_key_value(capsys):
+    assert main(["search", "2", "2", "2", "3", "--max-solutions", "1"]) == 0
+    summary = dict(item.split("=", 1) for item in capsys.readouterr().err.split())
+    assert summary.keys() == {"found", "exhausted", "nodes", "stop"}
+    assert summary["exhausted"] == "false"
+    assert summary["stop"] == "max_solutions"
 
 
 def test_sweep_csv_and_exit(capsys):

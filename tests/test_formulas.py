@@ -1,8 +1,11 @@
 """Composition formulas: verification oracles, constructions, transformations."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosforms.formulas import (
     HurwitzSystem,
@@ -15,7 +18,7 @@ from sosforms.formulas import (
 )
 from sosforms.hopf import hopf_admissible, rho
 from sosforms.poly import SparsePoly
-from sosforms.rings import PrimeField, QQ, ZZ
+from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
 
 
 def gauss():
@@ -95,6 +98,91 @@ def test_expansion_hurwitz_equivalence_on_random_tensors():
             assert f.verify_by_expansion() == f.verify_by_hurwitz()
 
 
+# -- Gram defect against the naive oracle -----------------------------------------
+
+
+def naive_gram_defect(system):
+    """Every entry of B_a^T B_b + B_b^T B_a summed over all n rows, zeros
+    included, scanned in (a, b, j, k) order: the first that differs from
+    2 delta_ab delta_jk, or None."""
+    ring = system.ring
+    mats = system.matrices
+    zero, two = ring.zero(), ring.coerce(2)
+    for a in range(len(mats)):
+        for b in range(a, len(mats)):
+            A, B = mats[a], mats[b]
+            for j in range(system.s):
+                for k in range(system.s):
+                    acc = zero
+                    for m in range(system.n):
+                        acc = ring.add(acc, ring.mul(A[m][j], B[m][k]))
+                        acc = ring.add(acc, ring.mul(B[m][j], A[m][k]))
+                    if acc != (two if a == b and j == k else zero):
+                        return (a, b, j, k)
+    return None
+
+
+# (ring, nonzero entries); zeros are drawn far more often than these
+RINGS_AND_ENTRIES = [
+    (PrimeField(3), [1, 2]),
+    (PrimeField(5), [1, 2, 3, 4]),
+    (PrimeField(13), [1, 5, 8, 12]),
+    (ZZ, [1, -1, 2]),
+    (QQ, [1, -1, Fraction(1, 2), Fraction(-3, 5)]),
+    (gaussian_ext(ZZ), [1, -1, (0, 1), (0, -1), (1, 1)]),
+]
+
+
+@st.composite
+def sparse_formulas(draw):
+    ring, nonzero = draw(st.sampled_from(RINGS_AND_ENTRIES))
+    r, s, n = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.sampled_from([0] * 3 * len(nonzero) + nonzero)
+    tensor = [[[draw(entry) for _ in range(s)] for _ in range(r)] for _ in range(n)]
+    return SosFormula(r, s, n, ring, tensor)
+
+
+@st.composite
+def corrupted_hurwitz_radon(draw):
+    ring, _ = draw(st.sampled_from(RINGS_AND_ENTRIES))
+    f = construct_hurwitz_radon(draw(st.integers(1, 32)))
+    i = draw(st.integers(0, f.r - 1))
+    k = draw(st.integers(0, f.n - 1))
+    j = draw(st.integers(0, f.s - 1))
+    old = f.tensor[k][i][j]
+    tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+    tensor[k][i][j] = draw(st.sampled_from([v for v in (-1, 0, 1, 2) if v != old]))
+    return SosFormula(f.r, f.s, f.n, ring, tensor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_formulas())
+def test_gram_defect_matches_oracle_on_sparse_tensors(f):
+    system = f.to_hurwitz()
+    assert system.defect() == naive_gram_defect(system)
+    assert f.verify_by_hurwitz() == f.verify_by_expansion() == (system.defect() is None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corrupted_hurwitz_radon())
+def test_gram_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
+    system = f.to_hurwitz()
+    assert system.defect() == naive_gram_defect(system)
+    assert f.verify_by_hurwitz() == f.verify_by_expansion()
+
+
+def test_gram_defect_examples():
+    assert construct_hurwitz_radon(16).to_hurwitz().defect() is None
+    # B_1 = I and B_2 = 0: B_2^T B_2 fails on its first diagonal entry
+    zero_b2 = SosFormula(2, 2, 2, ZZ, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    assert zero_b2.to_hurwitz().defect() == (1, 1, 0, 0)
+    # Gauss with z1 = x1y1 + x2y2: B_1 = I and B_2 = [[0, 1], [1, 0]], so the
+    # cross Gram matrix is 2 * B_2, which first fails at (j, k) = (0, 1)
+    broken = [list(map(list, slice_k)) for slice_k in gauss().tensor]
+    broken[0][1][1] = 1
+    assert SosFormula(2, 2, 2, ZZ, broken).to_hurwitz().defect() == (0, 1, 0, 1)
+
+
 def test_substitution_soundness_over_gf():
     rng = random.Random(5)
     ring = PrimeField(5)
@@ -155,7 +243,7 @@ def test_restrict_trivial_and_identity_cases():
 
 
 def test_hurwitz_radon_small_types():
-    for n in (1, 2, 4, 8, 16):
+    for n in (1, 2, 4, 8, 16, 64):
         f = construct_hurwitz_radon(n)
         assert f.type_triple == (rho(n), n, n)
         assert f.verify_by_expansion()

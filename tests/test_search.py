@@ -118,12 +118,20 @@ def test_max_solutions_marks_not_exhausted():
     result = run(2, 2, 2, 3, max_solutions=1)
     assert result.found
     assert not result.exhausted
+    assert result.stop_reason == "max_solutions"
+
+
+def test_stop_reason_exhausted():
+    assert run(2, 2, 2, 3).stop_reason == "exhausted"
+    assert run(2, 3, 3, 3).stop_reason == "exhausted"  # a nonexistence proof
+    assert run(3, 5, 4, 3).stop_reason == "exhausted"  # s > n, no tree at all
 
 
 def test_time_budget_partial():
     # an absurdly small budget forces a timeout on a nontrivial cell
     result = run(3, 3, 4, 5, time_budget=0.0)
     assert not result.exhausted
+    assert result.stop_reason == "timeout"
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -134,12 +142,20 @@ def test_zero_budget_expands_no_node(signed):
 
 
 def test_time_budget_bounds_wall_time():
-    # 5^8 candidate vectors take about 0.3 s to enumerate: the deadline must
-    # interrupt the enumeration, not only the tree walk after it
-    start = time.perf_counter()
-    result = run(2, 2, 8, 5, time_budget=0.05)
-    assert not result.exhausted
-    assert time.perf_counter() - start < 0.25
+    cells = [
+        # 5^8 candidate vectors take about 0.3 s to enumerate: the deadline
+        # must interrupt the enumeration, not only the tree walk after it
+        ((2, 2, 8, 5), 0.05),
+        # one node scans thousands of candidates (tens of thousands over
+        # GF(5)): the deadline must interrupt the scan inside a node
+        ((4, 4, 8, 3), 0.05),
+        ((4, 4, 8, 5), 0.5),
+    ]
+    for cell, budget in cells:
+        start = time.perf_counter()
+        result = run(*cell, time_budget=budget)
+        assert result.stop_reason == "timeout"
+        assert time.perf_counter() - start < budget + 0.1, cell
 
 
 def test_even_char_rejected():
