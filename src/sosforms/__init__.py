@@ -18,7 +18,6 @@ from .chow import (
     quadric_generator_degrees,
 )
 from .formulas import (
-    HurwitzSystem,
     SosFormula,
     construct_classical,
     construct_hurwitz_radon,
@@ -79,7 +78,6 @@ __all__ = [
     "GaussianExt",
     "GysinTable",
     "HopfTriple",
-    "HurwitzSystem",
     "IntegerRing",
     "M2Poly",
     "PrimeField",

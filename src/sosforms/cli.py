@@ -38,7 +38,7 @@ def cmd_verify(args) -> int:
     by_expansion = formula.verify_by_expansion()
     by_hurwitz = formula.verify_by_hurwitz()
     if not by_hurwitz:
-        a, b, j, k = formula.to_hurwitz().defect()
+        a, b, j, k = formula.gram_defect()
         print(
             f"Gram defect at (a, b, j, k) = ({a}, {b}, {j}, {k}): entry (j, k) of "
             "B_a^T B_b + B_b^T B_a is not 2 delta_ab delta_jk (indices from 0)",

@@ -5,9 +5,11 @@ z_k = sum_{i,j} T[k][i][j] x_i y_j; it is *verified* when
 
     (x_1^2 + ... + x_r^2)(y_1^2 + ... + y_s^2) = z_1^2 + ... + z_n^2
 
-holds identically in the polynomial ring.  Two independent verification
-routes are provided: direct expansion, and the equivalent matrix equations
-B_j^T B_k + B_k^T B_j = 2 delta_{jk} I on the slices B_i[k][j] = T[k][i][j].
+holds identically in the polynomial ring.  The tensor is the one stored
+form; two independent verifiers read it: direct expansion
+(``verify_by_expansion``), and the equivalent matrix equations
+B_a^T B_b + B_b^T B_a = 2 delta_{ab} I (``gram_defect``, ``verify_by_hurwitz``)
+on the r matrices B_i (n x s) whose rows are the tensor rows, B_i[k] = T[k][i].
 
 Classical constructions included: the trivial [r, s, rs] formula, the
 2/4/8-square identities of the composition algebras C, H, O (loaded from a
@@ -98,24 +100,51 @@ class SosFormula:
 
     # -- matrix side -----------------------------------------------------------
 
-    def to_hurwitz(self) -> "HurwitzSystem":
-        mats = tuple(
-            tuple(tuple(self.tensor[k][i][j] for j in range(self.s)) for k in range(self.n))
-            for i in range(self.r)
-        )
-        return HurwitzSystem(self.ring, self.n, self.s, mats)
+    def gram_defect(self) -> tuple[int, int, int, int] | None:
+        """The first (a, b, j, k) with a <= b, in lexicographic order, at which
+        B_a^T B_b + B_b^T B_a differs from 2 delta_ab delta_jk; None if none.
 
-    @classmethod
-    def from_hurwitz(cls, system: "HurwitzSystem") -> "SosFormula":
-        r = len(system.matrices)
-        tensor = [
-            [[system.matrices[i][k][j] for j in range(system.s)] for i in range(r)]
-            for k in range(system.n)
+        Only nonzero entries are touched.  For each pair a <= b the Gram
+        matrix G = P + P^T, P = B_a^T B_b, is accumulated on and above its
+        diagonal from the products of nonzeros sharing a row, which costs
+        sum_m nnz(B_a[m]) * nnz(B_b[m]) ring products.  G can differ from its
+        target only on that support, or on the diagonal when a = b.
+        """
+        ring = self.ring
+        if ring.characteristic() == 2:  # unreachable: such rings are rejected
+            raise ValueError("matrix criterion needs characteristic != 2")
+        add, mul, tensor = ring.add, ring.mul, self.tensor
+        zero, two = ring.zero(), ring.coerce(2)
+        # nonzeros[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
+        nonzeros = [
+            [tuple((j, c) for j, c in enumerate(slice_m[i]) if c != zero) for slice_m in tensor]
+            for i in range(self.r)
         ]
-        return cls(r, system.s, system.n, system.ring, tensor)
+        for a, rows_a in enumerate(nonzeros):
+            for b in range(a, len(nonzeros)):
+                # upper[j, k] is G[j][k] for j < k, and P[j][j] = G[j][j] / 2 for j = k
+                upper = {}
+                for row_a, row_b in zip(rows_a, nonzeros[b]):
+                    for j, x in row_a:
+                        for k, y in row_b:
+                            key = (j, k) if j <= k else (k, j)
+                            term = mul(x, y)
+                            upper[key] = add(upper[key], term) if key in upper else term
+                if a == b:
+                    for j in range(self.s):
+                        upper.setdefault((j, j), zero)
+                diagonal = two if a == b else zero
+                bad = [
+                    (j, k)
+                    for (j, k), g in upper.items()
+                    if (add(g, g) != diagonal if j == k else g != zero)
+                ]
+                if bad:
+                    return (a, b, *min(bad))
+        return None
 
     def verify_by_hurwitz(self) -> bool:
-        return self.to_hurwitz().verify()
+        return self.gram_defect() is None
 
     # -- transformations ---------------------------------------------------------
 
@@ -192,72 +221,6 @@ class SosFormula:
 
     def __repr__(self):
         return f"SosFormula[{self.r},{self.s},{self.n}] over {self.ring!r}"
-
-
-class HurwitzSystem:
-    """The r matrices B_i (each n x s) with z = sum_i x_i B_i y.
-
-    The formula identity is equivalent to
-    B_j^T B_k + B_k^T B_j = 2 delta_{jk} I_s for all j, k.
-    """
-
-    __slots__ = ("ring", "n", "s", "matrices")
-
-    def __init__(self, ring: CoeffRing, n: int, s: int, matrices):
-        self.ring = ring
-        self.n = n
-        self.s = s
-        self.matrices = tuple(
-            tuple(tuple(ring.coerce(c) for c in row) for row in mat) for mat in matrices
-        )
-        for mat in self.matrices:
-            if len(mat) != n or any(len(row) != s for row in mat):
-                raise ValueError("matrix has wrong shape")
-
-    def defect(self) -> tuple[int, int, int, int] | None:
-        """The first (a, b, j, k) with a <= b, in lexicographic order, at which
-        B_a^T B_b + B_b^T B_a differs from 2 delta_ab delta_jk; None if none.
-
-        Only nonzero entries are touched.  For each pair a <= b the Gram
-        matrix G = P + P^T, P = B_a^T B_b, is accumulated on and above its
-        diagonal from the products of nonzeros sharing a row, which costs
-        sum_m nnz(B_a[m]) * nnz(B_b[m]) ring products.  G can differ from its
-        target only on that support, or on the diagonal when a = b.
-        """
-        ring = self.ring
-        if ring.characteristic() == 2:  # unreachable: such rings are rejected
-            raise ValueError("matrix criterion needs characteristic != 2")
-        add, mul = ring.add, ring.mul
-        zero, two = ring.zero(), ring.coerce(2)
-        nonzeros = [
-            [tuple((j, c) for j, c in enumerate(row) if c != zero) for row in mat]
-            for mat in self.matrices
-        ]
-        for a, rows_a in enumerate(nonzeros):
-            for b in range(a, len(nonzeros)):
-                # upper[j, k] is G[j][k] for j < k, and P[j][j] = G[j][j] / 2 for j = k
-                upper = {}
-                for row_a, row_b in zip(rows_a, nonzeros[b]):
-                    for j, x in row_a:
-                        for k, y in row_b:
-                            key = (j, k) if j <= k else (k, j)
-                            term = mul(x, y)
-                            upper[key] = add(upper[key], term) if key in upper else term
-                if a == b:
-                    for j in range(self.s):
-                        upper.setdefault((j, j), zero)
-                diagonal = two if a == b else zero
-                bad = [
-                    (j, k)
-                    for (j, k), g in upper.items()
-                    if (add(g, g) != diagonal if j == k else g != zero)
-                ]
-                if bad:
-                    return (a, b, *min(bad))
-        return None
-
-    def verify(self) -> bool:
-        return self.defect() is None
 
 
 # -- classical constructions ------------------------------------------------------
@@ -347,8 +310,7 @@ _R = [[1, 0], [0, -1]]
 
 def _octonion_family() -> list:
     f = construct_classical("eight")
-    mats = f.to_hurwitz().matrices
-    return [[list(row) for row in mat] for mat in mats[1:]]
+    return [[list(slice_m[i]) for slice_m in f.tensor] for i in range(1, f.r)]
 
 
 def _small_family(b: int) -> list:
@@ -391,8 +353,8 @@ def construct_hurwitz_radon(n: int) -> SosFormula:
         fam = [_kron(A, block) for A in fam]
     mats = [_eye(n)] + fam
     assert len(mats) == rho(n)
-    system = HurwitzSystem(ZZ, n, n, mats)
-    return SosFormula.from_hurwitz(system)
+    tensor = [[mat[k] for mat in mats] for k in range(n)]
+    return SosFormula(len(mats), n, n, ZZ, tensor)
 
 
 # -- orthonormality and homotopy checks -------------------------------------------------

@@ -49,6 +49,11 @@ class SearchProblem:
         if min(self.r, self.s, self.n) < 1:
             raise ValueError("r, s, n must be positive")
         PrimeField(self.p)  # validates p odd prime
+        opts = self.options
+        if opts.max_solutions is not None and opts.max_solutions < 1:
+            raise ValueError("max_solutions must be at least 1")
+        if opts.time_budget is not None and not opts.time_budget >= 0:  # NaN too
+            raise ValueError("time_budget must be non-negative")
 
 
 @dataclass
@@ -105,7 +110,12 @@ class _Timeout(Exception):
 
 
 def search(problem: SearchProblem) -> SearchResult:
-    """All formulas of the given type over GF(p), up to the option limits."""
+    """All formulas of the given type over GF(p), up to the option limits.
+
+    The formulas come sorted by tensor T[k][i][j], compared entry by entry as
+    residues 0..p-1.  This is numeric order: for p < 11 it is also the order
+    of their JSON text, for p >= 11 it is not (10 sorts after 9, not before 2).
+    """
     r, s, n, p = problem.r, problem.s, problem.n, problem.p
     opts = problem.options
     start = time.monotonic()
@@ -189,7 +199,7 @@ def search(problem: SearchProblem) -> SearchResult:
     except _Timeout:
         stop_reason = "timeout"
 
-    solutions.sort(key=lambda f: f.to_json())
+    solutions.sort(key=lambda f: f.tensor)
     return SearchResult(
         solutions, stop_reason, nodes=state["nodes"], elapsed=time.monotonic() - start
     )

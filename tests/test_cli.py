@@ -52,7 +52,7 @@ def test_verify_corrupted_hurwitz_radon_names_gram_witness(tmp_path, capsys):
     data = f.to_json_dict()
     data["tensor"][5][3][2] += 1
     broken = SosFormula.from_json_dict(data)
-    witness = broken.to_hurwitz().defect()
+    witness = broken.gram_defect()
     assert witness is not None
     path = tmp_path / "broken_hr8.json"
     path.write_text(json.dumps(data))
@@ -161,6 +161,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["nonsense"]) == 2
     assert main(["search", "1", "1", "1", "2"]) == 2  # char 2 field
     assert main(["search", "2", "2", "2", "3", "--format", "json"]) == 2  # search has no --format
+
+
+def test_bad_search_options_exit_two(capsys):
+    assert main(["search", "2", "2", "2", "3", "--max-solutions", "0"]) == 2
+    assert main(["sweep", "2", "2", "2", "3", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_solutions" in captured.err and "time_budget" in captured.err
 
 
 def test_bounds_json_round_trip(capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosforms.formulas import (
-    HurwitzSystem,
     SosFormula,
     construct_classical,
     construct_hurwitz_radon,
@@ -101,22 +100,21 @@ def test_expansion_hurwitz_equivalence_on_random_tensors():
 # -- Gram defect against the naive oracle -----------------------------------------
 
 
-def naive_gram_defect(system):
-    """Every entry of B_a^T B_b + B_b^T B_a summed over all n rows, zeros
-    included, scanned in (a, b, j, k) order: the first that differs from
-    2 delta_ab delta_jk, or None."""
-    ring = system.ring
-    mats = system.matrices
+def naive_gram_defect(f):
+    """Every entry of B_a^T B_b + B_b^T B_a, with B_i[m][j] = T[m][i][j],
+    summed over all n rows, zeros included, scanned in (a, b, j, k) order:
+    the first that differs from 2 delta_ab delta_jk, or None."""
+    ring = f.ring
+    T = f.tensor
     zero, two = ring.zero(), ring.coerce(2)
-    for a in range(len(mats)):
-        for b in range(a, len(mats)):
-            A, B = mats[a], mats[b]
-            for j in range(system.s):
-                for k in range(system.s):
+    for a in range(f.r):
+        for b in range(a, f.r):
+            for j in range(f.s):
+                for k in range(f.s):
                     acc = zero
-                    for m in range(system.n):
-                        acc = ring.add(acc, ring.mul(A[m][j], B[m][k]))
-                        acc = ring.add(acc, ring.mul(B[m][j], A[m][k]))
+                    for m in range(f.n):
+                        acc = ring.add(acc, ring.mul(T[m][a][j], T[m][b][k]))
+                        acc = ring.add(acc, ring.mul(T[m][b][j], T[m][a][k]))
                     if acc != (two if a == b and j == k else zero):
                         return (a, b, j, k)
     return None
@@ -158,29 +156,27 @@ def corrupted_hurwitz_radon(draw):
 @settings(max_examples=150, deadline=None)
 @given(sparse_formulas())
 def test_gram_defect_matches_oracle_on_sparse_tensors(f):
-    system = f.to_hurwitz()
-    assert system.defect() == naive_gram_defect(system)
-    assert f.verify_by_hurwitz() == f.verify_by_expansion() == (system.defect() is None)
+    assert f.gram_defect() == naive_gram_defect(f)
+    assert f.verify_by_hurwitz() == f.verify_by_expansion() == (f.gram_defect() is None)
 
 
 @settings(max_examples=30, deadline=None)
 @given(corrupted_hurwitz_radon())
 def test_gram_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
-    system = f.to_hurwitz()
-    assert system.defect() == naive_gram_defect(system)
+    assert f.gram_defect() == naive_gram_defect(f)
     assert f.verify_by_hurwitz() == f.verify_by_expansion()
 
 
 def test_gram_defect_examples():
-    assert construct_hurwitz_radon(16).to_hurwitz().defect() is None
+    assert construct_hurwitz_radon(16).gram_defect() is None
     # B_1 = I and B_2 = 0: B_2^T B_2 fails on its first diagonal entry
     zero_b2 = SosFormula(2, 2, 2, ZZ, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
-    assert zero_b2.to_hurwitz().defect() == (1, 1, 0, 0)
+    assert zero_b2.gram_defect() == (1, 1, 0, 0)
     # Gauss with z1 = x1y1 + x2y2: B_1 = I and B_2 = [[0, 1], [1, 0]], so the
     # cross Gram matrix is 2 * B_2, which first fails at (j, k) = (0, 1)
     broken = [list(map(list, slice_k)) for slice_k in gauss().tensor]
     broken[0][1][1] = 1
-    assert SosFormula(2, 2, 2, ZZ, broken).to_hurwitz().defect() == (0, 1, 0, 1)
+    assert SosFormula(2, 2, 2, ZZ, broken).gram_defect() == (0, 1, 0, 1)
 
 
 def test_substitution_soundness_over_gf():
@@ -196,12 +192,6 @@ def test_substitution_soundness_over_gf():
 
 
 # -- round trips ------------------------------------------------------------------
-
-
-def test_hurwitz_round_trip():
-    for kind in ("two", "four", "eight"):
-        f = construct_classical(kind)
-        assert SosFormula.from_hurwitz(f.to_hurwitz()) == f
 
 
 def test_json_round_trip_bit_exact():
@@ -243,7 +233,7 @@ def test_restrict_trivial_and_identity_cases():
 
 
 def test_hurwitz_radon_small_types():
-    for n in (1, 2, 4, 8, 16, 64):
+    for n in (1, 2, 4, 8, 16, 64, 128, 256):
         f = construct_hurwitz_radon(n)
         assert f.type_triple == (rho(n), n, n)
         assert f.verify_by_expansion()
@@ -347,10 +337,15 @@ def test_tensor_shape_validation():
         SosFormula(2, 2, 2, ZZ, [[[1], [0]], [[0], [1]]])  # wrong row width
 
 
-def test_hurwitz_system_direct():
-    sys2 = HurwitzSystem(ZZ, 2, 2, [[[1, 0], [0, 1]], [[0, -1], [1, 0]]])
-    assert sys2.verify()
-    assert SosFormula.from_hurwitz(sys2) == gauss()
+def test_gauss_tensor_read_as_matrices():
+    # B_i[m] = T[m][i]: Gauss's formula is B_1 = I and B_2 = J
+    f = gauss()
+    b1 = [list(slice_m[0]) for slice_m in f.tensor]
+    b2 = [list(slice_m[1]) for slice_m in f.tensor]
+    assert b1 == [[1, 0], [0, 1]]
+    assert b2 == [[0, -1], [1, 0]]
+    assert f.gram_defect() is None
+    assert f.verify_by_hurwitz()
 
 
 def test_fixture_loader_rejects_corrupt_table(monkeypatch):

@@ -103,6 +103,17 @@ def test_results_deterministic_and_sorted():
     assert keys == sorted(keys)
 
 
+def test_results_sorted_by_tensor_over_gf13():
+    # entries 10, 11, 12 make numeric order differ from the order of the JSON text
+    result = run(2, 2, 2, 13)
+    assert result.exhausted
+    tensors = [f.tensor for f in result.formulas]
+    assert len(tensors) > 1
+    assert tensors == sorted(tensors)
+    keys = [f.to_json() for f in result.formulas]
+    assert keys != sorted(keys)
+
+
 def test_signed_monomial_restriction():
     result = run(2, 2, 2, 3, signed_monomial_only=True)
     assert result.exhausted and result.found
@@ -110,8 +121,8 @@ def test_signed_monomial_restriction():
         entries = {c for slice_k in f.tensor for row in slice_k for c in row}
         assert entries <= {0, 1, 2}  # residues of {-1, 0, 1} mod 3
         for f_idx in range(2):
-            for row in f.to_hurwitz().matrices[f_idx]:
-                assert sum(1 for c in row if c) == 1
+            for slice_m in f.tensor:  # row m of B_i is T[m][i]
+                assert sum(1 for c in slice_m[f_idx] if c) == 1
 
 
 def test_max_solutions_marks_not_exhausted():
@@ -161,6 +172,20 @@ def test_time_budget_bounds_wall_time():
 def test_even_char_rejected():
     with pytest.raises(ValueError):
         SearchProblem(1, 1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        {"max_solutions": 0},
+        {"max_solutions": -3},
+        {"time_budget": -1.0},
+        {"time_budget": float("nan")},
+    ],
+)
+def test_bad_search_options_rejected(opts):
+    with pytest.raises(ValueError):
+        SearchProblem(2, 2, 2, 3, SearchOptions(**opts))
 
 
 def test_sweep_desk_scale():
