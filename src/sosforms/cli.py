@@ -17,6 +17,7 @@ from . import hopf as hopf_mod
 from . import motivic as motivic_mod
 from .formulas import SosFormula
 from .motivic import DQRingSpec, dq_power_a
+from .poly import SparsePoly
 from .search import SearchOptions, SearchProblem, hopf_consistency_sweep, search
 
 EXIT_OK = 0
@@ -35,7 +36,19 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load formula: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    by_expansion = formula.verify_by_expansion()
+    r, s, n = formula.type_triple
+    defect = formula.expansion_defect()
+    by_expansion = defect.is_zero
+    if not by_expansion:
+        mono, coeff = defect.first_term()
+        ring = formula.ring
+        name = lambda v: f"x{v}" if v < r else f"y{v - r}"
+        print(
+            f"Expansion defect at {SparsePoly(ring, {mono: ring.one()}).to_text(name)}: "
+            f"coefficient {ring.format_element(coeff)} in "
+            "sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2) (indices from 0)",
+            file=sys.stderr,
+        )
     by_hurwitz = formula.verify_by_hurwitz()
     if not by_hurwitz:
         a, b, j, k = formula.gram_defect()
@@ -44,7 +57,6 @@ def cmd_verify(args) -> int:
             "B_a^T B_b + B_b^T B_a is not 2 delta_ab delta_jk (indices from 0)",
             file=sys.stderr,
         )
-    r, s, n = formula.type_triple
     verdict = by_expansion and by_hurwitz
     if args.format == "json":
         _print_json(

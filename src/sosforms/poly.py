@@ -22,18 +22,41 @@ _ONE_MONOMIAL: Monomial = ()
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two monomials: one merge of the two sorted pair lists."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 < v2:
+            out.append(m1[i])
+            i += 1
+        elif v2 < v1:
+            out.append(m2[j])
+            j += 1
+        else:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
+
+
+def _text_order(m: Monomial) -> tuple:
+    """Graded-lex sort key: higher degree first, then the variable word."""
+    return (-_mono_degree(m), tuple(v for v, e in m for _ in range(e)))
 
 
 class SparsePoly:
@@ -41,12 +64,11 @@ class SparsePoly:
 
     def __init__(self, ring: CoeffRing, terms: Mapping[Monomial, object] | None = None):
         self.ring = ring
-        clean = {}
         if terms:
-            for mono, coeff in terms.items():
-                if not ring.is_zero(coeff):
-                    clean[mono] = coeff
-        self.terms = clean
+            zero = ring.zero()
+            self.terms = {mono: c for mono, c in terms.items() if c != zero}
+        else:
+            self.terms = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -86,14 +108,13 @@ class SparsePoly:
     def __add__(self, other):
         other = self._coerce_operand(other)
         self._check_ring(other)
-        ring = self.ring
+        add = self.ring.add
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            if mono in terms:
-                terms[mono] = ring.add(terms[mono], coeff)
-            else:
-                terms[mono] = coeff
-        return SparsePoly(ring, terms)
+        get = terms.get
+        for mono, c in other.terms.items():
+            prev = get(mono)
+            terms[mono] = c if prev is None else add(prev, c)
+        return SparsePoly(self.ring, terms)
 
     __radd__ = __add__
 
@@ -108,30 +129,57 @@ class SparsePoly:
         return self._coerce_operand(other) - self
 
     def __mul__(self, other):
+        if other is self:
+            return self._square()
         other = self._coerce_operand(other)
         self._check_ring(other)
-        ring = self.ring
+        add, mul = self.ring.add, self.ring.mul
         terms: dict = {}
+        get = terms.get
+        others = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in others:
                 mono = _mono_mul(m1, m2)
-                c = ring.mul(c1, c2)
-                if mono in terms:
-                    terms[mono] = ring.add(terms[mono], c)
-                else:
-                    terms[mono] = c
-        return SparsePoly(ring, terms)
+                c = mul(c1, c2)
+                prev = get(mono)
+                terms[mono] = c if prev is None else add(prev, c)
+        return SparsePoly(self.ring, terms)
+
+    def _square(self) -> "SparsePoly":
+        """self * self from each unordered pair of terms once: the cross
+        products are summed, doubled once per monomial, and the squares of
+        the terms added on top."""
+        add, mul = self.ring.add, self.ring.mul
+        items = list(self.terms.items())
+        cross: dict = {}
+        get = cross.get
+        for a, (m1, c1) in enumerate(items):
+            for m2, c2 in items[a + 1 :]:
+                mono = _mono_mul(m1, m2)
+                c = mul(c1, c2)
+                prev = get(mono)
+                cross[mono] = c if prev is None else add(prev, c)
+        terms = {mono: add(c, c) for mono, c in cross.items()}
+        get = terms.get
+        for m, c in items:
+            mono = tuple((v, e + e) for v, e in m)
+            c = mul(c, c)
+            prev = get(mono)
+            terms[mono] = c if prev is None else add(prev, c)
+        return SparsePoly(self.ring, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = SparsePoly.constant(self.ring, 1)
+        if exp == 0:
+            return SparsePoly.constant(self.ring, 1)
+        result = None
         base = self
         while exp:
             if exp & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if exp > 1 else base
             exp >>= 1
         return result
@@ -187,6 +235,14 @@ class SparsePoly:
 
     # -- display ---------------------------------------------------------------
 
+    def first_term(self) -> tuple[Monomial, object] | None:
+        """The (monomial, coefficient) that ``to_text`` prints first, or None
+        for the zero polynomial."""
+        if not self.terms:
+            return None
+        mono = min(self.terms, key=_text_order)
+        return mono, self.terms[mono]
+
     def to_text(self, names: Callable[[int], str] | Mapping[int, str] | None = None) -> str:
         """Canonical text form ``coeff*v3^2*v7 + ...`` in graded-lex order."""
         if not self.terms:
@@ -198,11 +254,8 @@ class SparsePoly:
         else:
             name = lambda v: names.get(v, f"v{v}")
 
-        def word(mono):
-            return tuple(v for v, e in mono for _ in range(e))
-
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (-_mono_degree(m), word(m))):
+        for mono in sorted(self.terms, key=_text_order):
             coeff = self.terms[mono]
             factors = [f"{name(v)}^{e}" if e > 1 else name(v) for v, e in mono]
             coeff_str = self.ring.format_element(coeff)
@@ -219,10 +272,17 @@ class SparsePoly:
 
 
 def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
-    total = SparsePoly.zero(ring)
+    """The sum of ``polys``, all over ``ring``, added into one term map."""
+    add = ring.add
+    terms: dict = {}
+    get = terms.get
     for p in polys:
-        total = total + p
-    return total
+        if p.ring is not ring and p.ring != ring:
+            raise ValueError(f"ring mismatch: {ring!r} vs {p.ring!r}")
+        for mono, c in p.terms.items():
+            prev = get(mono)
+            terms[mono] = c if prev is None else add(prev, c)
+    return SparsePoly(ring, terms)
 
 
 def hyperbolic_coordinate_change(n: int, ring: CoeffRing | None = None) -> bool:

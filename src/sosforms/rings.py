@@ -91,6 +91,9 @@ class IntegerRing(CoeffRing):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a) -> bool:
+        return a == 0
+
     def element_to_json(self, a):
         return a
 
@@ -118,6 +121,9 @@ class RationalField(CoeffRing):
 
     def mul(self, a, b):
         return a * b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
 
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -169,6 +175,9 @@ class PrimeField(CoeffRing):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def is_zero(self, a) -> bool:
+        return a == 0
 
     def characteristic(self) -> int:
         return self.p
@@ -230,6 +239,9 @@ class GaussianExt(CoeffRing):
         re = self.base.sub(self.base.mul(x, u), self.base.mul(y, v))
         im = self.base.add(self.base.mul(x, v), self.base.mul(y, u))
         return (re, im)
+
+    def is_zero(self, a) -> bool:
+        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
 
     def characteristic(self) -> int:
         return self.base.characteristic()

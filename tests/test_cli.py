@@ -63,12 +63,58 @@ def test_verify_corrupted_hurwitz_radon_names_gram_witness(tmp_path, capsys):
         "verified": False, "by_expansion": False, "by_hurwitz": False,
     }
     lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert "(a, b, j, k) = ({}, {}, {}, {})".format(*witness) in lines[0]
+    assert len(lines) == 2
+    assert lines[0].startswith("Expansion defect at ")
+    assert "(a, b, j, k) = ({}, {}, {}, {})".format(*witness) in lines[1]
     # a formula that holds prints nothing on stderr
     path.write_text(f.to_json())
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "k, i, j, line",
+    [
+        # T[0][0][0] = 1 -> 2: the defect is 3*x0^2*y0^2 + ...
+        (0, 0, 0, "Expansion defect at x0^2*y0^2: coefficient 3 in "),
+        # T[5][3][2] = 0 -> 1: the defect is 2*x3*y2*z5 + x3^2*y2^2, and z5
+        # starts with x0*y5, so the square is not the first monomial
+        (5, 3, 2, "Expansion defect at x0*x3*y2*y5: coefficient 2 in "),
+    ],
+)
+def test_verify_corrupted_hurwitz_radon_names_expansion_witness(tmp_path, capsys, k, i, j, line):
+    data = construct_hurwitz_radon(16).to_json_dict()
+    data["tensor"][k][i][j] += 1
+    path = tmp_path / "broken_hr16.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "r": 9, "s": 16, "n": 16, "field": "Z",
+        "verified": False, "by_expansion": False, "by_hurwitz": False,
+    }
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(line)
+    assert lines[1].startswith("Gram defect at ")
+
+
+def test_verify_expands_a_failed_formula_once(tmp_path, capsys, monkeypatch):
+    data = construct_hurwitz_radon(8).to_json_dict()
+    data["tensor"][0][0][0] += 1
+    path = tmp_path / "broken_hr8.json"
+    path.write_text(json.dumps(data))
+    calls = []
+    original = SosFormula.expansion_defect
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SosFormula, "expansion_defect", counted)
+    assert main(["verify", str(path)]) == 1
+    assert len(calls) == 1
+    assert "NOT verified [8,8,8] over Z" in capsys.readouterr().out
 
 
 def test_verify_malformed_exit_two(tmp_path, capsys):

@@ -1,15 +1,161 @@
 """Sparse polynomial arithmetic, substitution, and the coordinate change."""
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sosforms.poly import SparsePoly, hyperbolic_coordinate_change
-from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
+from sosforms.poly import SparsePoly, _mono_mul, hyperbolic_coordinate_change, poly_sum
+from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
 
 
 def var(ring, v):
     return SparsePoly.variable(ring, v)
+
+
+# -- the former kernels, kept as oracles ------------------------------------------
+
+
+def oracle_mono_mul(m1, m2):
+    """The former monomial product: add exponents in a dict, then sort."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for v, e in m2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def oracle_mul_terms(ring, t1, t2):
+    """The former product: every ordered pair of terms, zeros dropped at the end."""
+    terms = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            mono = oracle_mono_mul(m1, m2)
+            c = ring.mul(c1, c2)
+            if mono in terms:
+                terms[mono] = ring.add(terms[mono], c)
+            else:
+                terms[mono] = c
+    return {m: c for m, c in terms.items() if c != ring.zero()}
+
+
+def oracle_pow_terms(f, e):
+    terms = {(): f.ring.one()}
+    for _ in range(e):
+        terms = oracle_mul_terms(f.ring, terms, f.terms)
+    return terms
+
+
+def oracle_add_terms(ring, t1, t2):
+    terms = dict(t1)
+    for mono, c in t2.items():
+        terms[mono] = ring.add(terms[mono], c) if mono in terms else c
+    return {m: c for m, c in terms.items() if c != ring.zero()}
+
+
+def oracle_sum(polys, ring):
+    """The former poly_sum: a left fold of +."""
+    total = SparsePoly.zero(ring)
+    for p in polys:
+        total = total + p
+    return total
+
+
+ORACLE_RINGS = [ZZ, QQ, PrimeField(3), PrimeField(13), gaussian_ext(ZZ)]
+
+
+def coefficients(ring):
+    if isinstance(ring, GaussianExt):
+        return st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(ring.coerce)
+    if ring == QQ:
+        return st.fractions(min_value=-2, max_value=2, max_denominator=3).map(ring.coerce)
+    return st.integers(-3, 3).map(ring.coerce)
+
+
+# Few variables, exponents up to 3 and the constant monomial: products share
+# variables, merged exponents exceed 1, and coefficients often cancel.
+monomials = st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+def polys(ring, max_terms=6):
+    return st.dictionaries(monomials, coefficients(ring), max_size=max_terms).map(
+        lambda terms: SparsePoly(ring, terms)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials, monomials)
+def test_mono_mul_matches_oracle(m1, m2):
+    assert _mono_mul(m1, m2) == oracle_mono_mul(m1, m2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_matches_oracle(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    f, g = data.draw(polys(ring)), data.draw(polys(ring))
+    assert (f * g).terms == oracle_mul_terms(ring, f.terms, g.terms)
+    # (f + g)(f - g): the cross terms f*g and -g*f cancel inside one product
+    assert ((f + g) * (f - g)).terms == oracle_mul_terms(ring, (f + g).terms, (f - g).terms)
+    assert (f + g).terms == oracle_add_terms(ring, f.terms, g.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_square_matches_oracle(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    f = data.draw(polys(ring))
+    assert (f * f).terms == oracle_mul_terms(ring, f.terms, f.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_matches_oracle(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    f = data.draw(polys(ring, max_terms=4))
+    e = data.draw(st.integers(0, 4))
+    assert (f ** e).terms == oracle_pow_terms(f, e)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_poly_sum_matches_left_fold(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    addends = data.draw(st.lists(polys(ring), max_size=6))
+    # the negatives of some addends, so that whole terms cancel
+    addends += [-p for p in data.draw(st.lists(st.sampled_from(addends), max_size=3))] if addends else []
+    assert poly_sum(addends, ring) == oracle_sum(addends, ring)
+    assert poly_sum(iter(addends), ring) == oracle_sum(addends, ring)
+
+
+def test_cancelling_terms_are_dropped():
+    x, y = var(ZZ, 0), var(ZZ, 1)
+    assert ((x + y) * (x - y)).terms == {((0, 2),): 1, ((1, 2),): -1}
+    # (2x^2 + 1 - 2x^4)^2: the x^4 square 4x^4 meets the cross term -4x^4
+    f = 2 * x ** 2 + 1 - 2 * x ** 4
+    square = f * f
+    assert ((0, 4),) not in square.terms
+    assert square.terms == oracle_mul_terms(ZZ, f.terms, f.terms)
+    assert square == f ** 2
+    gf3 = PrimeField(3)
+    u, w = var(gf3, 0), var(gf3, 1)
+    assert ((u + w) * (u + w)).terms == {((0, 2),): 1, ((0, 1), (1, 1)): 2, ((1, 2),): 1}
+    assert (u + w) ** 3 == u ** 3 + w ** 3
+
+
+def test_poly_sum_over_mixed_rings_raises():
+    gf3, gf5 = PrimeField(3), PrimeField(5)
+    with pytest.raises(ValueError):
+        poly_sum([var(ZZ, 0), var(gf3, 0)], ZZ)
+    with pytest.raises(ValueError):
+        poly_sum([var(gf5, 0)], gf3)
+    with pytest.raises(ValueError):
+        poly_sum([var(gf3, 0), SparsePoly.zero(gf5)], gf3)
+    assert poly_sum([], gf3) == SparsePoly.zero(gf3)
 
 
 def test_square_of_sum_over_z():
@@ -60,45 +206,50 @@ def test_substitute_i_kills_x_squared_plus_one():
     assert f.substitute({0: SparsePoly.constant(ring, ring.sqrt_minus_one())}).is_zero
 
 
-def test_substitution_is_ring_homomorphism():
-    rng = random.Random(7)
+def sums_of_term_products(ring):
+    """1-5 terms, each a constant in [-3, 3] times 0-3 of the variables 0..3."""
+    term = st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 3), max_size=3))
 
-    def random_poly(ring):
+    def build(terms):
         f = SparsePoly.zero(ring)
-        for _ in range(rng.randint(1, 5)):
-            mono = SparsePoly.constant(ring, rng.randint(-3, 3))
-            for _ in range(rng.randint(0, 3)):
-                mono = mono * var(ring, rng.randint(0, 3))
+        for c, vs in terms:
+            mono = SparsePoly.constant(ring, c)
+            for v in vs:
+                mono = mono * var(ring, v)
             f = f + mono
         return f
 
-    for _ in range(25):
-        f, g = random_poly(ZZ), random_poly(ZZ)
-        subst = {v: random_poly(ZZ) for v in range(2)}
-        assert (f * g).substitute(subst) == f.substitute(subst) * g.substitute(subst)
-        assert (f + g).substitute(subst) == f.substitute(subst) + g.substitute(subst)
+    return st.lists(term, min_size=1, max_size=5).map(build)
 
 
-def test_ring_axioms_on_random_polys():
-    rng = random.Random(11)
-    ring = PrimeField(5)
+@settings(max_examples=25, deadline=None)
+@given(
+    sums_of_term_products(ZZ),
+    sums_of_term_products(ZZ),
+    st.fixed_dictionaries({0: sums_of_term_products(ZZ), 1: sums_of_term_products(ZZ)}),
+)
+def test_substitution_is_ring_homomorphism(f, g, subst):
+    assert (f * g).substitute(subst) == f.substitute(subst) * g.substitute(subst)
+    assert (f + g).substitute(subst) == f.substitute(subst) + g.substitute(subst)
 
-    def random_poly():
-        terms = {}
-        for _ in range(rng.randint(0, 6)):
-            mono = tuple(
-                sorted((v, rng.randint(1, 4)) for v in rng.sample(range(5), rng.randint(0, 2)))
-            )
-            terms[mono] = rng.randint(0, 4)
-        return SparsePoly(ring, terms)
 
-    for _ in range(40):
-        f, g, h = random_poly(), random_poly(), random_poly()
-        assert (f + g) + h == f + (g + h)
-        assert f + g == g + f
-        assert (f * g) * h == f * (g * h)
-        assert f * g == g * f
-        assert f * (g + h) == f * g + f * h
+GF5 = PrimeField(5)
+# 0-6 terms over GF(5); each monomial has 0-2 of the variables 0..4 with exponents 1-4
+gf5_polys = st.dictionaries(
+    st.dictionaries(st.integers(0, 4), st.integers(1, 4), max_size=2).map(lambda d: tuple(sorted(d.items()))),
+    st.integers(0, 4),
+    max_size=6,
+).map(lambda terms: SparsePoly(GF5, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gf5_polys, gf5_polys, gf5_polys)
+def test_ring_axioms_on_random_polys(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
 
 
 def test_evaluate():
