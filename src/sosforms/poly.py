@@ -23,14 +23,6 @@ _ONE_MONOMIAL: Monomial = ()
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two monomials: one merge of the two sorted pair lists."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2
-    if m2[-1][0] < m1[0][0]:
-        return m2 + m1
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
@@ -101,20 +93,8 @@ class SparsePoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_ring(self, other: "SparsePoly"):
-        if self.ring != other.ring:
-            raise ValueError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
-
     def __add__(self, other):
-        other = self._coerce_operand(other)
-        self._check_ring(other)
-        add = self.ring.add
-        terms = dict(self.terms)
-        get = terms.get
-        for mono, c in other.terms.items():
-            prev = get(mono)
-            terms[mono] = c if prev is None else add(prev, c)
-        return SparsePoly(self.ring, terms)
+        return poly_sum((self, self._coerce_operand(other)), self.ring)
 
     __radd__ = __add__
 
@@ -132,7 +112,7 @@ class SparsePoly:
         if other is self:
             return self._square()
         other = self._coerce_operand(other)
-        self._check_ring(other)
+        _check_ring(self.ring, other.ring)
         add, mul = self.ring.add, self.ring.mul
         terms: dict = {}
         get = terms.get
@@ -204,7 +184,7 @@ class SparsePoly:
         for p in mapping.values():
             if isinstance(p, SparsePoly) and p.ring != self.ring:
                 raise ValueError("substituted polynomial over a different ring")
-        result = SparsePoly.zero(self.ring)
+        terms = []
         for mono, coeff in self.terms.items():
             term = SparsePoly.constant(self.ring, coeff)
             for v, e in mono:
@@ -215,8 +195,8 @@ class SparsePoly:
                     term = term * image ** e
                 else:
                     term = term * SparsePoly.variable(self.ring, v, e)
-            result = result + term
-        return result
+            terms.append(term)
+        return poly_sum(terms, self.ring)
 
     def evaluate(self, assignment: Mapping[int, object]):
         """Evaluate at ring elements; every variable must be assigned."""
@@ -271,14 +251,18 @@ class SparsePoly:
         return f"SparsePoly({self.to_text()})"
 
 
+def _check_ring(ring: CoeffRing, other: CoeffRing):
+    if other is not ring and other != ring:
+        raise ValueError(f"ring mismatch: {ring!r} vs {other!r}")
+
+
 def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     """The sum of ``polys``, all over ``ring``, added into one term map."""
     add = ring.add
     terms: dict = {}
     get = terms.get
     for p in polys:
-        if p.ring is not ring and p.ring != ring:
-            raise ValueError(f"ring mismatch: {ring!r} vs {p.ring!r}")
+        _check_ring(ring, p.ring)
         for mono, c in p.terms.items():
             prev = get(mono)
             terms[mono] = c if prev is None else add(prev, c)

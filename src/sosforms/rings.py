@@ -42,7 +42,10 @@ class CoeffRing:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        """Compare without coercing: the elements of Z, Q and GF(p) equal the
+        int 0 exactly when they are zero; rings whose elements do not
+        (GaussianExt) override this."""
+        return a == 0
 
     def characteristic(self) -> int:
         return 0
@@ -91,9 +94,6 @@ class IntegerRing(CoeffRing):
     def mul(self, a, b):
         return a * b
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def element_to_json(self, a):
         return a
 
@@ -121,9 +121,6 @@ class RationalField(CoeffRing):
 
     def mul(self, a, b):
         return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -175,9 +172,6 @@ class PrimeField(CoeffRing):
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def characteristic(self) -> int:
         return self.p

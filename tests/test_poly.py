@@ -56,11 +56,11 @@ def oracle_add_terms(ring, t1, t2):
 
 
 def oracle_sum(polys, ring):
-    """The former poly_sum: a left fold of +."""
-    total = SparsePoly.zero(ring)
+    """The former poly_sum: a left fold of the former +."""
+    terms = {}
     for p in polys:
-        total = total + p
-    return total
+        terms = oracle_add_terms(ring, terms, p.terms)
+    return SparsePoly(ring, terms)
 
 
 ORACLE_RINGS = [ZZ, QQ, PrimeField(3), PrimeField(13), gaussian_ext(ZZ)]
