@@ -35,8 +35,9 @@ print(f"[2,2,2] over GF(5), entries in {{-1,0,1}}: {len(result.formulas)} soluti
 print("\n=== consistency sweep: existence implies the Hopf condition ===")
 report = hopf_consistency_sweep(3, 3, 4, 3)
 found = sum(1 for c in report.cells if c.status == "found")
-empty = sum(1 for c in report.cells if c.status == "consistent-empty")
-print(f"cells: {len(report.cells)}  found: {found}  consistent-empty: {empty}  "
-      f"violations: {len(report.violations)}")
+forbidden = sum(1 for c in report.cells if c.status == "empty-forbidden")
+admissible = sum(1 for c in report.cells if c.status == "empty-admissible")
+print(f"cells: {len(report.cells)}  found: {found}  empty-forbidden: {forbidden}  "
+      f"empty-admissible: {admissible}  violations: {len(report.violations)}")
 print("\nCSV report:")
 print(report.to_csv())

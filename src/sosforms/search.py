@@ -5,6 +5,17 @@ GF(p)) with B_j^T B_k + B_k^T B_j = 2 delta_{jk} I_s, filling one column at
 a time and pruning on the orthogonality constraints as soon as both columns
 of a constrained pair are placed.
 
+The candidate columns (the unit vectors) are numbered 0..m-1, and a set of
+them is a Python int used as a bitset.  Each placed column u carries its
+partition: the candidates grouped by <v, u> mod p.  Every constraint on the
+next column asks <v, u> = t for one placed u and one residue t, so it
+selects one class, and a node's admissible set is the AND of one class per
+constraint.  Its members are tried in ascending order, which is the order
+of the candidate list.  A partition lives only while its column is placed.
+
+Without ``signed_monomial_only`` every one of the p^n vectors is enumerated
+up front, so such problems are limited to p^n <= MAX_FULL_VECTORS.
+
 By default B_1 is pinned to the standard frame [I_s; 0]: the columns of any
 admissible B_1 are orthonormal, and Witt extension over GF(p) moves any such
 frame to the standard one by an isometry acting on all matrices at once, so
@@ -21,12 +32,19 @@ before it is returned.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 
 from .formulas import SosFormula
 from .hopf import hopf_admissible
 from .rings import PrimeField
+
+# Largest p^n a search without signed_monomial_only may enumerate.  Over
+# GF(3), n = 13 (532,170 unit vectors) takes about 2.7 s and 110 MB before
+# the first node on a 2-core Xeon with Python 3.11; each step in n multiplies
+# both by about 3, so n = 18 would need some 25 GB.
+MAX_FULL_VECTORS = 3**13
 
 
 @dataclass(frozen=True)
@@ -54,6 +72,13 @@ class SearchProblem:
             raise ValueError("max_solutions must be at least 1")
         if opts.time_budget is not None and not opts.time_budget >= 0:  # NaN too
             raise ValueError("time_budget must be non-negative")
+        # p >= 3, so p^n > MAX_FULL_VECTORS once n reaches its bit length
+        vectors = self.p ** min(self.n, MAX_FULL_VECTORS.bit_length())
+        if not opts.signed_monomial_only and vectors > MAX_FULL_VECTORS:
+            raise ValueError(
+                f"a full search enumerates p^n = {self.p}^{self.n} vectors, which exceeds "
+                f"the limit of {MAX_FULL_VECTORS}; use the signed-monomial mode or a smaller n"
+            )
 
 
 @dataclass
@@ -83,26 +108,74 @@ def _unit_columns(p: int, n: int, signed_only: bool, deadline: float | None) -> 
                 v[pos] = sign
                 cols.append(tuple(v))
         return cols
+    squares = [c * c for c in range(p)]
     cols = []
     for count, v in enumerate(itertools.product(range(p), repeat=n)):
         if deadline is not None and count % 1024 == 0 and time.monotonic() >= deadline:
             raise _Timeout
-        if sum(c * c for c in v) % p == 1:
+        if sum(map(squares.__getitem__, v)) % p == 1:
             cols.append(v)
     return cols
 
 
-def _watched(candidates, deadline: float):
-    """The candidates, checking the deadline every 32 of them: one node's
-    scan of a long candidate list must not overrun a time budget."""
-    for count, v in enumerate(candidates):
+def _coordinate_sets(candidates, deadline: float | None) -> list[dict[int, int]]:
+    """coord[i][a]: the bitset of candidates v with v_i = a (bit k is
+    candidates[k]); values a that no candidate takes are left out."""
+    coord = []
+    for i in range(len(candidates[0])):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _Timeout
+        column = list(map(operator.itemgetter(i), candidates))
+        # One character per candidate, the last one first, as int() reads the
+        # top bit first.  A coordinate takes at most 3 values in signed mode,
+        # 2 when n = 1, and p <= 1262 otherwise (p^2 <= MAX_FULL_VECTORS), so
+        # its codes stay far below chr()'s limit of 0x110000.
+        values = {a: chr(k) for k, a in enumerate(set(column))}
+        text = "".join(map(values.__getitem__, reversed(column)))
+        coord.append({
+            a: int(text.translate({ord(c): "1" if b == a else "0" for b, c in values.items()}), 2)
+            for a in values
+        })
+    return coord
+
+
+def _partition(coord, u, p: int, everything: int) -> dict[int, int]:
+    """The candidates grouped by <v, u> mod p, as {t: bitset}, empty classes
+    left out.  Built one nonzero coordinate of u at a time."""
+    classes = {0: everything}
+    for sets, c in zip(coord, u):
+        if c:
+            refined: dict[int, int] = {}
+            for t, members in classes.items():
+                for a, bits in sets.items():
+                    both = members & bits
+                    if both:
+                        key = (t + a * c) % p
+                        refined[key] = refined.get(key, 0) | both
+            classes = refined
+    return classes
+
+
+def _members(bits: int):
+    """The indices of the set bits, lowest first."""
+    digits = bin(bits)[:1:-1]  # bit k is digits[k]
+    k = digits.find("1")
+    while k >= 0:
+        yield k
+        k = digits.find("1", k + 1)
+
+
+def _watched(indices, deadline: float):
+    """The indices, checking the deadline every 32 of them: one node's
+    candidates must not overrun a time budget."""
+    for count, k in enumerate(indices):
         if count % 32 == 0 and time.monotonic() >= deadline:
             raise _Timeout
-        yield v
+        yield k
 
 
 def _dot(u, v, p) -> int:
-    return sum(a * b for a, b in zip(u, v)) % p
+    return sum(map(operator.mul, u, v)) % p
 
 
 class _Timeout(Exception):
@@ -126,33 +199,29 @@ def search(problem: SearchProblem) -> SearchResult:
 
     field_ring = PrimeField(p)
 
-    pinned = 0
-    matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
-    if opts.canonical_first_matrix:
-        frame = [tuple(1 if row == col else 0 for row in range(n)) for col in range(s)]
-        matrices.append(frame)
-        pinned = 1
-
     solutions: list[SosFormula] = []
     state = {"nodes": 0}
     deadline = start + opts.time_budget if opts.time_budget is not None else None
+    matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
+    partitions: list[list[dict[int, int] | None]] = []  # per placed column; None if never read
 
-    def column_ok(mi: int, ci: int, v: tuple[int, ...]) -> bool:
+    def admissible(mi: int, ci: int) -> int:
+        """The candidates for column ci of B_mi, as a bitset.  Norm 1 is
+        baked into the candidate set; each constraint selects one class."""
+        bits = everything
+        # own-matrix orthogonality: <v, B_mi[l]> = 0
+        for part in partitions[mi]:
+            bits &= part.get(0, 0)
         cols = matrices[mi]
-        # own-matrix orthonormality (norm is baked into the candidate set)
-        for prior in cols:
-            if _dot(v, prior, p) != 0:
-                return False
-        # cross constraints with every earlier matrix, for all pairs (ci, l<=ci)
-        for other in matrices[:mi]:
-            if len(other) <= ci:
-                continue
+        for other, parts in zip(matrices[:mi], partitions):
+            # cross pairs (ci, l < ci): <v, B_j[l]> = -<B_j[ci], B_mi[l]>
             for l in range(ci):
-                if (_dot(v, other[l], p) + _dot(other[ci], cols[l], p)) % p != 0:
-                    return False
-            if (2 * _dot(v, other[ci], p)) % p != 0:
-                return False
-        return True
+                bits &= parts[l].get(-_dot(other[ci], cols[l], p) % p, 0)
+            # the diagonal: 2<v, B_j[ci]> = 0, and p is odd
+            bits &= parts[ci].get(0, 0)
+            if not bits:
+                break
+        return bits
 
     def emit():
         tensor = [
@@ -172,28 +241,41 @@ def search(problem: SearchProblem) -> SearchResult:
             if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
                 raise _Stop
             return
-        for v in candidates if deadline is None else _watched(candidates, deadline):
-            if column_ok(mi, ci, v):
-                matrices[mi].append(v)
-                if ci + 1 == s:
-                    matrices.append([])
-                    extend(mi + 1, 0)
-                    matrices.pop()
-                else:
-                    extend(mi, ci + 1)
-                matrices[mi].pop()
+        last = mi + 1 == r and ci + 1 == s  # no later column reads its partition
+        indices = _members(admissible(mi, ci))
+        for k in indices if deadline is None else _watched(indices, deadline):
+            v = candidates[k]
+            matrices[mi].append(v)
+            partitions[mi].append(None if last else _partition(coord, v, p, everything))
+            if ci + 1 == s:
+                matrices.append([])
+                partitions.append([])
+                extend(mi + 1, 0)
+                matrices.pop()
+                partitions.pop()
+            else:
+                extend(mi, ci + 1)
+            matrices[mi].pop()
+            partitions[mi].pop()
 
     stop_reason = "exhausted"
-    matrices.append([])
     try:
         candidates = _unit_columns(p, n, opts.signed_monomial_only, deadline)
-        if pinned == 1 and r == 1:
+        coord = _coordinate_sets(candidates, deadline)
+        everything = (1 << len(candidates)) - 1
+        pinned = 0
+        if opts.canonical_first_matrix:
+            # B_1 = [I_s; 0]: column c is e_c, whose partition is coord[c]
+            matrices.append([tuple(int(row == c) for row in range(n)) for c in range(s)])
+            partitions.append(coord[:s])
+            pinned = 1
+        matrices.append([])
+        partitions.append([])
+        if pinned == r:
             # nothing left to search: the pinned frame is the whole solution
-            matrices.pop()
             emit()
         else:
             extend(pinned, 0)
-            matrices.pop()
     except _Stop:
         stop_reason = "max_solutions"
     except _Timeout:
@@ -218,7 +300,9 @@ class SweepCell:
     s: int
     n: int
     p: int
-    status: str  # found | consistent-empty | timeout
+    # found | empty-forbidden (exhausted, and Hopf forbids the cell) |
+    # empty-admissible (exhausted, Hopf allows it, GF(p) has no formula) | timeout
+    status: str
     admissible: bool
 
 
@@ -246,21 +330,29 @@ def hopf_consistency_sweep(
     the Hopf condition.  A found formula in an inadmissible cell would
     contradict the necessity of the condition; such cells are returned as
     violations (and there are none).
+
+    Raises ValueError before any cell is searched when the range is empty
+    (rmax, smax or nmax below 1) or a cell's search would be rejected.
     """
+    if min(rmax, smax, nmax) < 1:
+        raise ValueError("rmax, smax and nmax must be at least 1")
+    opts = SearchOptions(max_solutions=1, time_budget=time_budget)
+    SearchProblem(rmax, smax, nmax, p, opts)  # rejects p, the budget or n before any cell
     cells: list[SweepCell] = []
     violations: list[SweepCell] = []
     for r in range(1, rmax + 1):
         for s in range(1, smax + 1):
             for n in range(1, nmax + 1):
-                opts = SearchOptions(max_solutions=1, time_budget=time_budget)
                 result = search(SearchProblem(r, s, n, p, opts))
                 admissible = hopf_admissible(r, s, n)
                 if result.found:
                     status = "found"
-                elif result.exhausted:
-                    status = "consistent-empty"
-                else:
+                elif not result.exhausted:
                     status = "timeout"
+                elif admissible:
+                    status = "empty-admissible"
+                else:
+                    status = "empty-forbidden"
                 cell = SweepCell(r, s, n, p, status, admissible)
                 cells.append(cell)
                 if status == "found" and not admissible:

@@ -101,7 +101,7 @@ def test_criterion_4_existence_implies_hopf():
         report = hopf_consistency_sweep(3, 3, 4, 3)
         assert report.violations == []
         status = {(c.r, c.s, c.n): c.status for c in report.cells}
-        assert status[(2, 3, 3)] == "consistent-empty"
+        assert status[(2, 3, 3)] == "empty-forbidden"
         assert status[(2, 2, 2)] == "found"
         assert all(c.status != "timeout" for c in report.cells)
 

@@ -217,6 +217,26 @@ def test_bad_search_options_exit_two(capsys):
     assert "max_solutions" in captured.err and "time_budget" in captured.err
 
 
+def test_empty_sweep_range_exits_two(capsys):
+    for argv in (["0", "2", "3", "3"], ["2", "0", "3", "3"], ["2", "2", "0", "3"]):
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_oversized_full_search_exits_two(capsys):
+    assert main(["search", "2", "2", "18", "3"]) == 2
+    assert main(["search", "2", "2", "14", "3", "--no-canonical"]) == 2
+    assert main(["sweep", "1", "1", "14", "3"]) == 2  # rejected before any cell runs
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("exceeds") == 3
+    # signed-monomial mode keeps its 2n candidates and has no limit
+    assert main(["search", "2", "2", "18", "3", "--signed-monomial", "--max-solutions", "1"]) == 0
+    assert "found=1" in capsys.readouterr().err
+
+
 def test_bounds_json_round_trip(capsys):
     assert main(["bounds", "3", "3", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

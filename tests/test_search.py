@@ -1,23 +1,185 @@
 """Backtracking search over GF(p) and the existence-vs-Hopf sweep."""
 
+import importlib
 import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosforms.formulas import SosFormula, construct_classical
 from sosforms.hopf import hopf_admissible
 from sosforms.rings import PrimeField
 from sosforms.search import (
+    MAX_FULL_VECTORS,
     SearchOptions,
     SearchProblem,
+    SearchResult,
+    _coordinate_sets,
+    _dot,
+    _members,
+    _partition,
+    _unit_columns,
     hopf_consistency_sweep,
     search,
 )
 
+# the package's `search` attribute is the function, not this module
+search_module = importlib.import_module("sosforms.search")
+
 
 def run(r, s, n, p, **opts):
     return search(SearchProblem(r, s, n, p, SearchOptions(**opts)))
+
+
+# -- the per-candidate scan, kept as the oracle of the bitset search ------------
+
+
+def oracle_search(problem: SearchProblem):
+    """The search as a scan: every node tests every candidate against every
+    constraint with dot products.  Returns (formulas, stop_reason, nodes)."""
+    r, s, n, p = problem.r, problem.s, problem.n, problem.p
+    opts = problem.options
+    if s > n or r > n:
+        return [], "exhausted", 0
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v)) % p
+
+    candidates = _unit_columns(p, n, opts.signed_monomial_only, None)
+    matrices = []
+    pinned = 0
+    if opts.canonical_first_matrix:
+        matrices.append([tuple(1 if row == col else 0 for row in range(n)) for col in range(s)])
+        pinned = 1
+    solutions = []
+    nodes = 0
+
+    class Stop(Exception):
+        pass
+
+    def column_ok(mi, ci, v):
+        cols = matrices[mi]
+        for prior in cols:
+            if dot(v, prior) != 0:
+                return False
+        for other in matrices[:mi]:
+            for l in range(ci):
+                if (dot(v, other[l]) + dot(other[ci], cols[l])) % p != 0:
+                    return False
+            if (2 * dot(v, other[ci])) % p != 0:
+                return False
+        return True
+
+    def emit():
+        tensor = [[[matrices[i][j][k] for j in range(s)] for i in range(r)] for k in range(n)]
+        solutions.append(SosFormula(r, s, n, PrimeField(p), tensor))
+
+    def extend(mi, ci):
+        nonlocal nodes
+        nodes += 1
+        if mi == r:
+            emit()
+            if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
+                raise Stop
+            return
+        for v in candidates:
+            if column_ok(mi, ci, v):
+                matrices[mi].append(v)
+                if ci + 1 == s:
+                    matrices.append([])
+                    extend(mi + 1, 0)
+                    matrices.pop()
+                else:
+                    extend(mi, ci + 1)
+                matrices[mi].pop()
+
+    stop_reason = "exhausted"
+    matrices.append([])
+    try:
+        if pinned == r:
+            emit()
+        else:
+            extend(pinned, 0)
+    except Stop:
+        stop_reason = "max_solutions"
+    solutions.sort(key=lambda f: f.tensor)
+    return solutions, stop_reason, nodes
+
+
+def assert_matches_oracle(r, s, n, p, **opts):
+    problem = SearchProblem(r, s, n, p, SearchOptions(**opts))
+    result = search(problem)
+    formulas, stop_reason, nodes = oracle_search(problem)
+    cell = (r, s, n, p, opts)
+    assert (result.stop_reason, result.nodes) == (stop_reason, nodes), cell
+    assert [f.tensor for f in result.formulas] == [f.tensor for f in formulas], cell
+
+
+# every (r, s, n) with r, s <= 3 and n <= 5 over GF(3), n <= 4 over GF(5)
+ORACLE_CELLS = [
+    (r, s, n, p)
+    for p, nmax in ((3, 5), (5, 4))
+    for r, s, n in itertools.product(range(1, 4), range(1, 4), range(1, nmax + 1))
+]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_search_matches_oracle(p):
+    for cell in ORACLE_CELLS:
+        if cell[3] == p:
+            assert_matches_oracle(*cell)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_first_hit_matches_oracle(p):
+    for cell in ORACLE_CELLS:
+        if cell[3] == p:
+            assert_matches_oracle(*cell, max_solutions=1)
+
+
+def test_signed_monomial_search_matches_oracle():
+    for cell in ORACLE_CELLS + [(4, 4, 5, 3), (3, 3, 4, 7)]:
+        assert_matches_oracle(*cell, signed_monomial_only=True)
+        assert_matches_oracle(*cell, signed_monomial_only=True, max_solutions=1)
+
+
+def test_search_without_canonical_frame_matches_oracle():
+    # the unpinned trees grow fast: every cell here takes well under a second
+    cells = [c for c in ORACLE_CELLS if c[2] <= 3] + [(2, 2, 4, 3), (1, 3, 4, 3), (3, 1, 4, 3)]
+    for cell in cells:
+        assert_matches_oracle(*cell, canonical_first_matrix=False)
+        assert_matches_oracle(*cell, canonical_first_matrix=False, max_solutions=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_classes_match_dot_products(data):
+    p = data.draw(st.sampled_from([3, 5, 7]), label="p")
+    n = data.draw(st.integers(1, 6), label="n")
+    vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    candidates = data.draw(st.lists(vector, min_size=1, max_size=40), label="candidates")
+    u = data.draw(vector, label="u")
+    everything = (1 << len(candidates)) - 1
+    classes = _partition(_coordinate_sets(candidates, None), u, p, everything)
+    assert all(classes.values())  # empty classes are left out
+    for t in range(p):
+        expected = [k for k, v in enumerate(candidates) if _dot(v, u, p) == t]
+        assert list(_members(classes.get(t, 0))) == expected
+    assert sorted(classes) == sorted({_dot(v, u, p) for v in candidates})
+
+
+def test_partition_of_unit_columns():
+    for p, n in ((3, 6), (5, 4), (7, 3)):
+        candidates = _unit_columns(p, n, False, None)
+        coord = _coordinate_sets(candidates, None)
+        everything = (1 << len(candidates)) - 1
+        for u in candidates[:: max(1, len(candidates) // 15)]:
+            classes = _partition(coord, u, p, everything)
+            for t in range(p):
+                bits = sum(1 << k for k, v in enumerate(candidates) if _dot(v, u, p) == t)
+                assert classes.get(t, 0) == bits
 
 
 def test_scalar_case_without_canonicalization():
@@ -48,6 +210,15 @@ def test_forbidden_cell_exhausts_empty():
     result = run(2, 3, 3, 3)
     assert result.exhausted
     assert not result.found
+
+
+def test_nonexistence_proof_for_3_5_6_over_gf3():
+    # Hopf forbids [3, 5, 6]; the exhausted tree is the oracle's, node for node
+    assert not hopf_admissible(3, 5, 6)
+    result = run(3, 5, 6, 3)
+    assert result.stop_reason == "exhausted"
+    assert result.formulas == []
+    assert result.nodes == 65_317
 
 
 def test_infeasible_dimensions_fast():
@@ -188,15 +359,53 @@ def test_bad_search_options_rejected(opts):
         SearchProblem(2, 2, 2, 3, SearchOptions(**opts))
 
 
+def test_full_search_size_limit():
+    assert 3**13 == MAX_FULL_VECTORS
+    SearchProblem(2, 2, 13, 3)  # p^n = MAX_FULL_VECTORS is allowed
+    for r, s, n, p in ((2, 2, 14, 3), (1, 1, 9, 5), (2, 2, 10**9, 3), (1, 1, 2, 1_299_709)):
+        with pytest.raises(ValueError, match="exceeds"):
+            SearchProblem(r, s, n, p)
+        with pytest.raises(ValueError, match="exceeds"):
+            SearchProblem(r, s, n, p, SearchOptions(canonical_first_matrix=False))
+    # signed-monomial mode has 2n candidates and no limit
+    result = run(2, 2, 40, 3, signed_monomial_only=True, max_solutions=1)
+    assert result.found and result.formulas[0].verify_by_expansion()
+
+
 def test_sweep_desk_scale():
     report = hopf_consistency_sweep(3, 3, 4, 3)
     assert len(report.cells) == 3 * 3 * 4
     assert report.violations == []
     status = {(c.r, c.s, c.n): c.status for c in report.cells}
-    assert status[(2, 3, 3)] == "consistent-empty"
+    assert status[(2, 3, 3)] == "empty-forbidden"
     assert status[(2, 2, 2)] == "found"
     assert status[(3, 3, 4)] == "found"
-    assert status[(3, 3, 3)] == "consistent-empty"
+    assert status[(3, 3, 3)] == "empty-forbidden"
+    # (1, 1, 1) ... (3, 3, 4): every exhausted empty cell is Hopf-forbidden
+    for c in report.cells:
+        assert c.status in ("found", "empty-forbidden")
+        assert (c.status == "empty-forbidden") == (not c.admissible)
+
+
+def test_sweep_tells_the_two_empty_statuses_apart(monkeypatch):
+    # no small cell is empty over GF(3) where Hopf allows it, so a search that
+    # exhausts every cell empty stands in for one
+    monkeypatch.setattr(search_module, "search", lambda problem: SearchResult([], "exhausted"))
+    report = hopf_consistency_sweep(2, 2, 2, 3)
+    for c in report.cells:
+        assert c.status == ("empty-admissible" if c.admissible else "empty-forbidden")
+    assert {c.status for c in report.cells} == {"empty-admissible", "empty-forbidden"}
+    assert report.violations == []
+    monkeypatch.setattr(search_module, "search", lambda problem: SearchResult([], "timeout"))
+    assert {c.status for c in hopf_consistency_sweep(2, 2, 2, 3).cells} == {"timeout"}
+
+
+def test_sweep_rejects_empty_ranges():
+    for args in ((0, 2, 3), (2, 0, 3), (2, 2, 0), (-1, 1, 1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            hopf_consistency_sweep(*args, 3)
+    with pytest.raises(ValueError, match="exceeds"):
+        hopf_consistency_sweep(1, 1, 14, 3)
 
 
 def test_sweep_csv_shape():
