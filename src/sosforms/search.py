@@ -12,6 +12,9 @@ next column asks <v, u> = t for one placed u and one residue t, so it
 selects one class, and a node's admissible set is the AND of one class per
 constraint.  Its members are tried in ascending order, which is the order
 of the candidate list.  A partition lives only while its column is placed.
+It is refined from the coordinate sets one nonzero coordinate at a time,
+or, when p is large for the number of candidates, grouped from one dot
+product per candidate.
 
 Without ``signed_monomial_only`` every one of the p^n vectors is enumerated
 up front, so such problems are limited to p^n <= MAX_FULL_VECTORS.
@@ -139,9 +142,18 @@ def _coordinate_sets(candidates, deadline: float | None) -> list[dict[int, int]]
     return coord
 
 
-def _partition(coord, u, p: int, everything: int) -> dict[int, int]:
+def _partition(coord, candidates, u, p: int, everything: int) -> dict[int, int]:
     """The candidates grouped by <v, u> mod p, as {t: bitset}, empty classes
-    left out.  Built one nonzero coordinate of u at a time."""
+    left out."""
+    if (len(u) - u.count(0) - 1) * p * p > len(candidates):
+        # Refining costs up to p^2 ANDs for each nonzero coordinate of u after
+        # the first, more than one dot product per candidate: large p, few
+        # candidates.
+        groups: dict[int, int] = {}
+        for k, t in enumerate([_dot(u, v, p) for v in candidates]):
+            groups[t] = groups.get(t, 0) | 1 << k
+        return groups
+    # Refine one nonzero coordinate of u at a time.
     classes = {0: everything}
     for sets, c in zip(coord, u):
         if c:
@@ -163,15 +175,6 @@ def _members(bits: int):
     while k >= 0:
         yield k
         k = digits.find("1", k + 1)
-
-
-def _watched(indices, deadline: float):
-    """The indices, checking the deadline every 32 of them: one node's
-    candidates must not overrun a time budget."""
-    for count, k in enumerate(indices):
-        if count % 32 == 0 and time.monotonic() >= deadline:
-            raise _Timeout
-        yield k
 
 
 def _dot(u, v, p) -> int:
@@ -203,7 +206,7 @@ def search(problem: SearchProblem) -> SearchResult:
     state = {"nodes": 0}
     deadline = start + opts.time_budget if opts.time_budget is not None else None
     matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
-    partitions: list[list[dict[int, int] | None]] = []  # per placed column; None if never read
+    partitions: list[list[dict[int, int]]] = []  # per placed column
 
     def admissible(mi: int, ci: int) -> int:
         """The candidates for column ci of B_mi, as a bitset.  Norm 1 is
@@ -241,12 +244,12 @@ def search(problem: SearchProblem) -> SearchResult:
             if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
                 raise _Stop
             return
-        last = mi + 1 == r and ci + 1 == s  # no later column reads its partition
-        indices = _members(admissible(mi, ci))
-        for k in indices if deadline is None else _watched(indices, deadline):
+        # each candidate builds a partition and then enters the child node,
+        # which checks the deadline first
+        for k in _members(admissible(mi, ci)):
             v = candidates[k]
             matrices[mi].append(v)
-            partitions[mi].append(None if last else _partition(coord, v, p, everything))
+            partitions[mi].append(_partition(coord, candidates, v, p, everything))
             if ci + 1 == s:
                 matrices.append([])
                 partitions.append([])

@@ -153,6 +153,15 @@ def test_search_without_canonical_frame_matches_oracle():
         assert_matches_oracle(*cell, canonical_first_matrix=False, max_solutions=1)
 
 
+def test_large_p_search_matches_oracle():
+    # few candidates for their p: most partitions group by dot products
+    for cell in ((2, 2, 2, 101), (1, 2, 3, 13), (2, 2, 3, 13)):
+        assert_matches_oracle(*cell)
+        assert_matches_oracle(*cell, max_solutions=1)
+    for cell in ((2, 2, 2, 101), (1, 2, 3, 13)):
+        assert_matches_oracle(*cell, canonical_first_matrix=False)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_partition_classes_match_dot_products(data):
@@ -162,7 +171,7 @@ def test_partition_classes_match_dot_products(data):
     candidates = data.draw(st.lists(vector, min_size=1, max_size=40), label="candidates")
     u = data.draw(vector, label="u")
     everything = (1 << len(candidates)) - 1
-    classes = _partition(_coordinate_sets(candidates, None), u, p, everything)
+    classes = _partition(_coordinate_sets(candidates, None), candidates, u, p, everything)
     assert all(classes.values())  # empty classes are left out
     for t in range(p):
         expected = [k for k, v in enumerate(candidates) if _dot(v, u, p) == t]
@@ -171,15 +180,17 @@ def test_partition_classes_match_dot_products(data):
 
 
 def test_partition_of_unit_columns():
-    for p, n in ((3, 6), (5, 4), (7, 3)):
+    # large p with few candidates groups by dot products, the rest refines
+    for p, n in ((3, 6), (5, 4), (7, 3), (13, 3), (101, 2), (1259, 2)):
         candidates = _unit_columns(p, n, False, None)
         coord = _coordinate_sets(candidates, None)
         everything = (1 << len(candidates)) - 1
         for u in candidates[:: max(1, len(candidates) // 15)]:
-            classes = _partition(coord, u, p, everything)
-            for t in range(p):
-                bits = sum(1 << k for k, v in enumerate(candidates) if _dot(v, u, p) == t)
-                assert classes.get(t, 0) == bits
+            expected: dict[int, int] = {}
+            for k, v in enumerate(candidates):
+                t = _dot(v, u, p)
+                expected[t] = expected.get(t, 0) | 1 << k
+            assert _partition(coord, candidates, u, p, everything) == expected, (p, n, u)
 
 
 def test_scalar_case_without_canonicalization():
@@ -328,8 +339,8 @@ def test_time_budget_bounds_wall_time():
         # 5^8 candidate vectors take about 0.3 s to enumerate: the deadline
         # must interrupt the enumeration, not only the tree walk after it
         ((2, 2, 8, 5), 0.05),
-        # one node scans thousands of candidates (tens of thousands over
-        # GF(5)): the deadline must interrupt the scan inside a node
+        # one node has thousands of candidates (tens of thousands over
+        # GF(5)): the deadline must interrupt a node's candidates
         ((4, 4, 8, 3), 0.05),
         ((4, 4, 8, 5), 0.5),
     ]
@@ -338,6 +349,12 @@ def test_time_budget_bounds_wall_time():
         result = run(*cell, time_budget=budget)
         assert result.stop_reason == "timeout"
         assert time.perf_counter() - start < budget + 0.1, cell
+    # over GF(401) with n = 2 every partition takes one dot product per
+    # candidate, and the unpinned tree runs for seconds past the enumeration
+    start = time.perf_counter()
+    result = run(2, 2, 2, 401, time_budget=0.5, canonical_first_matrix=False)
+    assert result.stop_reason == "timeout" and result.nodes > 0
+    assert time.perf_counter() - start < 0.6
 
 
 def test_even_char_rejected():
