@@ -5,10 +5,10 @@ Run:  python demos/chow_tables.py
 
 from sosforms import (
     ChowClass,
-    GysinTable,
     dq_additive_basis_localization,
     even_intersection_table,
     gysin_pullback,
+    gysin_pushforward,
     projection_formula_check,
     quadric_generator_degrees,
 )
@@ -36,10 +36,10 @@ for k in (1, 2, 3, 4):
           f"beta.beta={table[1][1]}[*]")
 
 print("\n=== Gysin maps for Q_4 in P^5 ===")
-table = GysinTable.build(5)
 for i in range(5):
-    print(f"  codim {i}: j_* = {table.pushforward[i]}   j^* = {table.pullback[i]}")
-print(f"  j_* after j^* doubles everywhere: {table.double_cover_check()}")
+    print(f"  codim {i}: j_* = {gysin_pushforward(5, i)}   j^*(t^{i}) = {gysin_pullback(5, i).to_text()}")
+print("  j_* after j^* doubles everywhere:",
+      all(pushforward_class(5, gysin_pullback(5, i)) == {i + 1: 2} for i in range(5)))
 print(f"  j^*(t^2) on Q_4 = {gysin_pullback(5, 2).to_text()}  (alpha + beta)")
 print(f"  j_*(alpha) = j_*(beta): "
       f"{pushforward_class(5, ChowClass.alpha(4)) == pushforward_class(5, ChowClass.beta(4))}")

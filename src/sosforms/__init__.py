@@ -9,7 +9,6 @@ odd-prime fields.
 
 from .chow import (
     ChowClass,
-    GysinTable,
     dq_additive_basis_localization,
     even_intersection_table,
     gysin_pullback,
@@ -25,10 +24,9 @@ from .formulas import (
     homotopy_invariance_check,
     orthonormal_vectors,
 )
-from .grading import BiDegree, ceil_half
+from .grading import BiDegree
 from .hopf import (
     BoundEntry,
-    HopfTriple,
     binom_parity_pascal,
     bound_table,
     hopf_admissible,
@@ -76,8 +74,6 @@ __all__ = [
     "DQClass",
     "DQRingSpec",
     "GaussianExt",
-    "GysinTable",
-    "HopfTriple",
     "IntegerRing",
     "M2Poly",
     "PrimeField",
@@ -93,7 +89,6 @@ __all__ = [
     "ZZ",
     "binom_parity_pascal",
     "bound_table",
-    "ceil_half",
     "construct_classical",
     "construct_hurwitz_radon",
     "construct_trivial",

@@ -30,8 +30,6 @@ quadric, the kernel contribution shifted by (1, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import NormalForm, mono_text
 from .grading import BiDegree
 
@@ -304,46 +302,3 @@ def dq_additive_basis_localization(n: int) -> list[BiDegree]:
         if not covered.get(d, False):
             basis.append(BiDegree(2 * d, d))
     return sorted(basis)
-
-
-@dataclass(frozen=True)
-class GysinTable:
-    """Degree-indexed matrices for j_* and j^* between Q_(n-1) and P^n.
-
-    Pushforward matrices are per codimension 0..n-1 (fold rows in the
-    (alpha, beta) basis); pullback columns are per codimension 0..n, with the
-    middle column (1, 1)^T expressing t^k -> alpha + beta.
-    """
-
-    n: int
-    pushforward: tuple = field(default=())
-    pullback: tuple = field(default=())
-
-    @classmethod
-    def build(cls, n: int) -> "GysinTable":
-        push = tuple(gysin_pushforward(n, i) for i in range(n))
-        pull = []
-        m = n - 1
-        k = _k_of(m)
-        for i in range(n + 1):
-            if i > m:
-                pull.append(())  # CH^i(Q_(n-1)) = 0
-            elif m % 2 == 0 and i == k:
-                pull.append(((1,), (1,)))
-            elif 2 * i < n - 1 or (m % 2 == 1 and i <= k):
-                pull.append(((1,),))
-            else:
-                pull.append(((2,),))
-        return cls(n, push, tuple(pull))
-
-    def double_cover_check(self) -> bool:
-        """j_* (codim i) composed with j^* (codim i) is multiplication by 2."""
-        for i in range(self.n):
-            push = self.pushforward[i]
-            pull = self.pullback[i]
-            if not pull:
-                return False
-            total = sum(push[0][a] * pull[a][0] for a in range(len(pull)))
-            if total != 2:
-                return False
-        return True

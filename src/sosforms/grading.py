@@ -14,8 +14,3 @@ class BiDegree(NamedTuple):
 
     def __str__(self):
         return f"({self.p},{self.q})"
-
-
-def ceil_half(i: int) -> int:
-    """Smallest integer >= i/2."""
-    return -(-i // 2)

@@ -11,23 +11,17 @@ when i is a bit-submask of n) and Pascal's triangle mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+
+# bound_table builds and keeps one dense HR(n) for each distinct upper bound n,
+# so its memory grows with the largest one.  Measured with Python 3.11 on a
+# 2-core machine: `bounds 17 17` 2.2 s and 42 MB, `bounds 1 256` 4.7 s and
+# 152 MB, `bounds 17 256` (the largest table allowed) 265 s and 173 MB; past
+# the limit, `bounds 1 512` took 32 s and 1.0 GB.
+MAX_TABLE_UPPER = 256
 
 # n may always be grown to the next power of two, so the search below is
 # bounded; the cap only guards against absurd inputs.
 _LOWER_BOUND_CAP = 2 ** 20
-
-
-class HopfTriple(NamedTuple):
-    """A type triple (r, s, n); unpacks into hopf_admissible(*t).
-
-    Admissibility is symmetric in r and s, since C(n, i) = C(n, n-i) carries
-    the tested range n - r < i < s onto n - s < i < r.
-    """
-
-    r: int
-    s: int
-    n: int
 
 
 def binom_is_odd(n: int, i: int) -> bool:
@@ -119,16 +113,23 @@ class BoundEntry:
     tight: bool
 
 
-def bound_table(rmax: int, smax: int, verify: bool = True) -> list[BoundEntry]:
+def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
     """For each (r, s) up to (rmax, smax): the Hopf lower bound on the
     composition range, the upper bound realized by restricting a
     Hurwitz-Radon formula, and whether they meet.
 
-    With ``verify`` set, each upper bound is actually realized: the
-    restricted formula is built and checked by expansion.
+    Each upper bound is actually realized: the restricted formula is built
+    and checked by expansion.  Raises ValueError, before any work, when the
+    largest upper bound exceeds MAX_TABLE_UPPER.
     """
     if rmax < 1 or smax < 1:
         raise ValueError("bounds must be >= 1")
+    largest = hurwitz_radon_upper_bound(rmax, smax)
+    if largest > MAX_TABLE_UPPER:
+        raise ValueError(
+            f"bound table up to ({rmax}, {smax}) needs a Hurwitz-Radon formula of size "
+            f"{largest} > {MAX_TABLE_UPPER}"
+        )
     from .formulas import construct_hurwitz_radon  # deferred: avoids import cycle
 
     hr_cache: dict[int, object] = {}
@@ -137,14 +138,12 @@ def bound_table(rmax: int, smax: int, verify: bool = True) -> list[BoundEntry]:
         for s in range(1, smax + 1):
             lower = hopf_lower_bound(r, s)
             upper = hurwitz_radon_upper_bound(r, s)
-            if verify:
-                if upper not in hr_cache:
-                    hr_cache[upper] = construct_hurwitz_radon(upper)
-                restricted = hr_cache[upper].restrict(r, s)
-                if not restricted.verify_by_expansion():
-                    raise AssertionError(
-                        f"restricted Hurwitz-Radon formula [{r},{s},{upper}] failed to verify"
-                    )
+            if upper not in hr_cache:
+                hr_cache[upper] = construct_hurwitz_radon(upper)
+            if not hr_cache[upper].restrict(r, s).verify_by_expansion():
+                raise AssertionError(
+                    f"restricted Hurwitz-Radon formula [{r},{s},{upper}] failed to verify"
+                )
             entries.append(BoundEntry(r, s, lower, upper, lower == upper))
     return entries
 

@@ -16,7 +16,11 @@ from fractions import Fraction
 
 
 class CoeffRing:
-    """Base class for coefficient rings.  Use the concrete subclasses."""
+    """Base class for coefficient rings.  Use the concrete subclasses.
+
+    The defaults are the arithmetic and JSON form of rings whose elements are
+    Python numbers (Z, Q); other rings override them.
+    """
 
     kind: str = "?"
 
@@ -30,13 +34,13 @@ class CoeffRing:
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -58,10 +62,10 @@ class CoeffRing:
         return str(a)
 
     def element_to_json(self, a):
-        raise NotImplementedError
+        return a
 
     def element_from_json(self, v):
-        raise NotImplementedError
+        return self.coerce(v)
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self.__dict__ == other.__dict__
@@ -85,21 +89,6 @@ class IntegerRing(CoeffRing):
             raise ValueError(f"cannot coerce {value!r} into Z")
         return value
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def element_to_json(self, a):
-        return a
-
-    def element_from_json(self, v):
-        return self.coerce(v)
-
 
 class RationalField(CoeffRing):
     """The rationals, backed by fractions.Fraction."""
@@ -107,36 +96,39 @@ class RationalField(CoeffRing):
     kind = "Q"
 
     def coerce(self, value):
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
         raise ValueError(f"cannot coerce {value!r} into Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
-    def element_from_json(self, v):
-        return self.coerce(v)
+
+# Miller-Rabin with these bases is exact below _MR_LIMIT: no composite under
+# it is a strong pseudoprime to all of them (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin.  Raises ValueError for p >= _MR_LIMIT
+    unless one of the bases divides p."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is too large to test for primality exactly")
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^r with d odd
+    d = (p - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << j, p) != p - 1 for j in range(r)):
             return False
-        d += 1
     return True
 
 
@@ -184,12 +176,6 @@ class PrimeField(CoeffRing):
             if pow(n, (self.p - 1) // 2, self.p) == self.p - 1:
                 return pow(n, (self.p - 1) // 4, self.p)
         raise AssertionError("unreachable: every field GF(p), p>2, has nonresidues")
-
-    def element_to_json(self, a):
-        return a
-
-    def element_from_json(self, v):
-        return self.coerce(v)
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS line per
 criterion with its measured time.
 """
 
+import io
+import json
 import random
 import time
+from contextlib import redirect_stdout
 
 from sosforms.chow import (
-    GysinTable,
     additive_ranks,
     dq_additive_basis_localization,
     even_intersection_table,
@@ -20,7 +22,8 @@ from sosforms.formulas import (
     construct_trivial,
     homotopy_invariance_check,
 )
-from sosforms.grading import BiDegree, ceil_half
+from sosforms.cli import main
+from sosforms.grading import BiDegree
 from sosforms.hopf import (
     binom_is_odd,
     binom_parity_pascal,
@@ -56,9 +59,9 @@ def _criterion(num: int, desc: str, budget: float, body) -> None:
 
 def test_criterion_1_two_engine_hopf_agreement():
     def body():
-        assert motivic_binomial_mismatches(12, 12, 24) == []
+        assert motivic_binomial_mismatches(32, 32, 64) == []
 
-    _criterion(1, "ring engine = binomial parity for r,s <= 12, n <= 24", 10.0, body)
+    _criterion(1, "ring engine = binomial parity for r,s <= 32, n <= 64", 10.0, body)
 
 
 def test_criterion_2_power_vanishing():
@@ -126,7 +129,14 @@ def test_criterion_6_chow_appendix_suite():
                 assert ranks[codim] == expected
         for n in range(1, 25):
             assert projection_formula_check(n)
-            assert GysinTable.build(n).double_cover_check()
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["chow", "gysin", str(n), "--format", "json"]) == 0
+            gysin = json.loads(out.getvalue())
+            assert gysin["double_cover"] is True
+            for row in gysin["rows"]:
+                (push,) = row["pushforward"]
+                assert sum(a * b for a, (b,) in zip(push, row["pullback"], strict=True)) == 2
         for k in range(1, 11):
             table = even_intersection_table(k)
             if k % 2 == 1:
@@ -140,7 +150,7 @@ def test_criterion_6_chow_appendix_suite():
 def test_criterion_7_additive_basis_cross_check():
     def body():
         for n in range(1, 51):
-            expected = [BiDegree(i, ceil_half(i)) for i in range(n + 1)]
+            expected = [BiDegree(i, (i + 1) // 2) for i in range(n + 1)]
             assert dq_additive_basis_localization(n) == expected
             assert ring_additive_basis(n) == expected
 

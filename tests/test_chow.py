@@ -1,12 +1,13 @@
 """Chow rings of split quadrics, Gysin tables, and localization bookkeeping."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosforms.chow import (
     ChowClass,
-    GysinTable,
     additive_ranks,
     basis_monomials,
     dq_additive_basis_localization,
@@ -18,7 +19,8 @@ from sosforms.chow import (
     quadric_generator_degrees,
     y_codim,
 )
-from sosforms.grading import BiDegree, ceil_half
+from sosforms.cli import main
+from sosforms.grading import BiDegree
 from sosforms.motivic import ring_additive_basis
 
 
@@ -133,11 +135,36 @@ def test_pullback_images():
 
 def test_pushforward_then_pullback_is_doubling():
     for n in range(1, 25):
-        table = GysinTable.build(n)
-        assert table.double_cover_check()
         for d in range(0, n + 1):
             image = pushforward_class(n, gysin_pullback(n, d))
             assert image == ({d + 1: 2} if d + 1 <= n else {})
+
+
+def _positional_gysin_rows(n: int) -> list[dict]:
+    """Oracle for the `chow gysin` rows, by position against the middle
+    codimension (n-1)/2 alone: j_* is (2) below it, (1) above it and the
+    fold (1, 1) at it; j^* is (1) below, (2) above and (1),(1) at it."""
+    rows = []
+    for i in range(n):
+        if 2 * i < n - 1:
+            push, pull = [[2]], [[1]]
+        elif 2 * i > n - 1:
+            push, pull = [[1]], [[2]]
+        else:
+            push, pull = [[1, 1]], [[1], [1]]
+        rows.append({"codim": i, "pushforward": push, "pullback": pull})
+    return rows
+
+
+def test_gysin_cli_rows_match_positional_rule(capsys):
+    for n in range(1, 25):
+        assert main(["chow", "gysin", str(n), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rows"] == _positional_gysin_rows(n)
+        assert data["double_cover"] is True
+        for row in data["rows"]:
+            (push,) = row["pushforward"]
+            assert sum(a * b for a, (b,) in zip(push, row["pullback"], strict=True)) == 2
 
 
 def test_projection_formula():
@@ -203,7 +230,7 @@ def test_localization_basis_examples():
 
 def test_localization_matches_ring_basis():
     for n in range(1, 51):
-        expected = [BiDegree(i, ceil_half(i)) for i in range(n + 1)]
+        expected = [BiDegree(i, (i + 1) // 2) for i in range(n + 1)]
         assert dq_additive_basis_localization(n) == expected
         assert ring_additive_basis(n) == expected
 

@@ -124,6 +124,30 @@ def test_verify_malformed_exit_two(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, entry", [({"kind": "Q"}, "1/0"), ({"kind": "Qi"}, "1/0"), ({"kind": "Qi"}, ["0", "1/0"])]
+)
+def test_verify_zero_denominator_exit_two(tmp_path, capsys, field, entry):
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(json.dumps({"field": field, "r": 1, "s": 1, "n": 1, "tensor": [[[entry]]]}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load formula")
+
+
+def test_verify_over_a_large_prime_field(tmp_path, capsys):
+    path = tmp_path / "large_prime.json"
+    field = {"kind": "GF", "p": 2**61 - 1}
+    path.write_text(json.dumps({"field": field, "r": 1, "s": 1, "n": 1, "tensor": [[[1]]]}))
+    assert main(["verify", str(path)]) == 0
+    assert f"verified [1,1,1] over GF({2**61 - 1})" in capsys.readouterr().out
+    field["p"] = 2**89 - 1
+    path.write_text(json.dumps({"field": field, "r": 1, "s": 1, "n": 1, "tensor": [[[1]]]}))
+    assert main(["verify", str(path)]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_ring_power_zero(capsys):
     assert main(["ring-power", "5", "6"]) == 0
     assert capsys.readouterr().out.strip() == "0"
@@ -243,6 +267,14 @@ def test_bounds_json_round_trip(capsys):
     assert len(rows) == 9
     entry = next(r for r in rows if r["r"] == 3 and r["s"] == 3)
     assert entry == {"r": 3, "s": 3, "hopf_lower": 4, "construct_upper": 4, "tight": True}
+
+
+@pytest.mark.parametrize("rmax, smax", [(18, 18), (1, 512), (25, 1)])
+def test_oversized_bounds_table_exits_two(capsys, rmax, smax):
+    assert main(["bounds", str(rmax), str(smax), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bound table")
 
 
 def test_chow_json_round_trip(capsys):

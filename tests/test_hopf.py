@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+import sosforms.formulas
 from sosforms.hopf import (
-    HopfTriple,
+    MAX_TABLE_UPPER,
     binom_is_odd,
     binom_parity_pascal,
     bound_table,
@@ -118,27 +119,32 @@ def test_bound_table_entries():
 
 
 def test_bound_table_lower_le_upper():
-    for e in bound_table(6, 6, verify=False):
+    for e in bound_table(6, 6):
         assert e.hopf_lower <= e.construct_upper
 
 
 def test_bound_table_csv_header():
-    text = bound_table_csv(bound_table(2, 2, verify=False))
+    text = bound_table_csv(bound_table(2, 2))
     assert text.splitlines()[0] == "r,s,hopf_lower,construct_upper,tight"
     assert "2,2,2,2,true" in text
 
 
 def test_bound_table_text_alignment():
-    text = bound_table_text(bound_table(2, 2, verify=False))
+    text = bound_table_text(bound_table(2, 2))
     lines = text.splitlines()
     assert "lower" in lines[0] and "tight" in lines[0]
     assert any("yes" in line for line in lines[2:])
 
 
-def test_hopf_triple_unpacks():
-    triple = HopfTriple(3, 3, 4)
-    assert hopf_admissible(*triple)
-    assert triple.n == 4
+def test_bound_table_rejects_an_oversized_upper_bound(monkeypatch):
+    def unexpected(n):
+        raise AssertionError("a formula was built before the size check")
+
+    monkeypatch.setattr(sosforms.formulas, "construct_hurwitz_radon", unexpected)
+    assert hurwitz_radon_upper_bound(17, 17) == hurwitz_radon_upper_bound(1, 256) == MAX_TABLE_UPPER
+    for rmax, smax in ((18, 18), (1, 257), (25, 1)):
+        with pytest.raises(ValueError, match="Hurwitz-Radon formula of size"):
+            bound_table(rmax, smax)
 
 
 def test_input_validation():

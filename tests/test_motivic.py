@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosforms.grading import BiDegree, ceil_half
+from sosforms.grading import BiDegree
 from sosforms.hopf import hopf_admissible
 from sosforms.motivic import (
     DQClass,
@@ -52,7 +52,7 @@ def test_spec_basis_counts_and_degrees():
         basis = spec.basis_monomials()
         assert len(basis) == n + 1
         degrees = [BiDegree(e + 2 * j, e + j) for e, j in basis]
-        assert degrees == [BiDegree(i, ceil_half(i)) for i in range(n + 1)]
+        assert degrees == [BiDegree(i, (i + 1) // 2) for i in range(n + 1)]
         if n % 2 == 0:
             assert (1, spec.k) not in basis
 

@@ -1,5 +1,6 @@
 """Coefficient ring construction and arithmetic."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from sosforms.rings import (
     PrimeField,
     QQ,
     ZZ,
+    _is_prime,
     gaussian_ext,
     ring_from_json,
     ring_to_json,
@@ -25,6 +27,44 @@ def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def _is_prime_by_trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    for p in range(-2, 20_000):
+        assert _is_prime(p) == _is_prime_by_trial_division(p), p
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to every prime base up to 7, 31 and 37 respectively
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(composite)
+        with pytest.raises(ValueError):
+            PrimeField(composite)
+
+
+def test_large_primes_are_accepted_quickly():
+    start = time.perf_counter()
+    for p in (2**61 - 1, 10**16 + 61, 10**14 + 31):
+        assert PrimeField(p).p == p
+    assert time.perf_counter() - start < 1.0
+
+
+def test_primality_beyond_the_exact_bound_is_refused():
+    for p in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
+    assert not _is_prime(2**89)  # a base divides it: still decided exactly
 
 
 def test_prime_field_residues_canonical():
@@ -76,6 +116,13 @@ def test_rationals_exact():
     assert QQ.element_to_json(Fraction(3, 2)) == "3/2"
     assert QQ.element_to_json(Fraction(4, 2)) == 2
     assert QQ.element_from_json("3/2") == Fraction(3, 2)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        QQ.element_from_json("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        gaussian_ext(QQ).element_from_json(["1/0", 0])
 
 
 def test_integer_ring_rejects_fractions():
