@@ -23,7 +23,7 @@ import json
 from importlib import resources
 
 from .hopf import rho
-from .poly import SparsePoly, poly_sum
+from .poly import SparsePoly, poly_sum, sum_of_squares
 from .rings import (
     CoeffRing,
     IntegerRing,
@@ -86,7 +86,7 @@ class SosFormula:
     def expansion_defect(self) -> SparsePoly:
         """sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2), exactly."""
         ring = self.ring
-        zsq = poly_sum((z * z for z in self.z_polys()), ring)
+        zsq = sum_of_squares(self.z_polys(), ring)
         xs = poly_sum(
             (SparsePoly.variable(ring, self.x_var(i)) ** 2 for i in range(self.r)), ring
         )

@@ -269,6 +269,62 @@ def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     return SparsePoly(ring, terms)
 
 
+def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
+    """The sum of p * p over ``polys``, all over ``ring``, exactly.
+
+    Polys with the same support, in the same insertion order, are squared
+    together: the monomial product of each pair of support terms is formed
+    once for the group, not once per poly.  A support held by one poly only
+    is squared by ``p * p``.  Nothing is kept between calls.
+    """
+    groups: dict = {}
+    for p in polys:
+        _check_ring(ring, p.ring)
+        groups.setdefault(tuple(p.terms), []).append(p)
+    squares = (
+        group[0]._square() if len(group) == 1 else _shared_square_sum(support, group, ring)
+        for support, group in groups.items()
+    )
+    return poly_sum(squares, ring)
+
+
+def _shared_square_sum(support: tuple, group: list, ring: CoeffRing) -> SparsePoly:
+    """Sum of p * p over the polys of ``group``, whose term maps all list the
+    monomials of ``support`` in that order.  A pair plan maps each pair of
+    positions a < b to the slot of its product monomial; each poly's
+    coefficients are read by position, the cross products summed per slot,
+    doubled once per slot, and the squares of the terms added on top."""
+    add, mul = ring.add, ring.mul
+    slot_of: dict = {}
+    plan = []
+    for a, m1 in enumerate(support):
+        for b in range(a + 1, len(support)):
+            mono = _mono_mul(m1, support[b])
+            slot = slot_of.get(mono)
+            if slot is None:
+                slot = slot_of[mono] = len(slot_of)
+            plan.append((a, b, slot))
+    cross = [None] * len(slot_of)
+    squares = [None] * len(support)
+    for p in group:
+        coeffs = list(p.terms.values())
+        for a, b, slot in plan:
+            c = mul(coeffs[a], coeffs[b])
+            prev = cross[slot]
+            cross[slot] = c if prev is None else add(prev, c)
+        for a, c in enumerate(coeffs):
+            c = mul(c, c)
+            prev = squares[a]
+            squares[a] = c if prev is None else add(prev, c)
+    terms = {mono: add(c, c) for mono, c in zip(slot_of, cross)}
+    get = terms.get
+    for m, c in zip(support, squares):
+        mono = tuple((v, e + e) for v, e in m)
+        prev = get(mono)
+        terms[mono] = c if prev is None else add(prev, c)
+    return SparsePoly(ring, terms)
+
+
 def hyperbolic_coordinate_change(n: int, ring: CoeffRing | None = None) -> bool:
     """Check that the split (hyperbolic) quadratic form in n+2 variables turns
     into the standard sum of squares under the substitution

@@ -16,8 +16,9 @@ It is refined from the coordinate sets one nonzero coordinate at a time,
 or, when p is large for the number of candidates, grouped from one dot
 product per candidate.
 
-Without ``signed_monomial_only`` every one of the p^n vectors is enumerated
-up front, so such problems are limited to p^n <= MAX_FULL_VECTORS.
+Without ``signed_monomial_only`` all the unit vectors, about p^(n-1) of
+them, are enumerated up front, so such problems are limited to
+p^n <= MAX_FULL_VECTORS.
 
 By default B_1 is pinned to the standard frame [I_s; 0]: the columns of any
 admissible B_1 are orthonormal, and Witt extension over GF(p) moves any such
@@ -44,7 +45,7 @@ from .hopf import hopf_admissible
 from .rings import PrimeField
 
 # Largest p^n a search without signed_monomial_only may enumerate.  Over
-# GF(3), n = 13 (532,170 unit vectors) takes about 2.7 s and 110 MB before
+# GF(3), n = 13 (532,170 unit vectors) takes about 1.5 s and 110 MB before
 # the first node on a 2-core Xeon with Python 3.11; each step in n multiplies
 # both by about 3, so n = 18 would need some 25 GB.
 MAX_FULL_VECTORS = 3**13
@@ -101,8 +102,10 @@ class SearchResult:
 
 
 def _unit_columns(p: int, n: int, signed_only: bool, deadline: float | None) -> list[tuple[int, ...]]:
-    """Candidate columns: unit vectors for the standard bilinear form.  The
-    full enumeration visits p^n vectors, so it watches the deadline too."""
+    """Candidate columns: unit vectors for the standard bilinear form, in
+    lexicographic order.  The full enumeration walks the p^(n-1) prefixes w
+    and appends each root c of c^2 = 1 - <w, w>, so it watches the deadline
+    too."""
     if signed_only:
         cols = []
         for pos in range(n):
@@ -111,13 +114,16 @@ def _unit_columns(p: int, n: int, signed_only: bool, deadline: float | None) -> 
                 v[pos] = sign
                 cols.append(tuple(v))
         return cols
-    squares = [c * c for c in range(p)]
+    squares = [c * c % p for c in range(p)]
+    roots: list[list[int]] = [[] for _ in range(p)]  # roots[a]: the c with c^2 = a, ascending
+    for c, a in enumerate(squares):
+        roots[a].append(c)
     cols = []
-    for count, v in enumerate(itertools.product(range(p), repeat=n)):
+    for count, w in enumerate(itertools.product(range(p), repeat=n - 1)):
         if deadline is not None and count % 1024 == 0 and time.monotonic() >= deadline:
             raise _Timeout
-        if sum(map(squares.__getitem__, v)) % p == 1:
-            cols.append(v)
+        for c in roots[(1 - sum(map(squares.__getitem__, w))) % p]:
+            cols.append(w + (c,))
     return cols
 
 

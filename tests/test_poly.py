@@ -1,10 +1,14 @@
 """Sparse polynomial arithmetic, substitution, and the coordinate change."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosforms.poly import SparsePoly, _mono_mul, hyperbolic_coordinate_change, poly_sum
+import sosforms.poly
+from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
+from sosforms.poly import SparsePoly, _mono_mul, hyperbolic_coordinate_change, poly_sum, sum_of_squares
 from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
 
 
@@ -156,6 +160,161 @@ def test_poly_sum_over_mixed_rings_raises():
     with pytest.raises(ValueError):
         poly_sum([var(gf3, 0), SparsePoly.zero(gf5)], gf3)
     assert poly_sum([], gf3) == SparsePoly.zero(gf3)
+
+
+# -- sum_of_squares -------------------------------------------------------------------
+
+
+def oracle_sum_of_squares(polys, ring):
+    """The left fold of the former square of each poly."""
+    return oracle_sum([SparsePoly(ring, oracle_mul_terms(ring, p.terms, p.terms)) for p in polys], ring)
+
+
+def shared_support_group(data, ring, support):
+    """Polys whose term maps list ``support`` in that order, with random
+    coefficients (a zero drops its monomial, so that poly leaves the group),
+    plus copies with some signs flipped, whose cross terms cancel, and, where
+    the ring has a square root of -1, i times a poly, whose square cancels."""
+    row = st.lists(coefficients(ring), min_size=len(support), max_size=len(support))
+    coeffs = data.draw(st.lists(row, min_size=1, max_size=4))
+    group = [SparsePoly(ring, dict(zip(support, cs))) for cs in coeffs]
+    for cs in data.draw(st.lists(st.sampled_from(coeffs), max_size=2)):
+        signs = data.draw(st.lists(st.booleans(), min_size=len(cs), max_size=len(cs)))
+        flipped = {m: ring.neg(c) if flip else c for m, c, flip in zip(support, cs, signs)}
+        group.append(SparsePoly(ring, flipped))
+    i_elt = ring.sqrt_minus_one()
+    if i_elt is not None and data.draw(st.booleans()):
+        group.append(SparsePoly(ring, {m: ring.mul(i_elt, c) for m, c in group[0].terms.items()}))
+    return group
+
+
+supports = st.lists(monomials, min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sum_of_squares_matches_oracle_on_shared_supports(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    group = shared_support_group(data, ring, data.draw(supports))
+    assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_of_squares_matches_oracle_on_mixed_supports(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    group = [
+        p for support in data.draw(st.lists(supports, max_size=3))
+        for p in shared_support_group(data, ring, support)
+    ]
+    group += data.draw(st.lists(polys(ring), max_size=3))
+    group = data.draw(st.permutations(group))
+    assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+    assert sum_of_squares(iter(group), ring) == oracle_sum_of_squares(group, ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_of_squares_of_one_monomial_set_in_two_orders(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    support = data.draw(supports)
+    other = data.draw(st.permutations(support))
+    group = shared_support_group(data, ring, support) + shared_support_group(data, ring, other)
+    group = data.draw(st.permutations(group))
+    assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_sum_of_squares_of_one_poly(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    f = data.draw(polys(ring))
+    assert sum_of_squares([f], ring) == f * f == oracle_sum_of_squares([f], ring)
+
+
+def test_sum_of_squares_small_cases():
+    assert sum_of_squares([], ZZ) == SparsePoly.zero(ZZ)
+    assert sum_of_squares([SparsePoly.zero(QQ)] * 3, QQ) == SparsePoly.zero(QQ)
+    x, y = var(ZZ, 0), var(ZZ, 1)
+    # Gauss: (x + y)^2 + (x - y)^2 = 2x^2 + 2y^2, the cross terms cancel
+    assert sum_of_squares([x + y, x - y], ZZ) == 2 * x * x + 2 * y * y
+    zi = gaussian_ext(ZZ)
+    u = var(zi, 0) + 1
+    assert sum_of_squares([u, u * zi.sqrt_minus_one()], zi).is_zero
+
+
+def test_sum_of_squares_over_mixed_rings_raises():
+    gf3, gf5 = PrimeField(3), PrimeField(5)
+    with pytest.raises(ValueError):
+        sum_of_squares([var(ZZ, 0), var(gf3, 0)], ZZ)
+    with pytest.raises(ValueError):
+        sum_of_squares([var(gf5, 0)], gf3)
+    with pytest.raises(ValueError):  # one support, so one group, over two rings
+        sum_of_squares([var(gf3, 0), var(gf5, 0)], gf3)
+
+
+def householder_dense(f, ring, v):
+    """f with z -> H z for the reflection H = I - 2 v v^T / <v, v>, over ring."""
+    n = f.n
+    scale = Fraction(2, sum(a * a for a in v))
+    h = [[int(k == l) - scale * v[k] * v[l] for l in range(n)] for k in range(n)]
+    tensor = [
+        [[sum(h[k][l] * f.tensor[l][i][j] for l in range(n)) for j in range(f.s)] for i in range(f.r)]
+        for k in range(n)
+    ]
+    return SosFormula(f.r, f.s, n, ring, tensor)
+
+
+# No entry of v, nor <v, v> = 11, nor a diagonal entry 1 - 2 v_k^2 / 11 of H
+# vanishes mod 5 or 7, so every entry of H is a unit and every z_k of the
+# [8, 8, 8] formulas below has all 64 monomials x_i*y_j
+DENSE_V = (1, 1, 1, 1, 1, 1, 1, 2)
+
+
+def dense_eight(kind, ring):
+    base = construct_hurwitz_radon(8) if kind == "hurwitz-radon" else construct_classical("eight")
+    return householder_dense(base, ring, DENSE_V)
+
+
+@pytest.mark.parametrize("ring", [PrimeField(5), PrimeField(7), QQ])
+@pytest.mark.parametrize("kind", ["hurwitz-radon", "degen"])
+def test_expansion_defect_of_dense_formulas_matches_oracle(kind, ring):
+    f = dense_eight(kind, ring)
+    assert len({tuple(z.terms) for z in f.z_polys()}) == 1
+    assert all(len(z.terms) == 64 for z in f.z_polys())
+    tensor = [[list(row) for row in sl] for sl in f.tensor]
+    tensor[3][7][2] = ring.add(tensor[3][7][2], ring.one())
+    corrupted = SosFormula(8, 8, 8, ring, tensor)
+    xs = oracle_sum([SparsePoly.variable(ring, i, 2) for i in range(8)], ring)
+    ys = oracle_sum([SparsePoly.variable(ring, 8 + j, 2) for j in range(8)], ring)
+    minus_xs_ys = {m: ring.neg(c) for m, c in oracle_mul_terms(ring, xs.terms, ys.terms).items()}
+    for g in (f, corrupted):
+        oracle = oracle_sum(
+            [oracle_sum_of_squares(g.z_polys(), ring), SparsePoly(ring, minus_xs_ys)], ring
+        )
+        assert g.expansion_defect() == oracle
+    assert f.expansion_defect().is_zero
+    assert not corrupted.expansion_defect().is_zero
+
+
+def test_sum_of_squares_merges_a_shared_support_once(monkeypatch):
+    """Dense HR(8): eight z_k share one 64-term support, so the pair products
+    take 64 * 63 / 2 = 2,016 monomial merges, not 8 * 2,016."""
+    calls = []
+    original = sosforms.poly._mono_mul
+
+    def counted(m1, m2):
+        calls.append(1)
+        return original(m1, m2)
+
+    monkeypatch.setattr(sosforms.poly, "_mono_mul", counted)
+    f = dense_eight("hurwitz-radon", PrimeField(5))
+    zs = f.z_polys()
+    total = sum_of_squares(zs, f.ring)
+    assert len(calls) == 2_016
+    calls.clear()
+    assert poly_sum([z * z for z in zs], f.ring) == total
+    assert len(calls) == 8 * 2_016
 
 
 def test_square_of_sum_over_z():

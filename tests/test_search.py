@@ -179,6 +179,18 @@ def test_partition_classes_match_dot_products(data):
     assert sorted(classes) == sorted({_dot(v, u, p) for v in candidates})
 
 
+def oracle_unit_columns(p, n):
+    """The former enumeration: every vector of GF(p)^n, kept when <v, v> = 1."""
+    squares = [c * c for c in range(p)]
+    return [v for v in itertools.product(range(p), repeat=n) if sum(map(squares.__getitem__, v)) % p == 1]
+
+
+def test_unit_columns_match_oracle():
+    cells = [(p, n) for p in (3, 5, 7, 13) for n in range(1, 10) if p**n <= 3**9]
+    for p, n in cells + [(101, 2), (101, 3), (1259, 2)]:
+        assert _unit_columns(p, n, False, None) == oracle_unit_columns(p, n), (p, n)
+
+
 def test_partition_of_unit_columns():
     # large p with few candidates groups by dot products, the rest refines
     for p, n in ((3, 6), (5, 4), (7, 3), (13, 3), (101, 2), (1259, 2)):
