@@ -50,10 +50,9 @@ def cmd_verify(args) -> int:
             "sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2) (indices from 0)",
             file=sys.stderr,
         )
-    gram = formula.gram_defect()
-    by_hurwitz = gram is None
+    by_hurwitz = formula.verify_by_hurwitz()
     if not by_hurwitz:
-        a, b, j, k = gram
+        a, b, j, k = formula.gram_defect()
         print(
             f"Gram defect at (a, b, j, k) = ({a}, {b}, {j}, {k}): entry (j, k) of "
             "B_a^T B_b + B_b^T B_a is not 2 delta_ab delta_jk (indices from 0)",

@@ -126,27 +126,8 @@ class SparsePoly:
         return SparsePoly(self.ring, terms)
 
     def _square(self) -> "SparsePoly":
-        """self * self from each unordered pair of terms once: the cross
-        products are summed, doubled once per monomial, and the squares of
-        the terms added on top."""
-        add, mul = self.ring.add, self.ring.mul
-        items = list(self.terms.items())
-        cross: dict = {}
-        get = cross.get
-        for a, (m1, c1) in enumerate(items):
-            for m2, c2 in items[a + 1 :]:
-                mono = _mono_mul(m1, m2)
-                c = mul(c1, c2)
-                prev = get(mono)
-                cross[mono] = c if prev is None else add(prev, c)
-        terms = {mono: add(c, c) for mono, c in cross.items()}
-        get = terms.get
-        for m, c in items:
-            mono = tuple((v, e + e) for v, e in m)
-            c = mul(c, c)
-            prev = get(mono)
-            terms[mono] = c if prev is None else add(prev, c)
-        return SparsePoly(self.ring, terms)
+        """self * self, from each unordered pair of terms once."""
+        return _square_sum(self.ring, list(self.terms), [list(self.terms.values())])
 
     __rmul__ = __mul__
 
@@ -273,53 +254,48 @@ def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     """The sum of p * p over ``polys``, all over ``ring``, exactly.
 
     Polys with the same support, in the same insertion order, are squared
-    together: the monomial product of each pair of support terms is formed
-    once for the group, not once per poly.  A support held by one poly only
-    is squared by ``p * p``.  Nothing is kept between calls.
+    together, so the monomial product of each pair of support terms is formed
+    once for the group, not once per poly.  Nothing is kept between calls.
     """
     groups: dict = {}
     for p in polys:
         _check_ring(ring, p.ring)
-        groups.setdefault(tuple(p.terms), []).append(p)
-    squares = (
-        group[0]._square() if len(group) == 1 else _shared_square_sum(support, group, ring)
-        for support, group in groups.items()
-    )
-    return poly_sum(squares, ring)
+        groups.setdefault(tuple(p.terms), []).append(list(p.terms.values()))
+    return poly_sum((_square_sum(ring, support, rows) for support, rows in groups.items()), ring)
 
 
-def _shared_square_sum(support: tuple, group: list, ring: CoeffRing) -> SparsePoly:
-    """Sum of p * p over the polys of ``group``, whose term maps all list the
-    monomials of ``support`` in that order.  A pair plan maps each pair of
-    positions a < b to the slot of its product monomial; each poly's
-    coefficients are read by position, the cross products summed per slot,
-    doubled once per slot, and the squares of the terms added on top."""
+def _square_sum(ring: CoeffRing, support: list, rows: list) -> SparsePoly:
+    """The sum of the squares of the polys sum_a row[a] * support[a], one per
+    coefficient row.  Each unordered pair of support terms is multiplied
+    once, its coefficient products summed over the rows; the cross sums are
+    doubled once per monomial and the squares of the terms added on top."""
     add, mul = ring.add, ring.mul
-    slot_of: dict = {}
-    plan = []
-    for a, m1 in enumerate(support):
-        for b in range(a + 1, len(support)):
-            mono = _mono_mul(m1, support[b])
-            slot = slot_of.get(mono)
-            if slot is None:
-                slot = slot_of[mono] = len(slot_of)
-            plan.append((a, b, slot))
-    cross = [None] * len(slot_of)
-    squares = [None] * len(support)
-    for p in group:
-        coeffs = list(p.terms.values())
-        for a, b, slot in plan:
-            c = mul(coeffs[a], coeffs[b])
-            prev = cross[slot]
-            cross[slot] = c if prev is None else add(prev, c)
-        for a, c in enumerate(coeffs):
-            c = mul(c, c)
-            prev = squares[a]
-            squares[a] = c if prev is None else add(prev, c)
-    terms = {mono: add(c, c) for mono, c in zip(slot_of, cross)}
+    if len(rows) == 1:  # one poly: multiply its coefficients directly
+        cols, dot = rows[0], mul
+    else:
+        cols = list(zip(*rows))
+
+        def dot(col, col2):
+            c = None
+            for x, y in zip(col, col2):
+                t = mul(x, y)
+                c = t if c is None else add(c, t)
+            return c
+
+    items = list(zip(support, cols))
+    cross: dict = {}
+    get = cross.get
+    for a, (m1, col) in enumerate(items):
+        for m2, col2 in items[a + 1 :]:
+            mono = _mono_mul(m1, m2)
+            c = dot(col, col2)
+            prev = get(mono)
+            cross[mono] = c if prev is None else add(prev, c)
+    terms = {mono: add(c, c) for mono, c in cross.items()}
     get = terms.get
-    for m, c in zip(support, squares):
+    for m, col in items:
         mono = tuple((v, e + e) for v, e in m)
+        c = dot(col, col)
         prev = get(mono)
         terms[mono] = c if prev is None else add(prev, c)
     return SparsePoly(ring, terms)

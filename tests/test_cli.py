@@ -117,26 +117,6 @@ def test_verify_expands_a_failed_formula_once(tmp_path, capsys, monkeypatch):
     assert "NOT verified [8,8,8] over Z" in capsys.readouterr().out
 
 
-def test_verify_runs_the_gram_check_once(tmp_path, capsys, monkeypatch):
-    data = construct_hurwitz_radon(8).to_json_dict()
-    data["tensor"][0][0][0] += 1
-    path = tmp_path / "broken_hr8.json"
-    path.write_text(json.dumps(data))
-    calls = []
-    original = SosFormula.gram_defect
-
-    def counted(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(SosFormula, "gram_defect", counted)
-    assert main(["verify", str(path)]) == 1
-    assert len(calls) == 1
-    captured = capsys.readouterr()
-    assert "NOT verified [8,8,8] over Z" in captured.out
-    assert captured.err.splitlines()[1].startswith("Gram defect at (a, b, j, k) = (0, 0, 0, 0)")
-
-
 def test_verify_malformed_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

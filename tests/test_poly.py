@@ -211,6 +211,7 @@ def test_sum_of_squares_matches_oracle_on_mixed_supports(data):
     group = data.draw(st.permutations(group))
     assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
     assert sum_of_squares(iter(group), ring) == oracle_sum_of_squares(group, ring)
+    assert sum_of_squares(group[:1], ring) == oracle_sum_of_squares(group[:1], ring)
 
 
 @settings(max_examples=100, deadline=None)
@@ -222,14 +223,6 @@ def test_sum_of_squares_of_one_monomial_set_in_two_orders(data):
     group = shared_support_group(data, ring, support) + shared_support_group(data, ring, other)
     group = data.draw(st.permutations(group))
     assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_sum_of_squares_of_one_poly(data):
-    ring = data.draw(st.sampled_from(ORACLE_RINGS))
-    f = data.draw(polys(ring))
-    assert sum_of_squares([f], ring) == f * f == oracle_sum_of_squares([f], ring)
 
 
 def test_sum_of_squares_small_cases():
