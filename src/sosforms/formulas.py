@@ -13,7 +13,7 @@ on the r matrices B_i (n x s) whose rows are the tensor rows, B_i[k] = T[k][i].
 
 Classical constructions included: the trivial [r, s, rs] formula, the
 2/4/8-square identities of the composition algebras C, H, O (loaded from a
-fixture and re-verified), and the Hurwitz-Radon family of type
+data file and re-verified), and the Hurwitz-Radon family of type
 [rho(n), n, n] built from anticommuting signed-permutation matrices.
 """
 
@@ -44,6 +44,8 @@ class SosFormula:
     __slots__ = ("r", "s", "n", "ring", "tensor")
 
     def __init__(self, r: int, s: int, n: int, ring: CoeffRing, tensor):
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in (r, s, n)):
+            raise ValueError("r, s, n must be integers")
         if min(r, s, n) < 1:
             raise ValueError("r, s, n must be positive")
         if len(tensor) != n:
@@ -61,12 +63,6 @@ class SosFormula:
     def type_triple(self) -> tuple[int, int, int]:
         return (self.r, self.s, self.n)
 
-    def x_var(self, i: int) -> int:
-        return i
-
-    def y_var(self, j: int) -> int:
-        return self.r + j
-
     # -- polynomial side -------------------------------------------------------
 
     def z_poly(self, k: int) -> SparsePoly:
@@ -76,7 +72,7 @@ class SosFormula:
             for j in range(self.s):
                 c = self.tensor[k][i][j]
                 if not ring.is_zero(c):
-                    mono = ((self.x_var(i), 1), (self.y_var(j), 1))
+                    mono = ((i, 1), (self.r + j, 1))
                     terms[mono] = c
         return SparsePoly(ring, terms)
 
@@ -87,12 +83,8 @@ class SosFormula:
         """sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2), exactly."""
         ring = self.ring
         zsq = sum_of_squares(self.z_polys(), ring)
-        xs = poly_sum(
-            (SparsePoly.variable(ring, self.x_var(i)) ** 2 for i in range(self.r)), ring
-        )
-        ys = poly_sum(
-            (SparsePoly.variable(ring, self.y_var(j)) ** 2 for j in range(self.s)), ring
-        )
+        xs = poly_sum((SparsePoly.variable(ring, i, 2) for i in range(self.r)), ring)
+        ys = poly_sum((SparsePoly.variable(ring, self.r + j, 2) for j in range(self.s)), ring)
         return zsq - xs * ys
 
     def verify_by_expansion(self) -> bool:
@@ -256,18 +248,14 @@ def construct_trivial(r: int, s: int) -> SosFormula:
     return SosFormula(r, s, n, ZZ, tensor)
 
 
-def construct_classical(kind: str, r: int | None = None, s: int | None = None) -> SosFormula:
-    """One of the classical identities: ``trivial`` (give r, s), ``two``
-    (Gauss, [2,2,2]), ``four`` (Euler, [4,4,4]), or ``eight`` (Degen, [8,8,8]).
+def construct_classical(kind: str) -> SosFormula:
+    """One of the classical identities: ``two`` (Gauss, [2,2,2]), ``four``
+    (Euler, [4,4,4]), or ``eight`` (Degen, [8,8,8]).
 
-    The 2/4/8 tensors come from a fixture file holding the signed
-    multiplication tables of C, H, O; they are verified once at load and the
-    loader refuses corrupted data.
+    The tensors come from a data file holding the signed multiplication
+    tables of C, H, O; they are verified once at load and the loader refuses
+    corrupted data.
     """
-    if kind == "trivial":
-        if r is None or s is None:
-            raise ValueError("trivial formula needs r and s")
-        return construct_trivial(r, s)
     if kind not in ("two", "four", "eight"):
         raise ValueError(f"unknown classical formula {kind!r}")
     if kind not in _TABLE_CACHE:
@@ -275,7 +263,7 @@ def construct_classical(kind: str, r: int | None = None, s: int | None = None) -
         d = len(table)
         f = SosFormula(d, d, d, ZZ, _tensor_from_table(table))
         if not f.verify_by_expansion():
-            raise ValueError(f"fixture table {kind!r} does not satisfy the identity")
+            raise ValueError(f"table {kind!r} does not satisfy the identity")
         _TABLE_CACHE[kind] = f
     return _TABLE_CACHE[kind]
 
@@ -385,80 +373,59 @@ def orthonormal_vectors(f: SosFormula):
     return u, v, ok
 
 
-def _homotopy_formal(mode: str, ring, omit_uv_relation: bool) -> bool:
-    # variables: a=0, b=1, t=2, S_uu=3, S_vv=4, S_uv=5
-    a = SparsePoly.variable(ring, 0)
-    b = SparsePoly.variable(ring, 1)
-    t = SparsePoly.variable(ring, 2)
-    s_uu = SparsePoly.variable(ring, 3)
-    s_vv = SparsePoly.variable(ring, 4)
-    s_uv = SparsePoly.variable(ring, 5)
+def _homotopy_shape(mode: str, ring, a, b, t):
+    """The factor on the u, v block (1 or t) and the two extra coordinates."""
     i_c = SparsePoly.constant(ring, ring.sqrt_minus_one())
-
-    # sum over j of (u_j a + v_j b)^2 written with the three sum symbols
-    block = s_uu * a * a + 2 * s_uv * a * b + s_vv * b * b
     if mode == "first":
-        total = block + (t * a - t * i_c * b) ** 2 + (t * i_c * a + t * b) ** 2
-    elif mode == "second":
-        total = t * t * block + (a - t * i_c * b) ** 2 + (t * i_c * a + b) ** 2
-    else:
-        raise ValueError(f"unknown homotopy mode {mode!r}")
+        return 1, (t * a - t * i_c * b, t * i_c * a + t * b)
+    return t, (a - t * i_c * b, t * i_c * a + b)
 
-    subst = {3: SparsePoly.constant(ring, 1), 4: SparsePoly.constant(ring, 1)}
-    if not omit_uv_relation:
-        subst[5] = SparsePoly.zero(ring)
-    reduced = total.substitute(subst)
-    return reduced == a * a + b * b
+
+def _homotopy_formal(mode: str, ring, omit_uv_relation: bool) -> bool:
+    # variables: a=0, b=1, t=2, S_uv=3
+    a, b, t, s_uv = (SparsePoly.variable(ring, v) for v in range(4))
+    factor, extras = _homotopy_shape(mode, ring, a, b, t)
+    # sum over j of (u_j a + v_j b)^2 with sum u^2 = sum v^2 = 1 already applied,
+    # and sum u*v = S_uv kept only when its relation is omitted
+    block = a * a + b * b
+    if omit_uv_relation:
+        block = block + 2 * s_uv * a * b
+    total = factor * factor * block + poly_sum((c * c for c in extras), ring)
+    return total == a * a + b * b
 
 
 def _reduce_modulo(poly: SparsePoly, rules) -> SparsePoly:
-    """Rewrite until no term is divisible by a rule's leading monomial.
+    """Rewrite each term once by the first rule whose leading monomial divides it.
 
-    Each rule is (leading monomial, replacement polynomial); this is plain
-    polynomial reduction, sound for ideal-membership *confirmation*.
+    Each rule is (leading monomial, replacement polynomial).  One pass leaves
+    no reducible term for the homotopy defects: each of their terms has degree
+    0 or 2 in the u's and v's, so it contains at most one leading monomial,
+    and no replacement contains u_n or v_n.
     """
-    changed = True
-    while changed:
-        changed = False
+    ring = poly.ring
+    kept, rewritten = {}, []
+    for mono, coeff in poly.terms.items():
+        exps = dict(mono)
         for lead, repl in rules:
-            for mono, coeff in list(poly.terms.items()):
-                exps = dict(mono)
-                if all(exps.get(v, 0) >= e for v, e in lead):
-                    rest = dict(exps)
-                    for v, e in lead:
-                        rest[v] -= e
-                        if rest[v] == 0:
-                            del rest[v]
-                    rest_mono = tuple(sorted(rest.items()))
-                    quotient = SparsePoly(poly.ring, {rest_mono: coeff})
-                    poly = (poly - SparsePoly(poly.ring, {mono: coeff})) + quotient * repl
-                    changed = True
-                    break
-            if changed:
+            if all(exps.get(v, 0) >= e for v, e in lead):
+                rest = dict(exps)
+                for v, e in lead:
+                    rest[v] -= e
+                quotient = tuple((v, e) for v, e in sorted(rest.items()) if e)
+                rewritten.append(SparsePoly(ring, {quotient: coeff}) * repl)
                 break
-    return poly
+        else:
+            kept[mono] = coeff
+    return poly_sum([SparsePoly(ring, kept), *rewritten], ring)
 
 
 def _homotopy_concrete(mode: str, n: int, ring, omit_uv_relation: bool) -> bool:
     # variables: a=0, b=1, t=2, u_j=3..n+2, v_j=n+3..2n+2
-    a = SparsePoly.variable(ring, 0)
-    b = SparsePoly.variable(ring, 1)
-    t = SparsePoly.variable(ring, 2)
+    a, b, t = (SparsePoly.variable(ring, v) for v in range(3))
     u = [SparsePoly.variable(ring, 3 + j) for j in range(n)]
     v = [SparsePoly.variable(ring, 3 + n + j) for j in range(n)]
-    i_c = SparsePoly.constant(ring, ring.sqrt_minus_one())
-
-    coords = []
-    for j in range(n):
-        base = u[j] * a + v[j] * b
-        coords.append(t * base if mode == "second" else base)
-    if mode == "first":
-        coords += [t * a - t * i_c * b, t * i_c * a + t * b]
-    elif mode == "second":
-        coords += [a - t * i_c * b, t * i_c * a + b]
-    else:
-        raise ValueError(f"unknown homotopy mode {mode!r}")
-
+    factor, extras = _homotopy_shape(mode, ring, a, b, t)
+    coords = [factor * (u[j] * a + v[j] * b) for j in range(n)] + list(extras)
     defect = poly_sum((c * c for c in coords), ring) - (a * a + b * b)
 
     one = SparsePoly.constant(ring, 1)
@@ -471,7 +438,7 @@ def _homotopy_concrete(mode: str, n: int, ring, omit_uv_relation: bool) -> bool:
         (((vn, 2),), one - sum_vv),
     ]
     if not omit_uv_relation:
-        rules.append((tuple(sorted(((un, 1), (vn, 1)))), -sum_uv))
+        rules.append((((un, 1), (vn, 1)), -sum_uv))
     return _reduce_modulo(defect, rules).is_zero
 
 
@@ -496,6 +463,8 @@ def homotopy_invariance_check(
     residual cross term in ab survives), which is exposed via
     ``omit_uv_relation``.
     """
+    if mode not in ("first", "second"):
+        raise ValueError(f"unknown homotopy mode {mode!r}")
     if ring is None:
         ring = gaussian_ext(IntegerRing())
     if ring.sqrt_minus_one() is None:

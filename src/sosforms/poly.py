@@ -73,23 +73,17 @@ class SparsePoly:
         return cls(ring, {_ONE_MONOMIAL: ring.coerce(value)})
 
     @classmethod
-    def variable(cls, ring: CoeffRing, var: int, exp: int = 1, coeff=1) -> "SparsePoly":
+    def variable(cls, ring: CoeffRing, var: int, exp: int = 1) -> "SparsePoly":
         if exp < 0:
             raise ValueError("negative exponent")
         mono = ((var, exp),) if exp > 0 else _ONE_MONOMIAL
-        return cls(ring, {mono: ring.coerce(coeff)})
+        return cls(ring, {mono: ring.one()})
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
-    def variables(self) -> set[int]:
-        return {v for mono in self.terms for v, _ in mono}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -156,43 +150,6 @@ class SparsePoly:
         return self.ring == other.ring and self.terms == other.terms
 
     __hash__ = None  # mutable term map; polynomials are not dict keys
-
-    # -- substitution ---------------------------------------------------------
-
-    def substitute(self, mapping: Mapping[int, "SparsePoly"]) -> "SparsePoly":
-        """Apply the ring homomorphism sending each mapped variable to the
-        given polynomial; unmapped variables pass through unchanged."""
-        for p in mapping.values():
-            if isinstance(p, SparsePoly) and p.ring != self.ring:
-                raise ValueError("substituted polynomial over a different ring")
-        terms = []
-        for mono, coeff in self.terms.items():
-            term = SparsePoly.constant(self.ring, coeff)
-            for v, e in mono:
-                if v in mapping:
-                    image = mapping[v]
-                    if not isinstance(image, SparsePoly):
-                        image = SparsePoly.constant(self.ring, image)
-                    term = term * image ** e
-                else:
-                    term = term * SparsePoly.variable(self.ring, v, e)
-            terms.append(term)
-        return poly_sum(terms, self.ring)
-
-    def evaluate(self, assignment: Mapping[int, object]):
-        """Evaluate at ring elements; every variable must be assigned."""
-        ring = self.ring
-        total = ring.zero()
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for v, e in mono:
-                if v not in assignment:
-                    raise ValueError(f"no value for variable {v}")
-                unit = ring.coerce(assignment[v])
-                for _ in range(e):
-                    value = ring.mul(value, unit)
-            total = ring.add(total, value)
-        return total
 
     # -- display ---------------------------------------------------------------
 

@@ -285,6 +285,6 @@ def ring_from_json(data: dict) -> CoeffRing:
         return QQ
     if kind == "GF":
         return PrimeField(data["p"])
-    if isinstance(kind, str) and kind.endswith("i"):
+    if kind in ("Zi", "Qi", "GFi"):
         return gaussian_ext(ring_from_json({**data, "kind": kind[:-1]}))
     raise ValueError(f"unknown ring descriptor {data!r}")

@@ -1,11 +1,17 @@
 """CLI surface: subcommands, exit codes, machine formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sosforms.cli import main
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -134,6 +140,40 @@ def test_verify_zero_denominator_exit_two(tmp_path, capsys, field, entry):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load formula")
+
+
+@pytest.mark.parametrize(
+    "field, r",
+    [
+        ({"kind": "Z"}, 1.0),
+        ({"kind": "Z"}, True),
+        ({"kind": "Zii"}, 1),
+        ({"kind": "Qiii"}, 1),
+        ({"kind": "GFii", "p": 3}, 1),
+    ],
+)
+def test_verify_bad_dimension_or_field_exit_two(tmp_path, capsys, field, r):
+    path = tmp_path / "bad_header.json"
+    path.write_text(json.dumps({"field": field, "r": r, "s": 1, "n": 1, "tensor": [[[1]]]}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load formula")
+
+
+def test_verify_as_python_module_exit_codes(tmp_path, gauss_file):
+    data = construct_classical("two").to_json_dict()
+    data["tensor"][0][1][1] = 1
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for path, code, verdict in ((broken, 1, "NOT verified [2,2,2]"), (gauss_file, 0, "verified [2,2,2]")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sosforms.cli", "verify", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(verdict)
 
 
 def test_verify_over_a_large_prime_field(tmp_path, capsys):

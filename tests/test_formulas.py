@@ -313,11 +313,59 @@ def test_homotopy_fails_without_orthogonality():
     assert not homotopy_invariance_check("first", omit_uv_relation=True)
 
 
-def test_homotopy_concrete_lengths():
-    for n in (1, 2, 5):
-        assert homotopy_invariance_check("first", n)
-        assert homotopy_invariance_check("second", n)
-    assert not homotopy_invariance_check("second", 3, omit_uv_relation=True)
+@pytest.mark.parametrize("omit", [False, True], ids=["uv", "no-uv"])
+@pytest.mark.parametrize("mode", ["first", "second"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_homotopy_concrete_lengths(n, mode, omit):
+    # the identity holds exactly when sum u*v = 0 is imposed
+    assert homotopy_invariance_check(mode, n, omit_uv_relation=omit) is not omit
+
+
+def oracle_reduce_modulo(poly, rules):
+    """The former reducer: rewrite one term, rebuild the polynomial, rescan,
+    until no term is divisible by a rule's leading monomial."""
+    changed = True
+    while changed:
+        changed = False
+        for lead, repl in rules:
+            for mono, coeff in list(poly.terms.items()):
+                exps = dict(mono)
+                if all(exps.get(v, 0) >= e for v, e in lead):
+                    rest = dict(exps)
+                    for v, e in lead:
+                        rest[v] -= e
+                        if rest[v] == 0:
+                            del rest[v]
+                    rest_mono = tuple(sorted(rest.items()))
+                    quotient = SparsePoly(poly.ring, {rest_mono: coeff})
+                    poly = (poly - SparsePoly(poly.ring, {mono: coeff})) + quotient * repl
+                    changed = True
+                    break
+            if changed:
+                break
+    return poly
+
+
+@pytest.mark.parametrize("omit", [False, True], ids=["uv", "no-uv"])
+@pytest.mark.parametrize("mode", ["first", "second"])
+def test_one_pass_reduction_matches_fixpoint_oracle(monkeypatch, mode, omit):
+    import sosforms.formulas as mod
+
+    one_pass = mod._reduce_modulo
+    reduced = []
+
+    def checked(poly, rules):
+        out = one_pass(poly, rules)
+        assert out == oracle_reduce_modulo(poly, rules)
+        reduced.append(out)
+        return out
+
+    monkeypatch.setattr(mod, "_reduce_modulo", checked)
+    for n in range(1, 9):
+        homotopy_invariance_check(mode, n, omit_uv_relation=omit)
+    assert len(reduced) == 8
+    # without the uv relation the residual cross terms survive the reduction
+    assert all(out.is_zero is not omit for out in reduced)
 
 
 def test_homotopy_rejects_bad_mode_and_ring():
@@ -335,6 +383,13 @@ def test_tensor_shape_validation():
         SosFormula(2, 2, 2, ZZ, [[[1, 0], [0, 1]]])  # only one slice
     with pytest.raises(ValueError):
         SosFormula(2, 2, 2, ZZ, [[[1], [0]], [[0], [1]]])  # wrong row width
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", None])
+def test_non_integer_dimensions_are_rejected(bad):
+    for dims in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+        with pytest.raises(ValueError, match="must be integers"):
+            SosFormula(*dims, ZZ, [[[1]]])
 
 
 def test_gauss_tensor_read_as_matrices():

@@ -1,8 +1,6 @@
 """The deleted-quadric cohomology rings: normal forms, Bockstein, tensor
 products, and the diagonal-power pipeline."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +25,22 @@ from sosforms.motivic import (
 
 def tau_pow(t):
     return M2Poly.monomial(t, 0)
+
+
+# rho = 0; rho formal with eps = 0; rho formal with eps = rho
+MODELS = ((False, False), (True, False), (True, True))
+m2_polys = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3).map(M2Poly)
+
+
+def dq_classes(spec):
+    # raw exponents past the basis, so the constructor's reduction is exercised too
+    keys = st.tuples(st.integers(0, 3), st.integers(0, spec.n // 2 + 1))
+    return st.dictionaries(keys, m2_polys, max_size=4).map(lambda terms: DQClass(spec, terms))
+
+
+def tensor_classes(left, right):
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3))
+    return st.dictionaries(keys, m2_polys, max_size=4).map(lambda terms: TensorClass(left, right, terms))
 
 
 # -- coefficient model -----------------------------------------------------------
@@ -154,22 +168,12 @@ def test_bockstein_squares_to_zero_on_bases():
             assert x.bockstein().bockstein().is_zero
 
 
-def _random_class(rng, spec):
-    terms = {}
-    for (e, j) in spec.basis_monomials():
-        if rng.random() < 0.4:
-            monos = {(rng.randint(0, 3), rng.randint(0, 2)) for _ in range(rng.randint(1, 2))}
-            terms[(e, j)] = M2Poly(monos)
-    return DQClass(spec, terms)
-
-
-def test_bockstein_leibniz_on_random_classes():
-    rng = random.Random(99)
-    for n in (4, 7, 10):
-        spec = DQRingSpec(n, rho=True)
-        for _ in range(60):
-            x, y = _random_class(rng, spec), _random_class(rng, spec)
-            assert (x * y).bockstein() == x.bockstein() * y + x * y.bockstein()
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bockstein_leibniz_on_random_classes(data):
+    spec = DQRingSpec(data.draw(st.sampled_from((4, 7, 10))), rho=True)
+    x, y = data.draw(dq_classes(spec)), data.draw(dq_classes(spec))
+    assert (x * y).bockstein() == x.bockstein() * y + x * y.bockstein()
 
 
 def test_bockstein_raises_first_degree_by_one():
@@ -197,14 +201,12 @@ def test_restriction_examples():
     assert b2.restrict().is_zero  # b = 0 in the ring of DQ_1
 
 
-def test_restriction_is_ring_map():
-    rng = random.Random(3)
-    for n in (3, 4, 6, 9):
-        for rho_flag in (False, True):
-            spec = DQRingSpec(n, rho=rho_flag)
-            for _ in range(25):
-                x, y = _random_class(rng, spec), _random_class(rng, spec)
-                assert (x * y).restrict() == x.restrict() * y.restrict()
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_restriction_is_ring_map(data):
+    spec = DQRingSpec(data.draw(st.sampled_from((3, 4, 6, 9))), rho=data.draw(st.booleans()))
+    x, y = data.draw(dq_classes(spec)), data.draw(dq_classes(spec))
+    assert (x * y).restrict() == x.restrict() * y.restrict()
 
 
 # -- tensor products ------------------------------------------------------------------------
@@ -295,22 +297,6 @@ def test_engines_agree_spot_triples():
 # -- ring axioms and grading -------------------------------------------------------------------
 
 
-# rho = 0; rho formal with eps = 0; rho formal with eps = rho
-MODELS = ((False, False), (True, False), (True, True))
-m2_polys = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3).map(M2Poly)
-
-
-def dq_classes(spec):
-    # raw exponents past the basis, so the constructor's reduction is exercised too
-    keys = st.tuples(st.integers(0, 3), st.integers(0, spec.n // 2 + 1))
-    return st.dictionaries(keys, m2_polys, max_size=4).map(lambda terms: DQClass(spec, terms))
-
-
-def tensor_classes(left, right):
-    keys = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2), st.integers(0, 3))
-    return st.dictionaries(keys, m2_polys, max_size=4).map(lambda terms: TensorClass(left, right, terms))
-
-
 def assert_z2_algebra_axioms(x, y, z, zero, one):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
@@ -330,19 +316,19 @@ def test_dq_ring_axioms_on_random_classes(data):
     assert_z2_algebra_axioms(x, y, z, DQClass.zero(spec), DQClass.one(spec))
 
 
-def test_dq_mul_adds_bidegrees():
-    rng = random.Random(17)
+def term_bidegrees(x):
+    return {BiDegree(e + 2 * j, e + j) + d for (e, j), c in x.terms.items() for d in c.bidegrees()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dq_mul_adds_bidegrees(data):
     spec = DQRingSpec(11, rho=True)
-    for _ in range(80):
-        e1, j1 = rng.choice(spec.basis_monomials())
-        e2, j2 = rng.choice(spec.basis_monomials())
-        c1 = M2Poly.monomial(rng.randint(0, 2), rng.randint(0, 1))
-        c2 = M2Poly.monomial(rng.randint(0, 2), rng.randint(0, 1))
-        x = DQClass(spec, {(e1, j1): c1})
-        y = DQClass(spec, {(e2, j2): c2})
-        prod = x * y
-        if not prod.is_zero:
-            assert prod.bidegree() == x.bidegree() + y.bidegree()
+    x, y = data.draw(dq_classes(spec)), data.draw(dq_classes(spec))
+    sums = {dx + dy for dx in term_bidegrees(x) for dy in term_bidegrees(y)}
+    assert term_bidegrees(x * y) <= sums
+    if x.bidegree() and y.bidegree() and not (x * y).is_zero:
+        assert (x * y).bidegree() == x.bidegree() + y.bidegree()
 
 
 @settings(max_examples=60, deadline=None)

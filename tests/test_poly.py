@@ -1,4 +1,4 @@
-"""Sparse polynomial arithmetic, substitution, and the coordinate change."""
+"""Sparse polynomial arithmetic and the coordinate change."""
 
 from fractions import Fraction
 
@@ -338,53 +338,6 @@ def test_ring_mismatch_raises():
         var(ZZ, 0) + var(PrimeField(3), 0)
 
 
-def test_substitute_expands_binomial():
-    x, w1, w2 = var(ZZ, 0), var(ZZ, 1), var(ZZ, 2)
-    image = (x * x).substitute({0: w1 + w2})
-    assert image == w1 * w1 + 2 * w1 * w2 + w2 * w2
-
-
-def test_substitute_identity_and_passthrough():
-    x, y = var(ZZ, 0), var(ZZ, 1)
-    f = x ** 3 + 2 * x * y + 5
-    assert f.substitute({0: x}) == f
-    assert f.substitute({}) == f
-
-
-def test_substitute_i_kills_x_squared_plus_one():
-    ring = gaussian_ext(QQ)
-    x = var(ring, 0)
-    f = x * x + 1
-    assert f.substitute({0: SparsePoly.constant(ring, ring.sqrt_minus_one())}).is_zero
-
-
-def sums_of_term_products(ring):
-    """1-5 terms, each a constant in [-3, 3] times 0-3 of the variables 0..3."""
-    term = st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 3), max_size=3))
-
-    def build(terms):
-        f = SparsePoly.zero(ring)
-        for c, vs in terms:
-            mono = SparsePoly.constant(ring, c)
-            for v in vs:
-                mono = mono * var(ring, v)
-            f = f + mono
-        return f
-
-    return st.lists(term, min_size=1, max_size=5).map(build)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    sums_of_term_products(ZZ),
-    sums_of_term_products(ZZ),
-    st.fixed_dictionaries({0: sums_of_term_products(ZZ), 1: sums_of_term_products(ZZ)}),
-)
-def test_substitution_is_ring_homomorphism(f, g, subst):
-    assert (f * g).substitute(subst) == f.substitute(subst) * g.substitute(subst)
-    assert (f + g).substitute(subst) == f.substitute(subst) + g.substitute(subst)
-
-
 GF5 = PrimeField(5)
 # 0-6 terms over GF(5); each monomial has 0-2 of the variables 0..4 with exponents 1-4
 gf5_polys = st.dictionaries(
@@ -404,14 +357,6 @@ def test_ring_axioms_on_random_polys(f, g, h):
     assert f * (g + h) == f * g + f * h
 
 
-def test_evaluate():
-    x, y = var(ZZ, 0), var(ZZ, 1)
-    f = x * x + 2 * x * y
-    assert f.evaluate({0: 3, 1: 4}) == 9 + 24
-    with pytest.raises(ValueError):
-        f.evaluate({0: 3})
-
-
 def test_canonical_text_is_graded_lex():
     x, y = var(ZZ, 0), var(ZZ, 1)
     f = 1 + y + x + x * x
@@ -422,8 +367,6 @@ def test_canonical_text_is_graded_lex():
 def test_default_variable_names():
     f = SparsePoly.variable(ZZ, 3, 2) * SparsePoly.variable(ZZ, 7)
     assert f.to_text() == "v3^2*v7"
-    assert f.variables() == {3, 7}
-    assert f.total_degree() == 3
 
 
 def test_gaussian_coefficient_rendering():
