@@ -471,6 +471,6 @@ def homotopy_invariance_check(
         raise ValueError("ring has no square root of -1")
     if n == "formal":
         return _homotopy_formal(mode, ring, omit_uv_relation)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be 'formal' or a positive integer")
     return _homotopy_concrete(mode, n, ring, omit_uv_relation)

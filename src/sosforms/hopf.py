@@ -6,10 +6,15 @@ every integer i with n - r < i < s; it is necessary for the existence of an
 [r, s, n] composition formula over any field of characteristic != 2.  Parity
 is computed two independent ways: the Lucas bit test (C(n, i) is odd exactly
 when i is a bit-submask of n) and Pascal's triangle mod 2.
+
+The smallest admissible n, the Hopf-Stiefel number r o s, comes from
+Pfister's recursion in O(log s) steps, not from testing each n in turn; the
+tests keep that scan over hopf_admissible as its oracle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 # bound_table builds and keeps one dense HR(n) for each distinct upper bound n,
@@ -19,8 +24,10 @@ from dataclasses import dataclass
 # the limit, `bounds 1 512` took 32 s and 1.0 GB.
 MAX_TABLE_UPPER = 256
 
-# n may always be grown to the next power of two, so the search below is
-# bounded; the cap only guards against absurd inputs.
+# hopf_lower_bound refuses a result r o s above this cap.  Since r o s never
+# exceeds the smallest power of two >= max(r, s), and the cap is itself a power
+# of two, that happens exactly when max(r, s) > 2^20; the cap only guards
+# against absurd inputs.
 _LOWER_BOUND_CAP = 2 ** 20
 
 
@@ -57,6 +64,8 @@ def hopf_admissible(r: int, s: int, n: int) -> bool:
 
 def hopf_violation_witness(r: int, s: int, n: int) -> int | None:
     """The smallest i in the tested range with C(n, i) odd, if any."""
+    if min(r, s, n) < 1:
+        raise ValueError("r, s, n must be positive")
     for i in range(max(n - r + 1, 0), min(s, n + 1)):
         if (i & n) == i:
             return i
@@ -64,19 +73,31 @@ def hopf_violation_witness(r: int, s: int, n: int) -> int | None:
 
 
 def hopf_lower_bound(r: int, s: int) -> int:
-    """Smallest n >= max(r, s) passing the Hopf condition for (r, s).
+    """r o s: the smallest n >= max(r, s) passing the Hopf condition for
+    (r, s), by Pfister's recursion.
 
-    Always exists: any power of two n >= max(r, s) is admissible, since
-    C(2^k, i) is even for 0 < i < 2^k.
+    With r <= s and 2^k the smallest power of two >= s, r o s = 2^k when
+    r + s > 2^k, and r o s = 2^(k-1) + r o (s - 2^(k-1)) otherwise.  Each
+    step at least halves 2^k, so the loop runs at most k + 1 times.  Raises
+    ValueError when r o s exceeds _LOWER_BOUND_CAP.
     """
     if r < 1 or s < 1:
         raise ValueError("r, s must be positive")
-    n = max(r, s)
-    while n <= _LOWER_BOUND_CAP:
-        if hopf_admissible(r, s, n):
-            return n
-        n += 1
-    raise ValueError("no admissible n below the cap; inputs are out of scope")
+    # a float raises TypeError here, as it does in hopf_admissible
+    r, s = operator.index(r), operator.index(s)
+    n = 0
+    while True:
+        if r > s:
+            r, s = s, r
+        top = 1 << (s - 1).bit_length()
+        if r + s > top:
+            n += top
+            break
+        n += top // 2
+        s -= top // 2
+    if n > _LOWER_BOUND_CAP:
+        raise ValueError("no admissible n below the cap; inputs are out of scope")
+    return n
 
 
 def rho(n: int) -> int:

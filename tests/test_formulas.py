@@ -375,6 +375,14 @@ def test_homotopy_rejects_bad_mode_and_ring():
         homotopy_invariance_check("first", ring=ZZ)
 
 
+@pytest.mark.parametrize("bad", [True, False, 0, -2, 2.0, "2"])
+def test_homotopy_rejects_a_length_that_is_not_a_positive_int(bad):
+    # a bool is an int in Python; True must not pass as n = 1
+    for mode in ("first", "second"):
+        with pytest.raises(ValueError, match="positive integer"):
+            homotopy_invariance_check(mode, bad)
+
+
 # -- misc validation -------------------------------------------------------------------------
 
 

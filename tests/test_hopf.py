@@ -1,11 +1,16 @@
 """Binomial parity, the Hopf condition, and the bound table."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sosforms.formulas
 from sosforms.hopf import (
+    _LOWER_BOUND_CAP,
     MAX_TABLE_UPPER,
     binom_is_odd,
     binom_parity_pascal,
@@ -81,6 +86,66 @@ def test_lower_bound_spot_values():
         assert hopf_lower_bound(1, s) == s
 
 
+# -- the admissibility scan, kept as the oracle of Pfister's recursion -----------------
+
+
+def _lower_bound_scan(r, s):
+    """The former hopf_lower_bound: test each n from max(r, s) upward and
+    return the first admissible one, giving up past the cap."""
+    if r < 1 or s < 1:
+        raise ValueError("r, s must be positive")
+    n = max(r, s)
+    while n <= _LOWER_BOUND_CAP:
+        if hopf_admissible(r, s, n):
+            return n
+        n += 1
+    raise ValueError("no admissible n below the cap; inputs are out of scope")
+
+
+def test_lower_bound_matches_scan_oracle():
+    for r in range(1, 129):
+        for s in range(1, 129):
+            assert hopf_lower_bound(r, s) == _lower_bound_scan(r, s), (r, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**12), st.integers(1, 2**12))
+def test_lower_bound_is_the_least_admissible_n(r, s):
+    n = hopf_lower_bound(r, s)
+    assert n == hopf_lower_bound(s, r)
+    assert hopf_admissible(r, s, n)
+    if n - 1 >= max(r, s):
+        assert not hopf_admissible(r, s, n - 1)
+
+
+def test_lower_bound_at_the_cap():
+    for lower_bound in (hopf_lower_bound, _lower_bound_scan):
+        assert lower_bound(_LOWER_BOUND_CAP, 1) == _LOWER_BOUND_CAP == 2**20
+        assert lower_bound(3, _LOWER_BOUND_CAP) == _LOWER_BOUND_CAP
+        for r, s in ((_LOWER_BOUND_CAP + 1, 1), (1, _LOWER_BOUND_CAP + 1)):
+            with pytest.raises(ValueError, match="below the cap"):
+                lower_bound(r, s)
+
+
+def test_library_never_imports_the_benchmark():
+    # the recursion must stay independent of the benchmark's hopf_stiefel
+    root = Path(__file__).resolve().parents[1]
+    forbidden = {"bench"} | {path.stem for path in (root / "bench").glob("*.py")}
+    assert "refcheck" in forbidden
+    sources = sorted((root / "src" / "sosforms").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in forbidden, (path.name, node.lineno, name)
+
+
 def test_lower_bound_below_next_power_of_two():
     for r in range(1, 20):
         for s in range(1, 20):
@@ -149,8 +214,17 @@ def test_bound_table_rejects_an_oversized_upper_bound(monkeypatch):
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        hopf_admissible(0, 1, 1)
-    with pytest.raises(ValueError):
         hopf_lower_bound(0, 1)
+    for r, s in ((2.0, 3), (2, 3.0)):
+        with pytest.raises(TypeError):
+            hopf_admissible(r, s, 3)
+        with pytest.raises(TypeError):
+            hopf_lower_bound(r, s)
+    for r, s, n in ((0, 1, 1), (-3, 5, 2), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            hopf_admissible(r, s, n)
+        # "no witness" would read as admissible
+        with pytest.raises(ValueError, match="must be positive"):
+            hopf_violation_witness(r, s, n)
     with pytest.raises(ValueError):
         rho(0)
