@@ -36,7 +36,7 @@ spec9 = DQRingSpec(9, rho=True)
 a9, b9 = DQClass.gen_a(spec9), DQClass.gen_b(spec9)
 print(f"beta(a)      = {a9.bockstein().to_text()}")
 print(f"beta(a*b^2)  = {(a9 * b9 * b9).bockstein().to_text()}")
-tau = DQClass(spec9, {(0, 0): M2Poly.tau_power(1)})
+tau = DQClass(spec9, {(0, 0): M2Poly.monomial(1, 0)})
 print(f"beta(tau)    = {tau.bockstein().to_text()}")
 print(f"beta(beta(a)) = {a9.bockstein().bockstein().to_text()}")
 

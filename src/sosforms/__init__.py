@@ -23,21 +23,13 @@ from .formulas import (
     construct_trivial,
     homotopy_invariance_check,
     orthonormal_vectors,
-)
-from .grading import BiDegree
-from .hopf import (
-    BoundEntry,
-    binom_parity_pascal,
-    bound_table,
-    hopf_admissible,
-    hopf_lower_bound,
     rho,
 )
+from .hopf import binom_parity_pascal, bound_table, hopf_admissible, hopf_lower_bound
 from .motivic import (
     DQClass,
     DQRingSpec,
     M2Poly,
-    TensorClass,
     diagonal_power,
     dq_power_a,
     hopf_via_motivic,
@@ -45,47 +37,22 @@ from .motivic import (
     ring_additive_basis,
 )
 from .poly import SparsePoly, hyperbolic_coordinate_change
-from .rings import (
-    CoeffRing,
-    GaussianExt,
-    IntegerRing,
-    PrimeField,
-    QQ,
-    RationalField,
-    ZZ,
-    gaussian_ext,
-)
-from .search import (
-    SearchOptions,
-    SearchProblem,
-    SearchResult,
-    SweepReport,
-    hopf_consistency_sweep,
-    search,
-)
+from .rings import QQ, ZZ, PrimeField, gaussian_ext
+from .search import SearchOptions, SearchProblem, hopf_consistency_sweep, search
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiDegree",
-    "BoundEntry",
     "ChowClass",
-    "CoeffRing",
     "DQClass",
     "DQRingSpec",
-    "GaussianExt",
-    "IntegerRing",
     "M2Poly",
     "PrimeField",
     "QQ",
-    "RationalField",
     "SearchOptions",
     "SearchProblem",
-    "SearchResult",
     "SosFormula",
     "SparsePoly",
-    "SweepReport",
-    "TensorClass",
     "ZZ",
     "binom_parity_pascal",
     "bound_table",

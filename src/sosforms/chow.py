@@ -34,18 +34,14 @@ from .algebra import NormalForm, mono_text
 from .grading import BiDegree
 
 
-def _k_of(m: int) -> int:
-    return (m - 1) // 2 if m % 2 else m // 2
-
-
 def y_codim(m: int) -> int:
     """Codimension of the generator y in CH*(Q_m)."""
-    return _k_of(m) + 1 if m % 2 else _k_of(m)
+    return (m + 1) // 2
 
 
 def _reduce_monomial(m: int, i: int, j: int) -> tuple:
     """Normal form of x^i y^j in CH*(Q_m) as (((i', ybit), int unit), ...)."""
-    k = _k_of(m)
+    k = m // 2
     odd = m % 2 == 1
     if j >= 2:
         if odd or k % 2 == 1:
@@ -64,7 +60,7 @@ def _reduce_monomial(m: int, i: int, j: int) -> tuple:
 def basis_monomials(m: int) -> list[tuple[int, int]]:
     if m < 0:
         raise ValueError("quadric dimension must be >= 0")
-    k = _k_of(m)
+    k = m // 2
     return [(i, 0) for i in range(k + 1)] + [(i, 1) for i in range(k + 1)]
 
 
@@ -108,12 +104,12 @@ class ChowClass(NormalForm):
     def beta(cls, m: int) -> "ChowClass":
         if m % 2:
             raise ValueError("middle plane classes live on even quadrics")
-        return cls(m, {(_k_of(m), 0): 1, (0, 1): -1})
+        return cls(m, {(m // 2, 0): 1, (0, 1): -1})
 
     @classmethod
     def point(cls, m: int) -> "ChowClass":
         """The class [*] of a rational point (top codimension)."""
-        return cls(m, {(_k_of(m), 1): 1})
+        return cls(m, {(m // 2, 1): 1})
 
     def __neg__(self) -> "ChowClass":
         return self * -1
@@ -145,7 +141,7 @@ class ChowClass(NormalForm):
 
 
 def presentation_text(m: int) -> str:
-    k = _k_of(m)
+    k = m // 2
     if m % 2:
         return f"Z[x,y]/(x^{k + 1} - 2y, y^2), deg x = 1, deg y = {k + 1}"
     if k % 2:

@@ -79,8 +79,8 @@ def cmd_verify(args) -> int:
 
 def cmd_hopf(args) -> int:
     r, s, n = args.r, args.s, args.n
-    admissible = hopf_mod.hopf_admissible(r, s, n)
     witness = hopf_mod.hopf_violation_witness(r, s, n)
+    admissible = witness is None
     if args.format == "json":
         _print_json({"r": r, "s": s, "n": n, "admissible": admissible, "witness": witness})
     elif admissible:

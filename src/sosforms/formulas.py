@@ -14,7 +14,8 @@ on the r matrices B_i (n x s) whose rows are the tensor rows, B_i[k] = T[k][i].
 Classical constructions included: the trivial [r, s, rs] formula, the
 2/4/8-square identities of the composition algebras C, H, O (loaded from a
 data file and re-verified), and the Hurwitz-Radon family of type
-[rho(n), n, n] built from anticommuting signed-permutation matrices.
+[rho(n), n, n] built from anticommuting signed-permutation matrices, with the
+Hurwitz-Radon function rho and the upper bound on r * s that the family gives.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .hopf import rho
 from .poly import SparsePoly, poly_sum, sum_of_squares
 from .rings import (
     CoeffRing,
@@ -67,11 +67,12 @@ class SosFormula:
 
     def z_poly(self, k: int) -> SparsePoly:
         ring = self.ring
+        zero = ring.zero()
         terms = {}
         for i in range(self.r):
             for j in range(self.s):
                 c = self.tensor[k][i][j]
-                if not ring.is_zero(c):
+                if c != zero:
                     mono = ((i, 1), (self.r + j, 1))
                     terms[mono] = c
         return SparsePoly(ring, terms)
@@ -152,22 +153,6 @@ class SosFormula:
 
     def change_ring(self, ring: CoeffRing) -> "SosFormula":
         return SosFormula(self.r, self.s, self.n, ring, self.tensor)
-
-    def evaluate(self, xs, ys) -> list:
-        """The vector z(x, y) at concrete ring elements."""
-        ring = self.ring
-        xs = [ring.coerce(v) for v in xs]
-        ys = [ring.coerce(v) for v in ys]
-        if len(xs) != self.r or len(ys) != self.s:
-            raise ValueError("wrong vector lengths")
-        out = []
-        for k in range(self.n):
-            acc = ring.zero()
-            for i in range(self.r):
-                for j in range(self.s):
-                    acc = ring.add(acc, ring.mul(self.tensor[k][i][j], ring.mul(xs[i], ys[j])))
-            out.append(acc)
-        return out
 
     # -- serialization -------------------------------------------------------------
 
@@ -278,6 +263,35 @@ def construct_classical(kind: str) -> SosFormula:
 # symmetric involution that anticommutes with the size-16 family.
 
 
+def rho(n: int) -> int:
+    """Hurwitz-Radon function: for n = 2^(4a+b) * odd with 0 <= b <= 3,
+    rho(n) = 8a + 2^b.  This is the largest r with a classical [r, n, n]
+    formula."""
+    if isinstance(n, bool):
+        raise ValueError("n must be an integer, not bool")
+    if n < 1:
+        raise ValueError("n must be positive")
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    a, b = divmod(t, 4)
+    return 8 * a + 2 ** b
+
+
+def hurwitz_radon_upper_bound(r: int, s: int) -> int:
+    """Smallest n with rho(n) >= r and n >= s, so that the [rho(n), n, n]
+    family restricts to an [r, s, n] formula."""
+    if isinstance(r, bool) or isinstance(s, bool):
+        raise ValueError("r, s must be integers, not bool")
+    if r < 1 or s < 1:
+        raise ValueError("r, s must be positive")
+    n = s
+    while rho(n) < r:
+        n += 1
+    return n
+
+
 def _eye(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -369,7 +383,7 @@ def orthonormal_vectors(f: SosFormula):
             acc = ring.add(acc, ring.mul(x, y))
         return acc
 
-    ok = dot(u, u) == ring.one() and dot(v, v) == ring.one() and ring.is_zero(dot(u, v))
+    ok = dot(u, u) == ring.one() and dot(v, v) == ring.one() and dot(u, v) == ring.zero()
     return u, v, ok
 
 

@@ -1,5 +1,5 @@
-"""Binomial-parity combinatorics: the Hopf condition, lower-bound tables,
-and the Hurwitz-Radon function for the matching upper bounds.
+"""Binomial-parity combinatorics: the Hopf condition and the bound table,
+which sets the Hopf lower bound beside the Hurwitz-Radon upper bound.
 
 The Hopf condition for a triple (r, s, n) requires C(n, i) to be even for
 every integer i with n - r < i < s; it is necessary for the existence of an
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+
+from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
 
 # bound_table builds and keeps one dense HR(n) for each distinct upper bound n,
 # so its memory grows with the largest one.  Measured with Python 3.11 on a
@@ -52,24 +54,21 @@ def binom_parity_pascal(n: int, i: int) -> bool:
     return 0 <= i <= n and bool(_PASCAL_ROWS[n] >> i & 1)
 
 
-def hopf_admissible(r: int, s: int, n: int) -> bool:
-    """True iff C(n, i) is even for every i with n - r < i < s."""
-    if min(r, s, n) < 1:
-        raise ValueError("r, s, n must be positive")
-    for i in range(max(n - r + 1, 0), min(s, n + 1)):
-        if (i & n) == i:
-            return False
-    return True
-
-
 def hopf_violation_witness(r: int, s: int, n: int) -> int | None:
-    """The smallest i in the tested range with C(n, i) odd, if any."""
+    """The smallest i with n - r < i < s and C(n, i) odd, if any."""
+    if any(isinstance(d, bool) for d in (r, s, n)):
+        raise ValueError("r, s, n must be integers, not bool")
     if min(r, s, n) < 1:
         raise ValueError("r, s, n must be positive")
     for i in range(max(n - r + 1, 0), min(s, n + 1)):
         if (i & n) == i:
             return i
     return None
+
+
+def hopf_admissible(r: int, s: int, n: int) -> bool:
+    """True iff C(n, i) is even for every i with n - r < i < s."""
+    return hopf_violation_witness(r, s, n) is None
 
 
 def hopf_lower_bound(r: int, s: int) -> int:
@@ -81,6 +80,8 @@ def hopf_lower_bound(r: int, s: int) -> int:
     step at least halves 2^k, so the loop runs at most k + 1 times.  Raises
     ValueError when r o s exceeds _LOWER_BOUND_CAP.
     """
+    if isinstance(r, bool) or isinstance(s, bool):
+        raise ValueError("r, s must be integers, not bool")
     if r < 1 or s < 1:
         raise ValueError("r, s must be positive")
     # a float raises TypeError here, as it does in hopf_admissible
@@ -97,31 +98,6 @@ def hopf_lower_bound(r: int, s: int) -> int:
         s -= top // 2
     if n > _LOWER_BOUND_CAP:
         raise ValueError("no admissible n below the cap; inputs are out of scope")
-    return n
-
-
-def rho(n: int) -> int:
-    """Hurwitz-Radon function: for n = 2^(4a+b) * odd with 0 <= b <= 3,
-    rho(n) = 8a + 2^b.  This is the largest r with a classical [r, n, n]
-    formula."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    a, b = divmod(t, 4)
-    return 8 * a + 2 ** b
-
-
-def hurwitz_radon_upper_bound(r: int, s: int) -> int:
-    """Smallest n with rho(n) >= r and n >= s, so that the [rho(n), n, n]
-    family restricts to an [r, s, n] formula."""
-    if r < 1 or s < 1:
-        raise ValueError("r, s must be positive")
-    n = s
-    while rho(n) < r:
-        n += 1
     return n
 
 
@@ -151,9 +127,7 @@ def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
             f"bound table up to ({rmax}, {smax}) needs a Hurwitz-Radon formula of size "
             f"{largest} > {MAX_TABLE_UPPER}"
         )
-    from .formulas import construct_hurwitz_radon  # deferred: avoids import cycle
-
-    hr_cache: dict[int, object] = {}
+    hr_cache: dict[int, SosFormula] = {}
     entries = []
     for r in range(1, rmax + 1):
         for s in range(1, smax + 1):

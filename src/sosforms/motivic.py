@@ -44,10 +44,6 @@ class M2Poly:
     def monomial(t: int, m: int) -> "M2Poly":
         return M2Poly(((t, m),))
 
-    @staticmethod
-    def tau_power(t: int) -> "M2Poly":
-        return M2Poly(((t, 0),))
-
     @property
     def is_zero(self) -> bool:
         return not self.monos
@@ -121,7 +117,7 @@ class DQRingSpec:
 
     @property
     def k(self) -> int:
-        return (self.n - 1) // 2 if self.n % 2 else self.n // 2
+        return self.n // 2
 
     @property
     def is_even(self) -> bool:

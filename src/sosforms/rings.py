@@ -45,12 +45,6 @@ class CoeffRing:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def is_zero(self, a) -> bool:
-        """Compare without coercing: the elements of Z, Q and GF(p) equal the
-        int 0 exactly when they are zero; rings whose elements do not
-        (GaussianExt) override this."""
-        return a == 0
-
     def characteristic(self) -> int:
         return 0
 
@@ -220,9 +214,6 @@ class GaussianExt(CoeffRing):
         im = self.base.add(self.base.mul(x, v), self.base.mul(y, u))
         return (re, im)
 
-    def is_zero(self, a) -> bool:
-        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
-
     def characteristic(self) -> int:
         return self.base.characteristic()
 
@@ -231,9 +222,10 @@ class GaussianExt(CoeffRing):
 
     def format_element(self, a) -> str:
         re, im = a
-        if self.base.is_zero(im):
+        zero = self.base.zero()
+        if im == zero:
             return self.base.format_element(re)
-        if self.base.is_zero(re):
+        if re == zero:
             return f"{self.base.format_element(im)}*i"
         return f"({self.base.format_element(re)}+{self.base.format_element(im)}*i)"
 

@@ -68,6 +68,8 @@ class SearchProblem:
     options: SearchOptions = field(default_factory=SearchOptions)
 
     def __post_init__(self):
+        if any(isinstance(d, bool) for d in (self.r, self.s, self.n)):
+            raise ValueError("r, s, n must be integers, not bool")
         if min(self.r, self.s, self.n) < 1:
             raise ValueError("r, s, n must be positive")
         PrimeField(self.p)  # validates p odd prime

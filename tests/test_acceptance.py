@@ -21,6 +21,7 @@ from sosforms.formulas import (
     construct_hurwitz_radon,
     construct_trivial,
     homotopy_invariance_check,
+    rho,
 )
 from sosforms.cli import main
 from sosforms.grading import BiDegree
@@ -29,7 +30,6 @@ from sosforms.hopf import (
     binom_parity_pascal,
     bound_table,
     hopf_lower_bound,
-    rho,
 )
 from sosforms.motivic import (
     DQClass,

@@ -14,8 +14,9 @@ from sosforms.formulas import (
     construct_trivial,
     homotopy_invariance_check,
     orthonormal_vectors,
+    rho,
 )
-from sosforms.hopf import hopf_admissible, rho
+from sosforms.hopf import hopf_admissible
 from sosforms.poly import SparsePoly
 from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
 
@@ -186,7 +187,11 @@ def test_substitution_soundness_over_gf():
     for _ in range(50):
         xs = [rng.randrange(5) for _ in range(4)]
         ys = [rng.randrange(5) for _ in range(4)]
-        zs = f.evaluate(xs, ys)
+        # z_k = sum_{i,j} T[k][i][j] x_i y_j, read off the tensor directly
+        zs = [
+            sum(c * xs[i] * ys[j] for i, row in enumerate(slice_k) for j, c in enumerate(row))
+            for slice_k in f.tensor
+        ]
         lhs = sum(v * v for v in xs) * sum(v * v for v in ys) % 5
         assert lhs == sum(v * v for v in zs) % 5
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sosforms.formulas
+import sosforms.hopf
+from sosforms.formulas import hurwitz_radon_upper_bound, rho
 from sosforms.hopf import (
     _LOWER_BOUND_CAP,
     MAX_TABLE_UPPER,
@@ -20,8 +21,6 @@ from sosforms.hopf import (
     hopf_admissible,
     hopf_lower_bound,
     hopf_violation_witness,
-    hurwitz_radon_upper_bound,
-    rho,
 )
 
 
@@ -53,6 +52,18 @@ def test_admissible_examples():
     assert hopf_admissible(4, 4, 4)  # 4, 6, 4 all even
     assert hopf_violation_witness(3, 3, 3) == 1
     assert hopf_violation_witness(4, 4, 4) is None
+
+
+def test_witness_matches_brute_force():
+    # hopf_admissible reads its verdict off the witness, so the witness is
+    # checked against math.comb over the whole range n - r < i < s
+    for r in range(1, 49):
+        for s in range(1, 49):
+            for n in range(1, 49):
+                odd = (i for i in range(max(n - r + 1, 0), min(s, n + 1)) if math.comb(n, i) % 2)
+                expected = next(odd, None)
+                assert hopf_violation_witness(r, s, n) == expected, (r, s, n)
+                assert hopf_admissible(r, s, n) == (expected is None)
 
 
 def test_admissible_symmetry():
@@ -146,6 +157,36 @@ def test_library_never_imports_the_benchmark():
                 assert name.split(".")[0] not in forbidden, (path.name, node.lineno, name)
 
 
+def _imported_modules(node):
+    """The sosforms modules an import statement names, e.g. {'hopf'} for
+    `from .hopf import rho`, `from . import hopf` or `import sosforms.hopf`."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    elif node.level == 0:
+        dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        prefix = f"sosforms.{node.module}" if node.module else "sosforms"
+        dotted = [f"{prefix}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("sosforms.")}
+
+
+def test_no_deferred_imports_and_formulas_never_imports_hopf():
+    # hopf imports formulas (the Hurwitz-Radon family and rho), so an import
+    # of hopf from formulas would be a cycle, and a deferred import hides one
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "sosforms").glob("*.py"))
+    assert any(path.name == "formulas.py" for path in sources)
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (path.name, node.lineno)
+        if path.name == "formulas.py":
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    assert "hopf" not in _imported_modules(node), node.lineno
+
+
 def test_lower_bound_below_next_power_of_two():
     for r in range(1, 20):
         for s in range(1, 20):
@@ -205,7 +246,7 @@ def test_bound_table_rejects_an_oversized_upper_bound(monkeypatch):
     def unexpected(n):
         raise AssertionError("a formula was built before the size check")
 
-    monkeypatch.setattr(sosforms.formulas, "construct_hurwitz_radon", unexpected)
+    monkeypatch.setattr(sosforms.hopf, "construct_hurwitz_radon", unexpected)
     assert hurwitz_radon_upper_bound(17, 17) == hurwitz_radon_upper_bound(1, 256) == MAX_TABLE_UPPER
     for rmax, smax in ((18, 18), (1, 257), (25, 1)):
         with pytest.raises(ValueError, match="Hurwitz-Radon formula of size"):
@@ -228,3 +269,15 @@ def test_input_validation():
             hopf_violation_witness(r, s, n)
     with pytest.raises(ValueError):
         rho(0)
+    # a bool is not a dimension, though it is an int
+    for r, s, n in ((True, True, True), (True, 2, 3), (2, True, 3), (2, 3, True), (False, 1, 1)):
+        for check in (hopf_admissible, hopf_violation_witness):
+            with pytest.raises(ValueError, match="not bool"):
+                check(r, s, n)
+    for r, s in ((True, 2), (2, True), (True, True)):
+        for check in (hopf_lower_bound, hurwitz_radon_upper_bound, bound_table):
+            with pytest.raises(ValueError, match="not bool"):
+                check(r, s)
+    for n in (True, False):
+        with pytest.raises(ValueError, match="not bool"):
+            rho(n)

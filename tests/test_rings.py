@@ -142,23 +142,3 @@ def test_ring_equality_is_structural():
     assert PrimeField(5) != PrimeField(7)
     assert IntegerRing() == ZZ
     assert gaussian_ext(ZZ) == gaussian_ext(ZZ)
-
-
-@pytest.mark.parametrize(
-    "ring",
-    [ZZ, QQ, PrimeField(3), PrimeField(13), gaussian_ext(ZZ), gaussian_ext(QQ), gaussian_ext(PrimeField(7))],
-    ids=repr,
-)
-def test_is_zero_agrees_with_equality_to_zero(ring):
-    samples = [ring.coerce(v) for v in (0, 1, -1, 2, 13, -26, 100)]
-    if ring.kind != "GF":
-        samples.append(ring.coerce(Fraction(0)))
-    if isinstance(ring, GaussianExt) or ring.sqrt_minus_one() is not None:
-        i = ring.sqrt_minus_one()
-        samples += [i, ring.mul(i, i), ring.add(ring.one(), ring.mul(i, i)), ring.sub(i, i)]
-    if ring == QQ:
-        samples += [Fraction(1, 3), Fraction(-2, 7), ring.sub(Fraction(1, 3), Fraction(1, 3))]
-    for a in samples:
-        assert ring.is_zero(a) == (a == ring.zero()), (ring, a)
-    assert any(ring.is_zero(a) for a in samples)
-    assert not all(ring.is_zero(a) for a in samples)

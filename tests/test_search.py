@@ -374,6 +374,16 @@ def test_even_char_rejected():
         SearchProblem(1, 1, 1, 2)
 
 
+def test_bad_dimensions_rejected():
+    # a bool is refused up front, not midway through the search
+    for r, s, n in ((True, 1, 1), (1, True, 1), (1, 1, True), (True, True, True)):
+        with pytest.raises(ValueError, match="not bool"):
+            SearchProblem(r, s, n, 3)
+    for r, s, n in ((0, 1, 1), (1, -2, 1), (1, 1, 0), (False, 1, 1)):
+        with pytest.raises(ValueError):
+            SearchProblem(r, s, n, 3)
+
+
 @pytest.mark.parametrize(
     "opts",
     [
