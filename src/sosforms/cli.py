@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -313,6 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, not at import, and
+    reused for every later call in the process.  Parsing leaves it unchanged,
+    and argparse looks up sys.stdout and sys.stderr only when it prints."""
+    return build_parser()
+
+
 def _parse_chow_args(args) -> bool:
     """Normalize `chow M` vs `chow gysin N` into mode/value fields."""
     raw = args.args
@@ -326,9 +335,8 @@ def _parse_chow_args(args) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     if args.func is cmd_chow:

@@ -21,6 +21,7 @@ Hurwitz-Radon function rho and the upper bound on r * s that the family gives.
 from __future__ import annotations
 
 import json
+import operator
 from importlib import resources
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
@@ -271,6 +272,8 @@ def rho(n: int) -> int:
         raise ValueError("n must be an integer, not bool")
     if n < 1:
         raise ValueError("n must be positive")
+    # a float raises TypeError, as in hopf_lower_bound; n % 2 would accept one
+    n = operator.index(n)
     t = 0
     while n % 2 == 0:
         n //= 2
@@ -286,6 +289,9 @@ def hurwitz_radon_upper_bound(r: int, s: int) -> int:
         raise ValueError("r, s must be integers, not bool")
     if r < 1 or s < 1:
         raise ValueError("r, s must be positive")
+    # a float raises TypeError, as in hopf_lower_bound: stepping n from a
+    # non-integral s would never reach a power of two
+    r, s = operator.index(r), operator.index(s)
     n = s
     while rho(n) < r:
         n += 1

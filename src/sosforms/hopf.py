@@ -7,9 +7,11 @@ every integer i with n - r < i < s; it is necessary for the existence of an
 is computed two independent ways: the Lucas bit test (C(n, i) is odd exactly
 when i is a bit-submask of n) and Pascal's triangle mod 2.
 
-The smallest admissible n, the Hopf-Stiefel number r o s, comes from
-Pfister's recursion in O(log s) steps, not from testing each n in turn; the
-tests keep that scan over hopf_admissible as its oracle.
+The violation witness comes from a smallest-submask step in O(log n) steps,
+not from testing each i in the Hopf range in turn.  The smallest admissible
+n, the Hopf-Stiefel number r o s, comes from Pfister's recursion in
+O(log s) steps, not from testing each n in turn.  The tests keep both scans
+as the oracles.
 """
 
 from __future__ import annotations
@@ -55,15 +57,26 @@ def binom_parity_pascal(n: int, i: int) -> bool:
 
 
 def hopf_violation_witness(r: int, s: int, n: int) -> int | None:
-    """The smallest i with n - r < i < s and C(n, i) odd, if any."""
+    """The smallest i with n - r < i < s and C(n, i) odd, if any.
+
+    C(n, i) is odd exactly when i is a bit-submask of n, so the witness is
+    the smallest submask of n at or above max(n - r + 1, 0).  While i has a
+    bit outside n, the highest such bit h must be carried away: no j with
+    i <= j < ((i >> h) + 1) << h is a submask.  After a step, i has no bit
+    outside n at or below h, so h rises at each step and the loop runs at
+    most n.bit_length() + 1 times.
+    """
     if any(isinstance(d, bool) for d in (r, s, n)):
         raise ValueError("r, s, n must be integers, not bool")
     if min(r, s, n) < 1:
         raise ValueError("r, s, n must be positive")
-    for i in range(max(n - r + 1, 0), min(s, n + 1)):
-        if (i & n) == i:
-            return i
-    return None
+    # a float raises TypeError here, as it does in hopf_lower_bound
+    r, s, n = operator.index(r), operator.index(s), operator.index(n)
+    i, end = max(n - r + 1, 0), min(s, n + 1)
+    while i < end and i & ~n:
+        h = (i & ~n).bit_length() - 1
+        i = ((i >> h) + 1) << h
+    return i if i < end else None
 
 
 def hopf_admissible(r: int, s: int, n: int) -> bool:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, machine formats."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from sosforms.cli import main
+from sosforms import cli
+from sosforms.cli import build_parser, main
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -339,3 +341,144 @@ def test_ring_power_json(capsys):
     assert main(["ring-power", "5", "5", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"n": 5, "m": 5, "value": "t^2*a*b^2", "zero": False}
+
+
+def test_hopf_on_a_triple_too_large_to_scan():
+    # the range 0 < i < 2^40 was once scanned step by step, which never ended
+    big = 2**40
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sosforms.cli", "hopf", str(big), str(big), str(big), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"r": big, "s": big, "n": big, "admissible": True, "witness": None}
+
+
+# -- the parser is built once per process and reused ------------------------------------
+
+
+@pytest.fixture
+def fresh_cache():
+    accessor = cli._parser  # a test may patch the name; clear the real cache
+    accessor.cache_clear()
+    yield
+    accessor.cache_clear()
+
+
+def _call_sequence(tmp_path):
+    """One in-process session: every subcommand, usage errors, chow argument
+    errors, --help, and commands repeated with and without optional flags."""
+    gauss = tmp_path / "gauss.json"
+    gauss.write_text(construct_classical("two").to_json())
+    data = construct_classical("two").to_json_dict()
+    data["tensor"][0][1][1] = 1
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    return [
+        ["hopf", "3", "3", "3"],
+        ["hopf", "3", "3", "3", "--format", "json"],
+        ["hopf", "x", "y", "z"],
+        ["hopf", "4", "4", "4"],
+        ["hopf", "3", "3"],
+        ["verify", str(gauss)],
+        ["verify", str(broken), "--format", "json"],
+        ["verify", str(tmp_path / "missing.json")],
+        ["verify", str(gauss), "--format", "json"],
+        ["--help"],
+        ["bounds", "2", "2", "--format", "csv"],
+        ["bounds", "2", "2"],
+        ["bounds", "18", "18"],
+        [],
+        ["ring-power", "4", "5", "--rho", "formal", "--epsilon", "rho"],
+        ["ring-power", "4", "5"],
+        ["ring-power", "5", "5", "--format", "json"],
+        ["motivic", "3", "3", "3"],
+        ["nonsense"],
+        ["motivic", "4", "4", "4", "--format", "json"],
+        ["chow", "4"],
+        ["chow", "gysin"],
+        ["chow", "gysin", "5", "--format", "csv"],
+        ["chow", "a", "b"],
+        ["chow", "x"],
+        ["chow", "gysin", "0"],
+        ["chow", "gysin", "3"],
+        ["chow", "4", "--format", "json"],
+        ["hopf", "--help"],
+        ["search", "2", "2", "2", "3", "--exhaustive"],
+        ["search", "2", "2", "2", "3"],
+        ["search", "2", "2", "2", "3", "--max-solutions", "1", "--signed-monomial"],
+        ["search", "2", "2", "2", "3", "--format", "json"],
+        ["search", "2", "2", "2", "3", "--no-canonical", "--budget", "30"],
+        ["search", "-h"],
+        ["search", "1", "1", "1", "2"],
+        ["sweep", "2", "2", "2", "3"],
+        ["sweep", "2", "2", "2", "3", "--format", "json", "--budget", "30"],
+        ["sweep", "2", "2", "2", "3", "--budget", "-1"],
+        ["sweep", "2", "2", "2", "3"],
+        ["hopf", "3", "3", "3"],
+    ]
+
+
+def test_reused_parser_matches_a_fresh_one_call_by_call(tmp_path, capsys, monkeypatch, fresh_cache):
+    def session():
+        results = []
+        for argv in sequence:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((argv, code, out, err))
+        return results
+
+    sequence = _call_sequence(tmp_path)
+    reused = session()
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a new tree for every call
+    fresh = session()
+    for got, expected in zip(reused, fresh):
+        assert got == expected
+    assert {code for _, code, _, _ in reused} == {0, 1, 2}
+    helps = [out for argv, _, out, _ in reused if "--help" in argv or "-h" in argv]
+    assert len(helps) == 3 and all(out.startswith("usage: sosforms") for out in helps)
+
+
+def test_fifty_calls_build_the_parser_once(capsys, monkeypatch, fresh_cache):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser()
+    per_build = len(built)
+    assert per_build > 1  # the top-level parser and one per subcommand
+    built.clear()
+    for k in range(50):
+        main(["hopf", str(k % 7 + 1), "3", "4"] if k % 2 else ["chow", "gysin", str(k % 5 + 1)])
+    capsys.readouterr()
+    assert len(built) == per_build
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the benchmark times `import sosforms.cli` as set-up, so the parser is
+    # built on the first main() call, not at import
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import sosforms.cli
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    sosforms.cli.main(["hopf", "3", "3", "3"])
+print(at_import, len(built))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_call = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert after_call > 0  # the counter sees the build that main() makes

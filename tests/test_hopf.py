@@ -66,6 +66,43 @@ def test_witness_matches_brute_force():
                 assert hopf_admissible(r, s, n) == (expected is None)
 
 
+# -- the Hopf-range scan, kept as the oracle of the smallest-submask step --------------
+
+
+def _witness_scan(r, s, n):
+    """The former hopf_violation_witness: test each i in the Hopf range."""
+    for i in range(max(n - r + 1, 0), min(s, n + 1)):
+        if (i & n) == i:
+            return i
+    return None
+
+
+def test_witness_matches_scan_oracle():
+    for r in range(1, 129):
+        for s in range(1, 129):
+            for n in range(1, 129):
+                assert hopf_violation_witness(r, s, n) == _witness_scan(r, s, n), (r, s, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**16), st.integers(1, 2**16), st.integers(1, 2**16))
+def test_witness_matches_scan_oracle_up_to_2_16(r, s, n):
+    assert hopf_violation_witness(r, s, n) == _witness_scan(r, s, n)
+
+
+def test_witness_on_inputs_too_large_to_scan():
+    big = 2**40
+    assert hopf_violation_witness(big, big, big) is None  # C(2^40, i) even for 0 < i < 2^40
+    assert hopf_violation_witness(big, big + 1, big) == big
+    assert hopf_violation_witness(big + 1, 2, big) == 0
+    assert hopf_violation_witness(2, big, big - 1) == big - 2  # every C(2^40 - 1, i) is odd
+    # n = 2^200 + 2^100: the submasks in (n - r, s) are 2^100 and 2^200
+    n = 2**200 + 2**100
+    assert hopf_violation_witness(n - 1, n, n) == 2**100
+    assert hopf_violation_witness(n - 2**100, n, n) == 2**200
+    assert hopf_violation_witness(n - 2**100, 2**200, n) is None
+
+
 def test_admissible_symmetry():
     for r in range(1, 65):
         for s in range(r, 65):
@@ -281,3 +318,21 @@ def test_input_validation():
     for n in (True, False):
         with pytest.raises(ValueError, match="not bool"):
             rho(n)
+
+
+def test_upper_bound_rejects_floats_and_zero():
+    # stepping n from a non-integral s never reaches a power of two, so
+    # hurwitz_radon_upper_bound(2, 2.5) and bound_table(2, 2.5) used to hang,
+    # and rho read 2.0 as 2
+    for n in (2.0, 1.5, 2.5):
+        with pytest.raises(TypeError):
+            rho(n)
+    for r, s in ((2, 2.5), (2.5, 2), (2.0, 2), (2, 2.0)):
+        for check in (hurwitz_radon_upper_bound, bound_table):
+            with pytest.raises(TypeError):
+                check(r, s)
+    for r, s in ((0, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            hurwitz_radon_upper_bound(r, s)
+        with pytest.raises(ValueError, match=">= 1"):
+            bound_table(r, s)
