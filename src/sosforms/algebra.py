@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from operator import add
 
+from .rings import require_ints
+
 
 def accumulate(terms: dict, key, coeff) -> None:
     """terms[key] += coeff, dropping the key when the sum is zero."""
@@ -96,8 +98,7 @@ class NormalForm:
         return self._new(self.ring, terms)
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        require_ints("exp", exp, low=0)
         result, base = self._new(self.ring, dict((self.UNIT,))), self
         while exp:
             if exp & 1:

@@ -141,8 +141,20 @@ def cmd_motivic(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    if args.mode == "gysin":
-        n = args.value
+    raw = args.args
+    gysin = raw[0] == "gysin"
+    if len(raw) != 1 + gysin:
+        print("error: expected `chow M` or `chow gysin N`", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        value = int(raw[-1])
+    except ValueError:
+        print("error: chow arguments must be integers", file=sys.stderr)
+        return EXIT_USAGE
+    if value > chow_mod.MAX_TABLE_DIM:
+        raise ValueError(f"chow argument {value} exceeds the limit of {chow_mod.MAX_TABLE_DIM}")
+    if gysin:
+        n = value
         if n < 1:
             print("error: gysin table needs n >= 1", file=sys.stderr)
             return EXIT_USAGE
@@ -176,7 +188,7 @@ def cmd_chow(args) -> int:
             print(f"  j_* j^* = x2 everywhere: {double_cover}")
         return EXIT_OK
 
-    m = args.value
+    m = value
     ranks = chow_mod.additive_ranks(m)
     degrees = chow_mod.quadric_generator_degrees(m)
     if args.format == "json":
@@ -322,31 +334,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse_chow_args(args) -> bool:
-    """Normalize `chow M` vs `chow gysin N` into mode/value fields."""
-    raw = args.args
-    if len(raw) == 1 and raw[0] != "gysin":
-        args.mode, args.value = "ring", int(raw[0])
-        return True
-    if len(raw) == 2 and raw[0] == "gysin":
-        args.mode, args.value = "gysin", int(raw[1])
-        return True
-    return False
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.func is cmd_chow:
-        try:
-            if not _parse_chow_args(args):
-                print("error: expected `chow M` or `chow gysin N`", file=sys.stderr)
-                return EXIT_USAGE
-        except ValueError:
-            print("error: chow arguments must be integers", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

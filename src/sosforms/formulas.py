@@ -21,7 +21,6 @@ Hurwitz-Radon function rho and the upper bound on r * s that the family gives.
 from __future__ import annotations
 
 import json
-import operator
 from importlib import resources
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
@@ -30,6 +29,7 @@ from .rings import (
     IntegerRing,
     ZZ,
     gaussian_ext,
+    require_ints,
     ring_from_json,
     ring_to_json,
 )
@@ -45,10 +45,7 @@ class SosFormula:
     __slots__ = ("r", "s", "n", "ring", "tensor")
 
     def __init__(self, r: int, s: int, n: int, ring: CoeffRing, tensor):
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in (r, s, n)):
-            raise ValueError("r, s, n must be integers")
-        if min(r, s, n) < 1:
-            raise ValueError("r, s, n must be positive")
+        require_ints("r, s, n", r, s, n)
         if len(tensor) != n:
             raise ValueError("tensor has wrong number of slices")
         coerced = []
@@ -224,8 +221,7 @@ def _tensor_from_table(table) -> list:
 
 def construct_trivial(r: int, s: int) -> SosFormula:
     """[r, s, rs] with z_(i,j) = x_i y_j."""
-    if r < 1 or s < 1:
-        raise ValueError("r, s must be positive")
+    require_ints("r, s", r, s)
     n = r * s
     tensor = [[[0] * s for _ in range(r)] for _ in range(n)]
     for i in range(r):
@@ -268,12 +264,7 @@ def rho(n: int) -> int:
     """Hurwitz-Radon function: for n = 2^(4a+b) * odd with 0 <= b <= 3,
     rho(n) = 8a + 2^b.  This is the largest r with a classical [r, n, n]
     formula."""
-    if isinstance(n, bool):
-        raise ValueError("n must be an integer, not bool")
-    if n < 1:
-        raise ValueError("n must be positive")
-    # a float raises TypeError, as in hopf_lower_bound; n % 2 would accept one
-    n = operator.index(n)
+    require_ints("n", n)
     t = 0
     while n % 2 == 0:
         n //= 2
@@ -285,13 +276,7 @@ def rho(n: int) -> int:
 def hurwitz_radon_upper_bound(r: int, s: int) -> int:
     """Smallest n with rho(n) >= r and n >= s, so that the [rho(n), n, n]
     family restricts to an [r, s, n] formula."""
-    if isinstance(r, bool) or isinstance(s, bool):
-        raise ValueError("r, s must be integers, not bool")
-    if r < 1 or s < 1:
-        raise ValueError("r, s must be positive")
-    # a float raises TypeError, as in hopf_lower_bound: stepping n from a
-    # non-integral s would never reach a power of two
-    r, s = operator.index(r), operator.index(s)
+    require_ints("r, s", r, s)
     n = s
     while rho(n) < r:
         n += 1
@@ -348,8 +333,7 @@ def _skew_family(t: int) -> list:
 
 def construct_hurwitz_radon(n: int) -> SosFormula:
     """The [rho(n), n, n] formula with entries in {-1, 0, 1}."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    require_ints("n", n)
     m = n
     t = 0
     while m % 2 == 0:

@@ -16,10 +16,10 @@ as the oracles.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
+from .rings import require_ints
 
 # bound_table builds and keeps one dense HR(n) for each distinct upper bound n,
 # so its memory grows with the largest one.  Measured with Python 3.11 on a
@@ -37,8 +37,7 @@ _LOWER_BOUND_CAP = 2 ** 20
 
 def binom_is_odd(n: int, i: int) -> bool:
     """Lucas bit test; C(n, i) = 0 (even) outside 0 <= i <= n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    require_ints("n", n, low=0)
     return 0 <= i <= n and (i & n) == i
 
 
@@ -48,8 +47,7 @@ _PASCAL_ROWS: list[int] = [1]  # row k stored as a bitmask: bit i = C(k, i) mod 
 def binom_parity_pascal(n: int, i: int) -> bool:
     """Independent oracle for binom_is_odd: parity read off Pascal's
     triangle built mod 2."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    require_ints("n", n, low=0)
     while len(_PASCAL_ROWS) <= n:
         row = _PASCAL_ROWS[-1]
         _PASCAL_ROWS.append(row ^ (row << 1))
@@ -66,12 +64,7 @@ def hopf_violation_witness(r: int, s: int, n: int) -> int | None:
     outside n at or below h, so h rises at each step and the loop runs at
     most n.bit_length() + 1 times.
     """
-    if any(isinstance(d, bool) for d in (r, s, n)):
-        raise ValueError("r, s, n must be integers, not bool")
-    if min(r, s, n) < 1:
-        raise ValueError("r, s, n must be positive")
-    # a float raises TypeError here, as it does in hopf_lower_bound
-    r, s, n = operator.index(r), operator.index(s), operator.index(n)
+    require_ints("r, s, n", r, s, n)
     i, end = max(n - r + 1, 0), min(s, n + 1)
     while i < end and i & ~n:
         h = (i & ~n).bit_length() - 1
@@ -93,12 +86,7 @@ def hopf_lower_bound(r: int, s: int) -> int:
     step at least halves 2^k, so the loop runs at most k + 1 times.  Raises
     ValueError when r o s exceeds _LOWER_BOUND_CAP.
     """
-    if isinstance(r, bool) or isinstance(s, bool):
-        raise ValueError("r, s must be integers, not bool")
-    if r < 1 or s < 1:
-        raise ValueError("r, s must be positive")
-    # a float raises TypeError here, as it does in hopf_admissible
-    r, s = operator.index(r), operator.index(s)
+    require_ints("r, s", r, s)
     n = 0
     while True:
         if r > s:
@@ -132,8 +120,7 @@ def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
     and checked by expansion.  Raises ValueError, before any work, when the
     largest upper bound exceeds MAX_TABLE_UPPER.
     """
-    if rmax < 1 or smax < 1:
-        raise ValueError("bounds must be >= 1")
+    require_ints("rmax, smax", rmax, smax)
     largest = hurwitz_radon_upper_bound(rmax, smax)
     if largest > MAX_TABLE_UPPER:
         raise ValueError(

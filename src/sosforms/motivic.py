@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .algebra import NormalForm, accumulate, mono_text
 from .grading import BiDegree
 from .hopf import hopf_admissible
+from .rings import require_ints
 
 
 class M2Poly:
@@ -109,8 +110,7 @@ class DQRingSpec:
     eps_is_rho: bool = False
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+        require_ints("n", self.n, low=0)
         if self.eps_is_rho and (self.n % 2 == 1 or not self.rho):
             # eps only exists in even rings, and eps = rho = 0 when rho is off
             object.__setattr__(self, "eps_is_rho", False)
@@ -287,8 +287,8 @@ def diagonal_power(r: int, s: int, n: int) -> TensorClass:
     The surviving monomials correspond exactly to the i with C(n, i) odd,
     i <= r-1 and n-i <= s-1.
     """
-    if min(r, s) < 1 or n < 0:
-        raise ValueError("need r, s >= 1 and n >= 0")
+    require_ints("r, s", r, s)
+    require_ints("n", n, low=0)
     left = DQRingSpec(r - 1, rho=False)
     right = DQRingSpec(s - 1, rho=False)
     x = TensorClass.a_left(left, right) + TensorClass.a_right(left, right)
@@ -306,6 +306,7 @@ def motivic_binomial_mismatches(rmax: int, smax: int, nmax: int) -> list[tuple]:
     1 <= r <= rmax, 1 <= s <= smax, max(r, s) <= n <= nmax.  Returns the list
     of disagreeing (r, s, n, ring_verdict, parity_verdict); empty means the
     two engines agree.  Powers are built incrementally per (r, s)."""
+    require_ints("rmax, smax, nmax", rmax, smax, nmax, low=0)
     mismatches = []
     for r in range(1, rmax + 1):
         for s in range(1, smax + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .rings import CoeffRing, IntegerRing, gaussian_ext
+from .rings import CoeffRing, IntegerRing, gaussian_ext, require_ints
 
 # Monomial: tuple of (var, exp) pairs, sorted by var, all exps > 0.
 Monomial = tuple
@@ -74,8 +74,7 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, ring: CoeffRing, var: int, exp: int = 1) -> "SparsePoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
+        require_ints("var, exp", var, exp, low=0)
         mono = ((var, exp),) if exp > 0 else _ONE_MONOMIAL
         return cls(ring, {mono: ring.one()})
 
@@ -126,8 +125,7 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        require_ints("exp", exp, low=0)
         if exp == 0:
             return SparsePoly.constant(self.ring, 1)
         result = None
@@ -268,8 +266,7 @@ def hyperbolic_coordinate_change(n: int, ring: CoeffRing | None = None) -> bool:
     is a square root of -1.  Returns True when the expansion is exactly
     w_1^2 + ... + w_{n+2}^2.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_ints("n", n, low=0)
     if ring is None:
         ring = gaussian_ext(IntegerRing())
     i_elt = ring.sqrt_minus_one()

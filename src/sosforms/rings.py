@@ -15,6 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def require_ints(names: str, *values, low: int = 1) -> None:
+    """The argument rule for every dimension, count, exponent and prime:
+    raise ValueError unless each value is an int, not a bool, and >= low."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            noun = "integers" if len(values) > 1 else "an integer"
+            raise ValueError(f"{names} must be {noun}, not {type(value).__name__}")
+        if value < low:
+            raise ValueError(f"{names} must be >= {low}")
+
+
 class CoeffRing:
     """Base class for coefficient rings.  Use the concrete subclasses.
 
@@ -132,6 +143,7 @@ class PrimeField(CoeffRing):
     kind = "GF"
 
     def __init__(self, p: int):
+        require_ints("p", p, low=2)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2:

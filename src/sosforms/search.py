@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .formulas import SosFormula
 from .hopf import hopf_admissible
-from .rings import PrimeField
+from .rings import PrimeField, require_ints
 
 # Largest p^n a search without signed_monomial_only may enumerate.  Over
 # GF(3), n = 13 (532,170 unit vectors) takes about 1.5 s and 110 MB before
@@ -58,6 +58,12 @@ class SearchOptions:
     max_solutions: int | None = None
     time_budget: float | None = None  # seconds
 
+    def __post_init__(self):
+        if self.max_solutions is not None:
+            require_ints("max_solutions", self.max_solutions)
+        if self.time_budget is not None and not self.time_budget >= 0:  # NaN too
+            raise ValueError("time_budget must be non-negative")
+
 
 @dataclass(frozen=True)
 class SearchProblem:
@@ -68,19 +74,11 @@ class SearchProblem:
     options: SearchOptions = field(default_factory=SearchOptions)
 
     def __post_init__(self):
-        if any(isinstance(d, bool) for d in (self.r, self.s, self.n)):
-            raise ValueError("r, s, n must be integers, not bool")
-        if min(self.r, self.s, self.n) < 1:
-            raise ValueError("r, s, n must be positive")
+        require_ints("r, s, n", self.r, self.s, self.n)
         PrimeField(self.p)  # validates p odd prime
-        opts = self.options
-        if opts.max_solutions is not None and opts.max_solutions < 1:
-            raise ValueError("max_solutions must be at least 1")
-        if opts.time_budget is not None and not opts.time_budget >= 0:  # NaN too
-            raise ValueError("time_budget must be non-negative")
         # p >= 3, so p^n > MAX_FULL_VECTORS once n reaches its bit length
         vectors = self.p ** min(self.n, MAX_FULL_VECTORS.bit_length())
-        if not opts.signed_monomial_only and vectors > MAX_FULL_VECTORS:
+        if not self.options.signed_monomial_only and vectors > MAX_FULL_VECTORS:
             raise ValueError(
                 f"a full search enumerates p^n = {self.p}^{self.n} vectors, which exceeds "
                 f"the limit of {MAX_FULL_VECTORS}; use the signed-monomial mode or a smaller n"
@@ -345,10 +343,9 @@ def hopf_consistency_sweep(
     Raises ValueError before any cell is searched when the range is empty
     (rmax, smax or nmax below 1) or a cell's search would be rejected.
     """
-    if min(rmax, smax, nmax) < 1:
-        raise ValueError("rmax, smax and nmax must be at least 1")
+    require_ints("rmax, smax, nmax", rmax, smax, nmax)
     opts = SearchOptions(max_solutions=1, time_budget=time_budget)
-    SearchProblem(rmax, smax, nmax, p, opts)  # rejects p, the budget or n before any cell
+    SearchProblem(rmax, smax, nmax, p, opts)  # rejects p or n before any cell
     cells: list[SweepCell] = []
     violations: list[SweepCell] = []
     for r in range(1, rmax + 1):

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from sosforms import cli
+from sosforms.chow import MAX_TABLE_DIM
 from sosforms.cli import build_parser, main
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
 
@@ -239,6 +241,17 @@ def test_chow_gysin_output(capsys):
 def test_chow_usage_error(capsys):
     assert main(["chow", "gysin"]) == 2
     assert main(["chow", "a", "b"]) == 2
+
+
+@pytest.mark.parametrize("value", [MAX_TABLE_DIM + 1, 10**8])
+def test_chow_tables_above_the_cap_exit_two_at_once(capsys, value):
+    for argv in (["chow", str(value)], ["chow", "gysin", str(value)]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chow argument {value} exceeds the limit of {MAX_TABLE_DIM}\n"
 
 
 def test_search_streams_json_lines(capsys):

@@ -224,6 +224,20 @@ def test_no_deferred_imports_and_formulas_never_imports_hopf():
                     assert "hopf" not in _imported_modules(node), node.lineno
 
 
+def test_no_module_converts_arguments_with_operator_index():
+    # the argument rule lives in rings.require_ints; operator.index would
+    # accept what it rejects (a bool, a numpy integer) and raise TypeError
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "sosforms").glob("*.py"))
+    assert any(path.name == "rings.py" for path in sources)
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "operator"
+                            and node.attr == "index"), (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                assert "index" not in {alias.name for alias in node.names}, (path.name, node.lineno)
+
+
 def test_lower_bound_below_next_power_of_two():
     for r in range(1, 20):
         for s in range(1, 20):
@@ -294,15 +308,15 @@ def test_input_validation():
     with pytest.raises(ValueError):
         hopf_lower_bound(0, 1)
     for r, s in ((2.0, 3), (2, 3.0)):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             hopf_admissible(r, s, 3)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             hopf_lower_bound(r, s)
     for r, s, n in ((0, 1, 1), (-3, 5, 2), (1, 0, 1), (1, 1, 0)):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=">= 1"):
             hopf_admissible(r, s, n)
         # "no witness" would read as admissible
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=">= 1"):
             hopf_violation_witness(r, s, n)
     with pytest.raises(ValueError):
         rho(0)
@@ -325,14 +339,14 @@ def test_upper_bound_rejects_floats_and_zero():
     # hurwitz_radon_upper_bound(2, 2.5) and bound_table(2, 2.5) used to hang,
     # and rho read 2.0 as 2
     for n in (2.0, 1.5, 2.5):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             rho(n)
     for r, s in ((2, 2.5), (2.5, 2), (2.0, 2), (2, 2.0)):
         for check in (hurwitz_radon_upper_bound, bound_table):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError):
                 check(r, s)
     for r, s in ((0, 1), (1, 0), (0, 0)):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=">= 1"):
             hurwitz_radon_upper_bound(r, s)
         with pytest.raises(ValueError, match=">= 1"):
             bound_table(r, s)

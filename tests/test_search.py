@@ -441,7 +441,7 @@ def test_sweep_tells_the_two_empty_statuses_apart(monkeypatch):
 
 def test_sweep_rejects_empty_ranges():
     for args in ((0, 2, 3), (2, 0, 3), (2, 2, 0), (-1, 1, 1)):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match=">= 1"):
             hopf_consistency_sweep(*args, 3)
     with pytest.raises(ValueError, match="exceeds"):
         hopf_consistency_sweep(1, 1, 14, 3)
