@@ -38,6 +38,7 @@ _LOWER_BOUND_CAP = 2 ** 20
 def binom_is_odd(n: int, i: int) -> bool:
     """Lucas bit test; C(n, i) = 0 (even) outside 0 <= i <= n."""
     require_ints("n", n, low=0)
+    require_ints("i", i, low=None)
     return 0 <= i <= n and (i & n) == i
 
 
@@ -48,6 +49,7 @@ def binom_parity_pascal(n: int, i: int) -> bool:
     """Independent oracle for binom_is_odd: parity read off Pascal's
     triangle built mod 2."""
     require_ints("n", n, low=0)
+    require_ints("i", i, low=None)
     while len(_PASCAL_ROWS) <= n:
         row = _PASCAL_ROWS[-1]
         _PASCAL_ROWS.append(row ^ (row << 1))

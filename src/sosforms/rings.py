@@ -15,14 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def require_ints(names: str, *values, low: int = 1) -> None:
-    """The argument rule for every dimension, count, exponent and prime:
-    raise ValueError unless each value is an int, not a bool, and >= low."""
+def require_ints(names: str, *values, low: int | None = 1) -> None:
+    """The argument rule for every dimension, count, exponent, index and
+    prime: raise ValueError unless each value is an int, not a bool, and
+    >= low (no floor when low is None)."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, int):
             noun = "integers" if len(values) > 1 else "an integer"
             raise ValueError(f"{names} must be {noun}, not {type(value).__name__}")
-        if value < low:
+        if low is not None and value < low:
             raise ValueError(f"{names} must be >= {low}")
 
 

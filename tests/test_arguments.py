@@ -115,3 +115,12 @@ def test_one_wording_names_the_type_and_the_floor():
         PrimeField(5.0)
     with pytest.raises(ValueError, match="^m must be >= 0$"):
         ChowClass(-1)
+
+
+@pytest.mark.parametrize("parity", [binom_is_odd, binom_parity_pascal])
+def test_the_binomial_index_is_an_int_with_no_floor(parity):
+    for bad in (True, False, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="^i must be an integer"):
+            parity(5, bad)
+    # C(n, i) = 0 outside 0 <= i <= n, so a negative or large i is even
+    assert [parity(5, i) for i in (-3, -1, 0, 1, 4, 5, 6)] == [False, False, True, True, True, True, False]

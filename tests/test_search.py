@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import sys
 import time
 
 import pytest
@@ -160,6 +161,73 @@ def test_large_p_search_matches_oracle():
         assert_matches_oracle(*cell, max_solutions=1)
     for cell in ((2, 2, 2, 101), (1, 2, 3, 13)):
         assert_matches_oracle(*cell, canonical_first_matrix=False)
+
+
+def test_emitted_formulas_verify_by_expansion():
+    # search() checks each emitted formula by the Gram check; expansion is
+    # the independent oracle for both
+    cells = [(cell, {}) for cell in ORACLE_CELLS]
+    cells += [((4, 4, 5, 3), {"signed_monomial_only": True}), ((3, 3, 4, 5), {"signed_monomial_only": True})]
+    checked = 0
+    for cell, opts in cells:
+        result = run(*cell, **opts)
+        assert result.exhausted, cell
+        for f in result.formulas:
+            assert f.verify_by_expansion(), (cell, f.tensor)
+        checked += len(result.formulas)
+    assert checked > 1000
+
+
+def partition_charge(part):
+    return sys.getsizeof(part) + sum(map(sys.getsizeof, part.values()))
+
+
+@pytest.mark.parametrize("budget", [0, 4096, search_module.PARTITION_BUDGET])
+def test_partition_budget_changes_no_result(monkeypatch, budget):
+    memos = []
+
+    class Recorded(search_module._Partitions):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    cells = [(cell, {}) for cell in ORACLE_CELLS] + [((2, 2, 2, 101), {"canonical_first_matrix": False})]
+    expected = {}
+    for cell, opts in cells:
+        result = run(*cell, **opts)
+        expected[cell] = (result.stop_reason, result.nodes, [f.tensor for f in result.formulas])
+    monkeypatch.setattr(search_module, "_Partitions", Recorded)
+    monkeypatch.setattr(search_module, "PARTITION_BUDGET", budget)
+    for cell, opts in cells:
+        result = run(*cell, **opts)
+        assert (result.stop_reason, result.nodes, [f.tensor for f in result.formulas]) == expected[cell], cell
+    for memo in memos:
+        # the charge is the kept partitions' size, and the last one kept is
+        # the only one charged at or past the budget
+        assert memo.charged == sum(map(partition_charge, memo.kept.values()))
+        if memo.kept:
+            assert memo.charged - partition_charge(list(memo.kept.values())[-1]) < budget
+        else:
+            assert memo.charged == 0
+    filled = [memo for memo in memos if memo.charged >= budget]
+    if budget == 0:
+        assert all(not memo.kept for memo in memos)
+    elif budget == 4096:
+        # the budget runs out partway: some partitions were kept, then no more
+        assert {memo.p for memo in filled if memo.kept} == {3, 5, 101}
+    else:
+        assert not filled
+
+
+def test_kept_partitions_are_those_of_their_candidates():
+    candidates = _unit_columns(101, 2, False, None)
+    coord = _coordinate_sets(candidates, None)
+    everything = (1 << len(candidates)) - 1
+    memo = search_module._Partitions(coord, candidates, 101, everything)
+    for k in (5, 7, 5, 0, 7):
+        assert memo.of(k) == _partition(coord, candidates, candidates[k], 101, everything)
+    assert sorted(memo.kept) == [0, 5, 7]
+    assert memo.of(5) is memo.kept[5]
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,10 +429,11 @@ def test_time_budget_bounds_wall_time():
         result = run(*cell, time_budget=budget)
         assert result.stop_reason == "timeout"
         assert time.perf_counter() - start < budget + 0.1, cell
-    # over GF(401) with n = 2 every partition takes one dot product per
+    # over GF(1259) with n = 2 every partition takes one dot product per
     # candidate, and the unpinned tree runs for seconds past the enumeration
+    # even when the kept partitions are reused
     start = time.perf_counter()
-    result = run(2, 2, 2, 401, time_budget=0.5, canonical_first_matrix=False)
+    result = run(2, 2, 2, 1259, time_budget=0.5, canonical_first_matrix=False)
     assert result.stop_reason == "timeout" and result.nodes > 0
     assert time.perf_counter() - start < 0.6
 
