@@ -99,12 +99,14 @@ class SosFormula:
         matrix G = P + P^T, P = B_a^T B_b, is accumulated on and above its
         diagonal from the products of nonzeros sharing a row, which costs
         sum_m nnz(B_a[m]) * nnz(B_b[m]) ring products.  G can differ from its
-        target only on that support, or on the diagonal when a = b.
+        target only on that support, or on the diagonal when a = b.  The
+        products are summed with the ring's lazy operations, and each entry
+        is reduced once, when it is compared.
         """
         ring = self.ring
         if ring.characteristic() == 2:  # unreachable: such rings are rejected
             raise ValueError("matrix criterion needs characteristic != 2")
-        add, mul, tensor = ring.add, ring.mul, self.tensor
+        add, mul, reduce, tensor, s = ring.lazy_add, ring.lazy_mul, ring.reduce, self.tensor, self.s
         zero, two = ring.zero(), ring.coerce(2)
         # nonzeros[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
         nonzeros = [
@@ -113,25 +115,27 @@ class SosFormula:
         ]
         for a, rows_a in enumerate(nonzeros):
             for b in range(a, len(nonzeros)):
-                # upper[j, k] is G[j][k] for j < k, and P[j][j] = G[j][j] / 2 for j = k
+                # upper[j * s + k], j <= k, is G[j][k] for j < k and P[j][j] = G[j][j] / 2
                 upper = {}
+                get = upper.get
                 for row_a, row_b in zip(rows_a, nonzeros[b]):
                     for j, x in row_a:
                         for k, y in row_b:
-                            key = (j, k) if j <= k else (k, j)
-                            term = mul(x, y)
-                            upper[key] = add(upper[key], term) if key in upper else term
+                            key = j * s + k if j <= k else k * s + j
+                            prev = get(key)
+                            upper[key] = mul(x, y) if prev is None else add(prev, mul(x, y))
                 if a == b:
-                    for j in range(self.s):
-                        upper.setdefault((j, j), zero)
+                    for j in range(s):
+                        upper.setdefault(j * s + j, zero)
                 diagonal = two if a == b else zero
+                # j = k exactly when s + 1 divides j * s + k, since 0 <= k - j < s
                 bad = [
-                    (j, k)
-                    for (j, k), g in upper.items()
-                    if (add(g, g) != diagonal if j == k else g != zero)
+                    key
+                    for key, g in upper.items()
+                    if (reduce(add(g, g)) != diagonal if key % (s + 1) == 0 else reduce(g) != zero)
                 ]
                 if bad:
-                    return (a, b, *min(bad))
+                    return (a, b, *divmod(min(bad), s))
         return None
 
     def verify_by_hurwitz(self) -> bool:
@@ -363,16 +367,9 @@ def orthonormal_vectors(f: SosFormula):
     """
     if f.r < 2:
         raise ValueError("need r >= 2")
-    ring = f.ring
+    ring, dot = f.ring, f.ring.dot
     u = [f.tensor[k][0][0] for k in range(f.n)]
     v = [f.tensor[k][1][0] for k in range(f.n)]
-
-    def dot(a, b):
-        acc = ring.zero()
-        for x, y in zip(a, b):
-            acc = ring.add(acc, ring.mul(x, y))
-        return acc
-
     ok = dot(u, u) == ring.one() and dot(v, v) == ring.one() and dot(u, v) == ring.zero()
     return u, v, ok
 

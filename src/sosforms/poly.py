@@ -222,37 +222,32 @@ def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
 def _square_sum(ring: CoeffRing, support: list, rows: list) -> SparsePoly:
     """The sum of the squares of the polys sum_a row[a] * support[a], one per
     coefficient row.  Each unordered pair of support terms is multiplied
-    once, its coefficient products summed over the rows; the cross sums are
-    doubled once per monomial and the squares of the terms added on top."""
-    add, mul = ring.add, ring.mul
+    once, its coefficient products summed over the rows by ``ring.dot``; the
+    cross sums are doubled once per monomial and the squares of the terms
+    added on top.  The sums are gathered with the ring's lazy operations; a
+    coefficient is reduced when its cross sum is doubled and when a square
+    is added to it, not once per product."""
+    add, reduce = ring.lazy_add, ring.reduce
     if len(rows) == 1:  # one poly: multiply its coefficients directly
-        cols, dot = rows[0], mul
+        cols, dot = rows[0], ring.lazy_mul
     else:
-        cols = list(zip(*rows))
-
-        def dot(col, col2):
-            c = None
-            for x, y in zip(col, col2):
-                t = mul(x, y)
-                c = t if c is None else add(c, t)
-            return c
-
+        cols, dot = list(zip(*rows)), ring.dot
     items = list(zip(support, cols))
-    cross: dict = {}
-    get = cross.get
+    terms: dict = {}
+    get = terms.get
     for a, (m1, col) in enumerate(items):
         for m2, col2 in items[a + 1 :]:
             mono = _mono_mul(m1, m2)
             c = dot(col, col2)
             prev = get(mono)
-            cross[mono] = c if prev is None else add(prev, c)
-    terms = {mono: add(c, c) for mono, c in cross.items()}
-    get = terms.get
+            terms[mono] = c if prev is None else add(prev, c)
+    for mono, c in terms.items():  # in place: no second map of every monomial
+        terms[mono] = reduce(add(c, c))
     for m, col in items:
         mono = tuple((v, e + e) for v, e in m)
         c = dot(col, col)
         prev = get(mono)
-        terms[mono] = c if prev is None else add(prev, c)
+        terms[mono] = reduce(c if prev is None else add(prev, c))
     return SparsePoly(ring, terms)
 
 

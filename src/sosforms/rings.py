@@ -5,6 +5,16 @@ A ring object owns the arithmetic; elements are lightweight Python values
 is exact -- no floats anywhere.  Ring objects are immutable and compare by
 structure, so they can be shared freely between threads.
 
+Sums of products are reduced once, not once per product.  ``dot(xs, ys)``
+returns sum_i xs[i] * ys[i] for equal-length vectors, exactly the element
+that folding ``add`` over the ``mul`` of each pair gives (zero for empty
+vectors): Z and GF(p) sum the integer products and reduce mod p once, Q puts
+the products over the lcm of their denominators and builds one Fraction, and
+a Gaussian extension takes four dots over its base.  For scatter loops that
+cannot gather a sum's factors first, ``lazy_mul`` and ``lazy_add`` compute
+without reducing, on elements or on their own results, and ``reduce`` maps
+any such sum of products to the element that the fold would give.
+
 Characteristic 2 is rejected at construction: every identity handled here
 lives over a field (or domain) in which 2 is regular, and the matrix form of
 the composition equations divides by 2.
@@ -12,7 +22,9 @@ the composition equations divides by 2.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import lcm
 
 
 def require_ints(names: str, *values, low: int | None = 1) -> None:
@@ -56,6 +68,18 @@ class CoeffRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i] over equal-length vectors, reduced once."""
+        return self.reduce(sum(map(operator.mul, xs, ys)))
+
+    # Unreduced arithmetic on Python numbers: exact in Z or Q.
+    lazy_mul = staticmethod(operator.mul)
+    lazy_add = staticmethod(operator.add)
+
+    def reduce(self, a):
+        """The element that a result of lazy_mul and lazy_add stands for."""
+        return a
 
     def characteristic(self) -> int:
         return 0
@@ -108,6 +132,15 @@ class RationalField(CoeffRing):
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {value!r}") from None
         raise ValueError(f"cannot coerce {value!r} into Q")
+
+    def dot(self, xs, ys):
+        # each product n/d joins the sum as n * (common / d): one Fraction in all
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        common = lcm(*set(dens))
+        return Fraction(
+            sum(x.numerator * y.numerator * (common // d) for x, y, d in zip(xs, ys, dens)),
+            common,
+        )
 
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -172,6 +205,12 @@ class PrimeField(CoeffRing):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def dot(self, xs, ys):  # the default with reduce inlined: search calls it per constraint
+        return sum(map(operator.mul, xs, ys)) % self.p
+
+    def reduce(self, a):
+        return a % self.p
+
     def characteristic(self) -> int:
         return self.p
 
@@ -226,6 +265,19 @@ class GaussianExt(CoeffRing):
         re = self.base.sub(self.base.mul(x, u), self.base.mul(y, v))
         im = self.base.add(self.base.mul(x, v), self.base.mul(y, u))
         return (re, im)
+
+    def dot(self, xs, ys):
+        base = self.base
+        xr, xi = [x[0] for x in xs], [x[1] for x in xs]
+        yr, yi = [y[0] for y in ys], [y[1] for y in ys]
+        return (
+            base.sub(base.dot(xr, yr), base.dot(xi, yi)),
+            base.add(base.dot(xr, yi), base.dot(xi, yr)),
+        )
+
+    # Pairs have no unreduced form: the lazy operations are the reduced ones.
+    lazy_mul = mul
+    lazy_add = add
 
     def characteristic(self) -> int:
         return self.base.characteristic()

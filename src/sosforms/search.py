@@ -157,15 +157,17 @@ def _coordinate_sets(candidates, deadline: float | None) -> list[dict[int, int]]
     return coord
 
 
-def _partition(coord, candidates, u, p: int, everything: int) -> dict[int, int]:
+def _partition(coord, candidates, u, field: PrimeField, everything: int) -> dict[int, int]:
     """The candidates grouped by <v, u> mod p, as {t: bitset}, empty classes
     left out."""
+    p = field.p
     if (len(u) - u.count(0) - 1) * p * p > len(candidates):
         # Refining costs up to p^2 ANDs for each nonzero coordinate of u after
         # the first, more than one dot product per candidate: large p, few
         # candidates.
         groups: dict[int, int] = {}
-        for k, t in enumerate([_dot(u, v, p) for v in candidates]):
+        dot = field.dot
+        for k, t in enumerate([dot(u, v) for v in candidates]):
             groups[t] = groups.get(t, 0) | 1 << k
         return groups
     # Refine one nonzero coordinate of u at a time.
@@ -192,15 +194,15 @@ class _Partitions:
     coordinate sets that the pinned frame uses as its partitions.
     """
 
-    def __init__(self, coord, candidates, p: int, everything: int):
-        self.coord, self.candidates, self.p, self.everything = coord, candidates, p, everything
+    def __init__(self, coord, candidates, field: PrimeField, everything: int):
+        self.coord, self.candidates, self.field, self.everything = coord, candidates, field, everything
         self.kept: dict[int, dict[int, int]] = {}
         self.charged = 0
 
     def of(self, k: int) -> dict[int, int]:
         part = self.kept.get(k)
         if part is None:
-            part = _partition(self.coord, self.candidates, self.candidates[k], self.p, self.everything)
+            part = _partition(self.coord, self.candidates, self.candidates[k], self.field, self.everything)
             if self.charged < PARTITION_BUDGET:
                 self.kept[k] = part
                 self.charged += sys.getsizeof(part) + sum(map(sys.getsizeof, part.values()))
@@ -214,10 +216,6 @@ def _members(bits: int):
     while k >= 0:
         yield k
         k = digits.find("1", k + 1)
-
-
-def _dot(u, v, p) -> int:
-    return sum(map(operator.mul, u, v)) % p
 
 
 class _Timeout(Exception):
@@ -240,6 +238,7 @@ def search(problem: SearchProblem) -> SearchResult:
         return SearchResult([], "exhausted", elapsed=time.monotonic() - start)
 
     field_ring = PrimeField(p)
+    dot = field_ring.dot
 
     solutions: list[SosFormula] = []
     state = {"nodes": 0}
@@ -258,7 +257,7 @@ def search(problem: SearchProblem) -> SearchResult:
         for other, parts in zip(matrices[:mi], partitions):
             # cross pairs (ci, l < ci): <v, B_j[l]> = -<B_j[ci], B_mi[l]>
             for l in range(ci):
-                bits &= parts[l].get(-_dot(other[ci], cols[l], p) % p, 0)
+                bits &= parts[l].get(-dot(other[ci], cols[l]) % p, 0)
             # the diagonal: 2<v, B_j[ci]> = 0, and p is odd
             bits &= parts[ci].get(0, 0)
             if not bits:
@@ -306,7 +305,7 @@ def search(problem: SearchProblem) -> SearchResult:
         candidates = _unit_columns(p, n, opts.signed_monomial_only, deadline)
         coord = _coordinate_sets(candidates, deadline)
         everything = (1 << len(candidates)) - 1
-        partitions_of = _Partitions(coord, candidates, p, everything).of
+        partitions_of = _Partitions(coord, candidates, field_ring, everything).of
         pinned = 0
         if opts.canonical_first_matrix:
             # B_1 = [I_s; 0]: column c is e_c, whose partition is coord[c]

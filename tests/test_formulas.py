@@ -19,6 +19,7 @@ from sosforms.formulas import (
 from sosforms.hopf import hopf_admissible
 from sosforms.poly import SparsePoly
 from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
+from test_poly import dense_eight
 
 
 def gauss():
@@ -126,6 +127,7 @@ RINGS_AND_ENTRIES = [
     (PrimeField(3), [1, 2]),
     (PrimeField(5), [1, 2, 3, 4]),
     (PrimeField(13), [1, 5, 8, 12]),
+    (PrimeField(1259), [1, 2, 629, 1000, 1258]),
     (ZZ, [1, -1, 2]),
     (QQ, [1, -1, Fraction(1, 2), Fraction(-3, 5)]),
     (gaussian_ext(ZZ), [1, -1, (0, 1), (0, -1), (1, 1)]),
@@ -166,6 +168,33 @@ def test_gram_defect_matches_oracle_on_sparse_tensors(f):
 def test_gram_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
     assert f.gram_defect() == naive_gram_defect(f)
     assert f.verify_by_hurwitz() == f.verify_by_expansion()
+
+
+DENSE_RINGS = [PrimeField(5), PrimeField(7), QQ, gaussian_ext(QQ), gaussian_ext(PrimeField(7))]
+
+
+@pytest.mark.parametrize("ring", DENSE_RINGS)
+@pytest.mark.parametrize("kind", ["hurwitz-radon", "degen"])
+def test_gram_defect_is_none_on_dense_formulas(kind, ring):
+    f = dense_eight(kind, ring)
+    zero = ring.zero()
+    assert all(c != zero for slice_k in f.tensor for row in slice_k for c in row)
+    assert f.gram_defect() is None is naive_gram_defect(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gram_defect_matches_oracle_on_corrupted_dense_formulas(data):
+    """Dense formulas sum eight products into every Gram entry."""
+    ring = data.draw(st.sampled_from(DENSE_RINGS), label="ring")
+    f = dense_eight(data.draw(st.sampled_from(["hurwitz-radon", "degen"])), ring)
+    tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+    entry = st.tuples(*[st.integers(0, 7)] * 3)
+    for k, i, j in data.draw(st.lists(entry, min_size=1, max_size=4, unique=True), label="entries"):
+        delta = ring.coerce(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]), label="delta"))
+        tensor[k][i][j] = ring.add(tensor[k][i][j], delta)
+    g = SosFormula(8, 8, 8, ring, tensor)
+    assert g.gram_defect() == naive_gram_defect(g) is not None
 
 
 def test_gram_defect_examples():

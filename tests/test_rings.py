@@ -1,15 +1,20 @@
 """Coefficient ring construction and arithmetic."""
 
+import functools
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosforms.rings import (
+    CoeffRing,
     GaussianExt,
     IntegerRing,
     PrimeField,
     QQ,
+    RationalField,
     ZZ,
     _is_prime,
     gaussian_ext,
@@ -142,3 +147,72 @@ def test_ring_equality_is_structural():
     assert PrimeField(5) != PrimeField(7)
     assert IntegerRing() == ZZ
     assert gaussian_ext(ZZ) == gaussian_ext(ZZ)
+
+
+# -- dot products against the fold of add and mul ------------------------------------
+
+
+def oracle_dot(ring, xs, ys):
+    """The slow path: one add of one mul per pair, reduced every time."""
+    acc = ring.zero()
+    for x, y in zip(xs, ys):
+        acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
+DOT_RINGS = [
+    ZZ,
+    QQ,
+    PrimeField(3),
+    PrimeField(13),
+    PrimeField(1259),
+    gaussian_ext(ZZ),
+    gaussian_ext(QQ),
+    GaussianExt(PrimeField(3)),
+    GaussianExt(PrimeField(7)),
+]
+
+# large integers, so sums of products leave the machine-word range
+big_ints = st.integers(-(2**130), 2**130)
+
+
+def ring_elements(ring):
+    if isinstance(ring, GaussianExt):
+        return st.tuples(ring_elements(ring.base), ring_elements(ring.base))
+    if isinstance(ring, RationalField):
+        # mixed denominators, some large, some shared
+        return st.one_of(
+            st.fractions(max_denominator=50), st.builds(Fraction, big_ints, st.integers(1, 2**70))
+        ).map(ring.coerce)
+    return st.one_of(st.integers(-3, 3), big_ints).map(ring.coerce)
+
+
+def concrete_ring_classes(cls=CoeffRing):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from concrete_ring_classes(sub)
+
+
+def test_every_ring_class_has_its_dot_checked():
+    assert {type(ring) for ring in DOT_RINGS} == set(concrete_ring_classes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dot_matches_the_fold_of_add_and_mul(data):
+    ring = data.draw(st.sampled_from(DOT_RINGS), label="ring")
+    size = data.draw(st.integers(0, 12), label="size")
+    vector = st.lists(ring_elements(ring), min_size=size, max_size=size)
+    xs, ys = data.draw(vector, label="xs"), data.draw(vector, label="ys")
+    expected = oracle_dot(ring, xs, ys)
+    got = ring.dot(xs, ys)
+    assert repr(got) == repr(expected)  # equal, and of the same element types
+    assert ring.dot(ys, xs) == expected
+    # the scatter form: lazy products and sums, reduced once
+    lazy = functools.reduce(ring.lazy_add, map(ring.lazy_mul, xs, ys), ring.zero())
+    assert ring.reduce(lazy) == expected
+
+
+def test_dot_of_empty_vectors_is_zero():
+    for ring in DOT_RINGS:
+        assert repr(ring.dot([], [])) == repr(ring.zero())

@@ -18,7 +18,6 @@ from sosforms.search import (
     SearchProblem,
     SearchResult,
     _coordinate_sets,
-    _dot,
     _members,
     _partition,
     _unit_columns,
@@ -32,6 +31,10 @@ search_module = importlib.import_module("sosforms.search")
 
 def run(r, s, n, p, **opts):
     return search(SearchProblem(r, s, n, p, SearchOptions(**opts)))
+
+
+def oracle_dot(u, v, p):
+    return sum(a * b for a, b in zip(u, v)) % p
 
 
 # -- the per-candidate scan, kept as the oracle of the bitset search ------------
@@ -214,7 +217,7 @@ def test_partition_budget_changes_no_result(monkeypatch, budget):
         assert all(not memo.kept for memo in memos)
     elif budget == 4096:
         # the budget runs out partway: some partitions were kept, then no more
-        assert {memo.p for memo in filled if memo.kept} == {3, 5, 101}
+        assert {memo.field.p for memo in filled if memo.kept} == {3, 5, 101}
     else:
         assert not filled
 
@@ -223,9 +226,10 @@ def test_kept_partitions_are_those_of_their_candidates():
     candidates = _unit_columns(101, 2, False, None)
     coord = _coordinate_sets(candidates, None)
     everything = (1 << len(candidates)) - 1
-    memo = search_module._Partitions(coord, candidates, 101, everything)
+    field = PrimeField(101)
+    memo = search_module._Partitions(coord, candidates, field, everything)
     for k in (5, 7, 5, 0, 7):
-        assert memo.of(k) == _partition(coord, candidates, candidates[k], 101, everything)
+        assert memo.of(k) == _partition(coord, candidates, candidates[k], field, everything)
     assert sorted(memo.kept) == [0, 5, 7]
     assert memo.of(5) is memo.kept[5]
 
@@ -239,12 +243,12 @@ def test_partition_classes_match_dot_products(data):
     candidates = data.draw(st.lists(vector, min_size=1, max_size=40), label="candidates")
     u = data.draw(vector, label="u")
     everything = (1 << len(candidates)) - 1
-    classes = _partition(_coordinate_sets(candidates, None), candidates, u, p, everything)
+    classes = _partition(_coordinate_sets(candidates, None), candidates, u, PrimeField(p), everything)
     assert all(classes.values())  # empty classes are left out
     for t in range(p):
-        expected = [k for k, v in enumerate(candidates) if _dot(v, u, p) == t]
+        expected = [k for k, v in enumerate(candidates) if oracle_dot(v, u, p) == t]
         assert list(_members(classes.get(t, 0))) == expected
-    assert sorted(classes) == sorted({_dot(v, u, p) for v in candidates})
+    assert sorted(classes) == sorted({oracle_dot(v, u, p) for v in candidates})
 
 
 def oracle_unit_columns(p, n):
@@ -268,9 +272,9 @@ def test_partition_of_unit_columns():
         for u in candidates[:: max(1, len(candidates) // 15)]:
             expected: dict[int, int] = {}
             for k, v in enumerate(candidates):
-                t = _dot(v, u, p)
+                t = oracle_dot(v, u, p)
                 expected[t] = expected.get(t, 0) | 1 << k
-            assert _partition(coord, candidates, u, p, everything) == expected, (p, n, u)
+            assert _partition(coord, candidates, u, PrimeField(p), everything) == expected, (p, n, u)
 
 
 def test_scalar_case_without_canonicalization():
