@@ -5,8 +5,12 @@ z_k = sum_{i,j} T[k][i][j] x_i y_j; it is *verified* when
 
     (x_1^2 + ... + x_r^2)(y_1^2 + ... + y_s^2) = z_1^2 + ... + z_n^2
 
-holds identically in the polynomial ring.  The tensor is the one stored
-form; two independent verifiers read it: direct expansion
+holds identically in the polynomial ring.  The one stored form is the
+tensor's nonzeros: per slice k, the (i, j, c) with c = T[k][i][j] != 0, in
+(i, j) order.  Every classical formula is sparse, so loading, restricting,
+changing the ring and setting up either verifier cost O(nnz), not O(n r s);
+the dense tensor is built only on demand (``tensor``, ``to_json_dict``).
+Two independent verifiers read the nonzeros: direct expansion
 (``verify_by_expansion``), and the equivalent matrix equations
 B_a^T B_b + B_b^T B_a = 2 delta_{ab} I (``gram_defect``, ``verify_by_hurwitz``)
 on the r matrices B_i (n x s) whose rows are the tensor rows, B_i[k] = T[k][i].
@@ -36,26 +40,64 @@ from .rings import (
 
 
 class SosFormula:
-    """An [r, s, n] bilinear formula as a coefficient tensor over a ring.
+    """An [r, s, n] bilinear formula over a ring, stored as its nonzeros.
 
-    The tensor is indexed T[k][i][j] with 0 <= k < n, 0 <= i < r, 0 <= j < s.
-    In the associated polynomials, x_i has variable id i and y_j has id r+j.
+    The tensor is indexed T[k][i][j] with 0 <= k < n, 0 <= i < r, 0 <= j < s;
+    ``nonzeros[k]`` holds the (i, j, T[k][i][j]) with a nonzero entry, in
+    (i, j) order.  In the associated polynomials, x_i has variable id i and
+    y_j has id r+j.
     """
 
-    __slots__ = ("r", "s", "n", "ring", "tensor")
+    __slots__ = ("r", "s", "n", "ring", "nonzeros")
 
     def __init__(self, r: int, s: int, n: int, ring: CoeffRing, tensor):
+        self._store(r, s, n, ring, tensor, ring.coerce)
+
+    def _store(self, r, s, n, ring, tensor, convert) -> None:
+        """Check the dense tensor's shape and keep its nonzeros, converting
+        each entry into the ring once.  An int 0 is zero in every ring, so it
+        is skipped unconverted; every other entry is converted, and dropped
+        if it is zero there ("0/7" over Q, 13 over GF(13))."""
         require_ints("r, s, n", r, s, n)
         if len(tensor) != n:
             raise ValueError("tensor has wrong number of slices")
-        coerced = []
+        zero = ring.zero()
+        nonzeros = []
         for slice_k in tensor:
-            if len(slice_k) != r or any(len(row) != s for row in slice_k):
+            if len(slice_k) != r:
                 raise ValueError("tensor slice has wrong shape")
-            coerced.append(tuple(tuple(ring.coerce(c) for c in row) for row in slice_k))
-        self.r, self.s, self.n = r, s, n
-        self.ring = ring
-        self.tensor = tuple(coerced)
+            entries = []
+            for i, row in enumerate(slice_k):
+                if len(row) != s:
+                    raise ValueError("tensor slice has wrong shape")
+                for j, v in enumerate(row):
+                    if v.__class__ is not int or v:
+                        c = convert(v)
+                        if c != zero:
+                            entries.append((i, j, c))
+            nonzeros.append(tuple(entries))
+        self.r, self.s, self.n, self.ring = r, s, n, ring
+        self.nonzeros = tuple(nonzeros)
+
+    @classmethod
+    def _of_nonzeros(cls, r: int, s: int, n: int, ring: CoeffRing, nonzeros) -> "SosFormula":
+        """A formula from nonzeros that are already ring elements, nonzero,
+        and in (i, j) order within each slice."""
+        f = object.__new__(cls)
+        f.r, f.s, f.n, f.ring, f.nonzeros = r, s, n, ring, nonzeros
+        return f
+
+    @property
+    def tensor(self) -> tuple:
+        """The dense tensor T[k][i][j] as nested tuples, built on each call."""
+        zero = self.ring.zero()
+        dense = []
+        for entries in self.nonzeros:
+            rows = [[zero] * self.s for _ in range(self.r)]
+            for i, j, c in entries:
+                rows[i][j] = c
+            dense.append(tuple(map(tuple, rows)))
+        return tuple(dense)
 
     @property
     def type_triple(self) -> tuple[int, int, int]:
@@ -64,16 +106,8 @@ class SosFormula:
     # -- polynomial side -------------------------------------------------------
 
     def z_poly(self, k: int) -> SparsePoly:
-        ring = self.ring
-        zero = ring.zero()
-        terms = {}
-        for i in range(self.r):
-            for j in range(self.s):
-                c = self.tensor[k][i][j]
-                if c != zero:
-                    mono = ((i, 1), (self.r + j, 1))
-                    terms[mono] = c
-        return SparsePoly(ring, terms)
+        r = self.r
+        return SparsePoly(self.ring, {((i, 1), (r + j, 1)): c for i, j, c in self.nonzeros[k]})
 
     def z_polys(self) -> list[SparsePoly]:
         return [self.z_poly(k) for k in range(self.n)]
@@ -106,19 +140,19 @@ class SosFormula:
         ring = self.ring
         if ring.characteristic() == 2:  # unreachable: such rings are rejected
             raise ValueError("matrix criterion needs characteristic != 2")
-        add, mul, reduce, tensor, s = ring.lazy_add, ring.lazy_mul, ring.reduce, self.tensor, self.s
+        add, mul, reduce, s = ring.lazy_add, ring.lazy_mul, ring.reduce, self.s
         zero, two = ring.zero(), ring.coerce(2)
-        # nonzeros[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
-        nonzeros = [
-            [tuple((j, c) for j, c in enumerate(slice_m[i]) if c != zero) for slice_m in tensor]
-            for i in range(self.r)
-        ]
-        for a, rows_a in enumerate(nonzeros):
-            for b in range(a, len(nonzeros)):
+        # rows[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
+        rows = [[[] for _ in range(self.n)] for _ in range(self.r)]
+        for m, entries in enumerate(self.nonzeros):
+            for i, j, c in entries:
+                rows[i][m].append((j, c))
+        for a, rows_a in enumerate(rows):
+            for b in range(a, len(rows)):
                 # upper[j * s + k], j <= k, is G[j][k] for j < k and P[j][j] = G[j][j] / 2
                 upper = {}
                 get = upper.get
-                for row_a, row_b in zip(rows_a, nonzeros[b]):
+                for row_a, row_b in zip(rows_a, rows[b]):
                     for j, x in row_a:
                         for k, y in row_b:
                             key = j * s + k if j <= k else k * s + j
@@ -145,16 +179,23 @@ class SosFormula:
 
     def restrict(self, r2: int, s2: int) -> "SosFormula":
         """Zero out the trailing x and y variables: an [r', s', n] formula."""
-        if not (1 <= r2 <= self.r and 1 <= s2 <= self.s):
+        require_ints("r2, s2", r2, s2)
+        if r2 > self.r or s2 > self.s:
             raise ValueError("restricted type out of bounds")
-        tensor = [
-            [[self.tensor[k][i][j] for j in range(s2)] for i in range(r2)]
-            for k in range(self.n)
-        ]
-        return SosFormula(r2, s2, self.n, self.ring, tensor)
+        nonzeros = tuple(
+            tuple(e for e in entries if e[0] < r2 and e[1] < s2) for entries in self.nonzeros
+        )
+        return SosFormula._of_nonzeros(r2, s2, self.n, self.ring, nonzeros)
 
     def change_ring(self, ring: CoeffRing) -> "SosFormula":
-        return SosFormula(self.r, self.s, self.n, ring, self.tensor)
+        """The same tensor with each entry coerced into ``ring``; entries that
+        become zero there (13 in GF(13)) are dropped."""
+        coerce, zero = ring.coerce, ring.zero()
+        nonzeros = tuple(
+            tuple((i, j, c) for i, j, v in entries if (c := coerce(v)) != zero)
+            for entries in self.nonzeros
+        )
+        return SosFormula._of_nonzeros(self.r, self.s, self.n, ring, nonzeros)
 
     # -- serialization -------------------------------------------------------------
 
@@ -177,23 +218,22 @@ class SosFormula:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SosFormula":
         ring = ring_from_json(data["field"])
-        tensor = [
-            [[ring.element_from_json(c) for c in row] for row in slice_k]
-            for slice_k in data["tensor"]
-        ]
-        return cls(data["r"], data["s"], data["n"], ring, tensor)
+        f = object.__new__(cls)
+        f._store(data["r"], data["s"], data["n"], ring, data["tensor"], ring.element_from_json)
+        return f
 
     @classmethod
     def from_json(cls, text: str) -> "SosFormula":
         return cls.from_json_dict(json.loads(text))
 
     def __eq__(self, other) -> bool:
+        # entries are canonical ring elements, so equal tensors have equal nonzeros
         if not isinstance(other, SosFormula):
             return NotImplemented
         return (
             self.type_triple == other.type_triple
             and self.ring == other.ring
-            and self.tensor == other.tensor
+            and self.nonzeros == other.nonzeros
         )
 
     __hash__ = None
@@ -213,25 +253,21 @@ def _load_tables() -> dict:
 _TABLE_CACHE: dict = {}
 
 
-def _tensor_from_table(table) -> list:
-    d = len(table)
-    tensor = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            v = table[i][j]
-            tensor[abs(v) - 1][i][j] = 1 if v > 0 else -1
-    return tensor
+def _nonzeros_from_table(table) -> tuple:
+    """Entry (i, j) = +-(k + 1) of a signed multiplication table puts the sign
+    at T[k][i][j]."""
+    nonzeros = [[] for _ in table]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            nonzeros[abs(v) - 1].append((i, j, 1 if v > 0 else -1))
+    return tuple(map(tuple, nonzeros))
 
 
 def construct_trivial(r: int, s: int) -> SosFormula:
     """[r, s, rs] with z_(i,j) = x_i y_j."""
     require_ints("r, s", r, s)
-    n = r * s
-    tensor = [[[0] * s for _ in range(r)] for _ in range(n)]
-    for i in range(r):
-        for j in range(s):
-            tensor[i * s + j][i][j] = 1
-    return SosFormula(r, s, n, ZZ, tensor)
+    nonzeros = tuple(((i, j, 1),) for i in range(r) for j in range(s))
+    return SosFormula._of_nonzeros(r, s, r * s, ZZ, nonzeros)
 
 
 def construct_classical(kind: str) -> SosFormula:
@@ -247,7 +283,7 @@ def construct_classical(kind: str) -> SosFormula:
     if kind not in _TABLE_CACHE:
         table = _load_tables()[kind]
         d = len(table)
-        f = SosFormula(d, d, d, ZZ, _tensor_from_table(table))
+        f = SosFormula._of_nonzeros(d, d, d, ZZ, _nonzeros_from_table(table))
         if not f.verify_by_expansion():
             raise ValueError(f"table {kind!r} does not satisfy the identity")
         _TABLE_CACHE[kind] = f
@@ -287,27 +323,35 @@ def hurwitz_radon_upper_bound(r: int, s: int) -> int:
     return n
 
 
-def _eye(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+# A signed permutation matrix is stored by rows: row k holds its one nonzero,
+# the sign at column col, as the pair (col, sign).
 
 
-def _kron(A, B) -> list:
-    nb, mb = len(B), len(B[0])
-    return [
-        [A[i][j] * B[k][l] for j in range(len(A[0])) for l in range(mb)]
-        for i in range(len(A))
-        for k in range(nb)
-    ]
+def _eye(n: int) -> tuple:
+    return tuple((k, 1) for k in range(n))
 
 
-_J = [[0, -1], [1, 0]]
-_P = [[0, 1], [1, 0]]
-_R = [[1, 0], [0, -1]]
+def _kron(A, B) -> tuple:
+    """A (x) B: row i * len(B) + k holds sign sa * sb at column ca * len(B) + cb,
+    where (ca, sa) is row i of A and (cb, sb) is row k of B."""
+    nb = len(B)
+    return tuple((ca * nb + cb, sa * sb) for ca, sa in A for cb, sb in B)
+
+
+_J = ((1, -1), (0, 1))  # [[0, -1], [1, 0]]
+_P = ((1, 1), (0, 1))  # [[0, 1], [1, 0]]
+_R = ((0, 1), (1, -1))  # [[1, 0], [0, -1]]
 
 
 def _octonion_family() -> list:
+    # B_i for i >= 1 of Degen's formula: row k of B_i is the one nonzero of T[k][i]
     f = construct_classical("eight")
-    return [[list(slice_m[i]) for slice_m in f.tensor] for i in range(1, f.r)]
+    fam = [[None] * f.n for _ in range(1, f.r)]
+    for k, entries in enumerate(f.nonzeros):
+        for i, j, c in entries:
+            if i:
+                fam[i - 1][k] = (j, c)
+    return [tuple(rows) for rows in fam]
 
 
 def _small_family(b: int) -> list:
@@ -349,8 +393,9 @@ def construct_hurwitz_radon(n: int) -> SosFormula:
         fam = [_kron(A, block) for A in fam]
     mats = [_eye(n)] + fam
     assert len(mats) == rho(n)
-    tensor = [[mat[k] for mat in mats] for k in range(n)]
-    return SosFormula(len(mats), n, n, ZZ, tensor)
+    # T[k][i] is row k of B_i, whose one nonzero is mats[i][k]
+    nonzeros = tuple(tuple((i, *mat[k]) for i, mat in enumerate(mats)) for k in range(n))
+    return SosFormula._of_nonzeros(len(mats), n, n, ZZ, nonzeros)
 
 
 # -- orthonormality and homotopy checks -------------------------------------------------
@@ -368,8 +413,11 @@ def orthonormal_vectors(f: SosFormula):
     if f.r < 2:
         raise ValueError("need r >= 2")
     ring, dot = f.ring, f.ring.dot
-    u = [f.tensor[k][0][0] for k in range(f.n)]
-    v = [f.tensor[k][1][0] for k in range(f.n)]
+    u, v = [ring.zero()] * f.n, [ring.zero()] * f.n
+    for k, entries in enumerate(f.nonzeros):
+        for i, j, c in entries:
+            if i < 2 and j == 0:
+                (u, v)[i][k] = c
     ok = dot(u, u) == ring.one() and dot(v, v) == ring.one() and dot(u, v) == ring.zero()
     return u, v, ok
 

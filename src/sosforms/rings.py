@@ -13,7 +13,10 @@ the products over the lcm of their denominators and builds one Fraction, and
 a Gaussian extension takes four dots over its base.  For scatter loops that
 cannot gather a sum's factors first, ``lazy_mul`` and ``lazy_add`` compute
 without reducing, on elements or on their own results, and ``reduce`` maps
-any such sum of products to the element that the fold would give.
+any such sum of products to the element that the fold would give: Z and
+GF(p) use Python integers, Q unnormalized (numerator, denominator) pairs
+that add over the lcm of their denominators, so no Fraction is built per
+product or per sum.
 
 Characteristic 2 is rejected at construction: every identity handled here
 lives over a field (or domain) in which 2 is regular, and the matrix form of
@@ -73,7 +76,8 @@ class CoeffRing:
         """sum_i xs[i] * ys[i] over equal-length vectors, reduced once."""
         return self.reduce(sum(map(operator.mul, xs, ys)))
 
-    # Unreduced arithmetic on Python numbers: exact in Z or Q.
+    # Unreduced arithmetic on Python integers: exact in Z, reduced mod p by
+    # reduce in GF(p).
     lazy_mul = staticmethod(operator.mul)
     lazy_add = staticmethod(operator.add)
 
@@ -142,8 +146,33 @@ class RationalField(CoeffRing):
             common,
         )
 
+    # Unreduced values are (numerator, denominator) pairs, never normalized;
+    # an element joins as its own pair.
+    @staticmethod
+    def lazy_mul(a, b):
+        an, ad = _pair(a)
+        bn, bd = _pair(b)
+        return (an * bn, ad * bd)
+
+    @staticmethod
+    def lazy_add(a, b):
+        an, ad = _pair(a)
+        bn, bd = _pair(b)
+        if ad == bd:
+            return (an + bn, ad)
+        common = lcm(ad, bd)
+        return (an * (common // ad) + bn * (common // bd), common)
+
+    def reduce(self, a):
+        return Fraction(*_pair(a))
+
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+
+
+def _pair(a) -> tuple:
+    """A rational as an unreduced (numerator, denominator) pair."""
+    return a if type(a) is tuple else (a.numerator, a.denominator)
 
 
 # Miller-Rabin with these bases is exact below _MR_LIMIT: no composite under

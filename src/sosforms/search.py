@@ -31,8 +31,9 @@ existence is unaffected.  Disabling the pin recovers the full solution set
 A result says why the search stopped: ``exhausted`` (the whole tree was
 walked), ``max_solutions`` or ``timeout``.  An empty exhausted result is a
 proof of nonexistence within the searched class; timeouts never masquerade
-as proofs.  Every emitted formula passes the Hurwitz Gram check
-(``SosFormula.gram_defect``) on its built tensor before it is returned.
+as proofs.  Every emitted formula is built as its nonzeros straight from the
+placed columns, and passes the Hurwitz Gram check (``SosFormula.gram_defect``)
+before it is returned.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def search(problem: SearchProblem) -> SearchResult:
     field_ring = PrimeField(p)
     dot = field_ring.dot
 
-    solutions: list[SosFormula] = []
+    solutions: list[tuple[tuple[int, ...], SosFormula]] = []  # (flat tensor, formula)
     state = {"nodes": 0}
     deadline = start + opts.time_budget if opts.time_budget is not None else None
     matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
@@ -265,15 +266,16 @@ def search(problem: SearchProblem) -> SearchResult:
         return bits
 
     def emit():
-        tensor = [
-            [[matrices[i][j][k] for j in range(s)] for i in range(r)] for k in range(n)
-        ]
-        f = SosFormula(r, s, n, field_ring, tensor)
-        # The constraints imply this; the Gram check reads the built tensor,
+        # T[k][i][j] is entry k of column j of B_i; flat lists it in (k, i, j) order
+        placed = [(i, j, col) for i, cols in enumerate(matrices[:r]) for j, col in enumerate(cols)]
+        flat = tuple(col[k] for k in range(n) for _, _, col in placed)
+        nonzeros = tuple(tuple((i, j, col[k]) for i, j, col in placed if col[k]) for k in range(n))
+        f = SosFormula._of_nonzeros(r, s, n, field_ring, nonzeros)
+        # The constraints imply this; the Gram check reads the built formula,
         # not the bitsets, so it does not share the search's code.
         if f.gram_defect() is not None:
             raise AssertionError("search emitted a formula that fails verification")
-        solutions.append(f)
+        solutions.append((flat, f))
 
     def extend(mi: int, ci: int) -> None:
         if deadline is not None and time.monotonic() >= deadline:
@@ -324,9 +326,9 @@ def search(problem: SearchProblem) -> SearchResult:
     except _Timeout:
         stop_reason = "timeout"
 
-    solutions.sort(key=lambda f: f.tensor)
+    solutions.sort(key=operator.itemgetter(0))
     return SearchResult(
-        solutions, stop_reason, nodes=state["nodes"], elapsed=time.monotonic() - start
+        [f for _, f in solutions], stop_reason, nodes=state["nodes"], elapsed=time.monotonic() - start
     )
 
 

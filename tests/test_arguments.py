@@ -47,6 +47,8 @@ from sosforms.search import SearchOptions, SearchProblem, hopf_consistency_sweep
 ENTRY_POINTS = {
     "SosFormula": (lambda v: SosFormula(v, 1, 1, ZZ, [[[1]]]), 1),
     "construct_trivial": (lambda v: construct_trivial(v, 2), 1),
+    "SosFormula.restrict-r": (lambda v: construct_trivial(2, 2).restrict(v, 1), 1),
+    "SosFormula.restrict-s": (lambda v: construct_trivial(2, 2).restrict(1, v), 1),
     "rho": (rho, 1),
     "hurwitz_radon_upper_bound": (lambda v: hurwitz_radon_upper_bound(2, v), 1),
     "construct_hurwitz_radon": (construct_hurwitz_radon, 1),

@@ -165,6 +165,45 @@ def test_verify_bad_dimension_or_field_exit_two(tmp_path, capsys, field, r):
     assert captured.err.startswith("error: cannot load formula")
 
 
+@pytest.mark.parametrize(
+    "r, s, n, tensor",
+    [
+        (2, 2, 2, [[[1, 0], [0, -1]]]),  # one slice of two
+        (2, 2, 2, [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]]),  # three slices of two
+        (2, 2, 2, [[[1, 0], [0]], [[0, 1], [1, 0]]]),  # a ragged row
+        (2, 2, 2, [[[1, 0]], [[0, 1]]]),  # slices of one row, r = 2 declared
+        (1, 3, 2, [[[1, 0]], [[0, 1]]]),  # rows of two entries, s = 3 declared
+        (3, 2, 2, [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]),  # two rows per slice, r = 3 declared
+        (True, 2, 2, [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]),  # a bool r
+    ],
+)
+def test_verify_malformed_tensor_exit_two(tmp_path, capsys, r, s, n, tensor):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"field": {"kind": "Z"}, "r": r, "s": s, "n": n, "tensor": tensor}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load formula")
+
+
+@pytest.mark.parametrize(
+    "field, zero, one, minus_one",
+    [({"kind": "Q"}, "0/7", "7/7", "-1"), ({"kind": "Zi"}, [0, 0], [1, 0], [-1, 0])],
+)
+def test_zeros_in_a_rings_own_form_load_as_zeros(tmp_path, capsys, field, zero, one, minus_one):
+    def gauss(z):  # Gauss's formula, with z for each zero
+        return [[[one, z], [z, minus_one]], [[z, one], [one, z]]]
+
+    written = {"field": field, "r": 2, "s": 2, "n": 2, "tensor": gauss(zero)}
+    f = SosFormula.from_json(json.dumps(written))
+    assert f == SosFormula.from_json(json.dumps({**written, "tensor": gauss(0)}))
+    assert [len(entries) for entries in f.nonzeros] == [2, 2]
+    path = tmp_path / "own_zeros.json"
+    path.write_text(json.dumps(written))
+    assert main(["verify", str(path)]) == 0
+    assert "verified [2,2,2]" in capsys.readouterr().out
+
+
 def test_verify_as_python_module_exit_codes(tmp_path, gauss_file):
     data = construct_classical("two").to_json_dict()
     data["tensor"][0][1][1] = 1

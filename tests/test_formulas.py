@@ -16,7 +16,7 @@ from sosforms.formulas import (
     orthonormal_vectors,
     rho,
 )
-from sosforms.hopf import hopf_admissible
+from sosforms.hopf import bound_table, hopf_admissible
 from sosforms.poly import SparsePoly
 from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
 from test_poly import dense_eight
@@ -223,6 +223,106 @@ def test_substitution_soundness_over_gf():
         ]
         lhs = sum(v * v for v in xs) * sum(v * v for v in ys) % 5
         assert lhs == sum(v * v for v in zs) % 5
+
+
+# -- the stored nonzeros against dense-scan oracles ---------------------------------
+
+
+def dense_coerced(ring, raw):
+    """The input tensor with every entry coerced, zeros included."""
+    return tuple(tuple(tuple(ring.coerce(c) for c in row) for row in sl) for sl in raw)
+
+
+def dense_z_poly(f, k):
+    """z_k read off the dense tensor, scanning every entry."""
+    zero, T = f.ring.zero(), f.tensor
+    return SparsePoly(f.ring, {
+        ((i, 1), (f.r + j, 1)): T[k][i][j]
+        for i in range(f.r) for j in range(f.s) if T[k][i][j] != zero
+    })
+
+
+# (ring, nonzero entries, entries that coerce to zero there)
+STORED_FORM_RINGS = [
+    (ZZ, [1, -1, 2], [0]),
+    (QQ, [1, -1, Fraction(1, 2), "-3/5"], [0, Fraction(0), "0/7"]),
+    (PrimeField(3), [1, 2, 4], [0, 3, -3]),
+    (PrimeField(13), [1, 5, 12, 14], [0, 13, 26]),
+    (PrimeField(1259), [1, 629, 1258, -1], [0, 1259]),
+    (gaussian_ext(ZZ), [1, -1, (0, 1), (1, 1)], [0, (0, 0)]),
+]
+
+
+@st.composite
+def stored_form_cases(draw):
+    """(ring, r, s, n, raw tensor): sparse or dense, with zeros in every form."""
+    ring, nonzero, zeros = draw(st.sampled_from(STORED_FORM_RINGS))
+    r, s, n = (draw(st.integers(1, 5)) for _ in range(3))
+    weight = draw(st.sampled_from([6, 1, 0]))  # zeros per nonzero: sparse, mixed, dense
+    entry = st.sampled_from(zeros * weight * len(nonzero) + nonzero)
+    raw = [[[draw(entry) for _ in range(s)] for _ in range(r)] for _ in range(n)]
+    return ring, r, s, n, raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_form_cases(), st.data())
+def test_stored_nonzeros_match_dense_oracles(case, data):
+    ring, r, s, n, raw = case
+    f = SosFormula(r, s, n, ring, raw)
+    T = dense_coerced(ring, raw)
+    zero = ring.zero()
+    assert f.tensor == T
+    assert f.nonzeros == tuple(
+        tuple((i, j, c) for i, row in enumerate(sl) for j, c in enumerate(row) if c != zero) for sl in T
+    )
+    for k in range(n):
+        assert f.z_poly(k) == dense_z_poly(f, k)
+    assert f.gram_defect() == naive_gram_defect(f)
+    if r >= 2:
+        u, v, _ = orthonormal_vectors(f)
+        assert (u, v) == ([T[k][0][0] for k in range(n)], [T[k][1][0] for k in range(n)])
+    # the JSON text holds every entry, zeros included, and loads back equal
+    data_dict = f.to_json_dict()
+    assert data_dict["tensor"] == [[[ring.element_to_json(c) for c in row] for row in sl] for sl in T]
+    again = SosFormula.from_json(f.to_json())
+    assert again == f and again.tensor == T and again.nonzeros == f.nonzeros
+    # restriction: the leading r2 x s2 block of every slice
+    r2, s2 = data.draw(st.integers(1, r), label="r2"), data.draw(st.integers(1, s), label="s2")
+    block = [[[T[k][i][j] for j in range(s2)] for i in range(r2)] for k in range(n)]
+    restricted = f.restrict(r2, s2)
+    assert restricted == SosFormula(r2, s2, n, ring, block)
+    assert restricted.tensor == dense_coerced(ring, block)
+    # change of ring: every dense entry coerced into the target, which may raise
+    targets = [gaussian_ext(ZZ), gaussian_ext(QQ)]
+    if not isinstance(zero, tuple):
+        targets += [ZZ, QQ, PrimeField(3), PrimeField(13)]
+    target = data.draw(st.sampled_from(targets), label="target")
+    try:
+        oracle = SosFormula(r, s, n, target, T)
+    except ValueError:
+        with pytest.raises(ValueError):
+            f.change_ring(target)
+    else:
+        changed = f.change_ring(target)
+        assert changed == oracle and changed.tensor == oracle.tensor
+        assert all(c != target.zero() for entries in changed.nonzeros for _, _, c in entries)
+
+
+def test_change_ring_drops_entries_that_become_zero():
+    f = SosFormula(1, 2, 1, ZZ, [[[13, 1]]])
+    assert f.change_ring(PrimeField(13)).nonzeros == (((0, 1, 1),),)
+    assert f.change_ring(PrimeField(13)) == SosFormula(1, 2, 1, PrimeField(13), [[[0, 1]]])
+
+
+def test_bound_table_never_builds_the_dense_tensor(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense tensor was built")
+
+    monkeypatch.setattr(SosFormula, "tensor", property(refuse))
+    entries = bound_table(4, 64)
+    assert len(entries) == 4 * 64
+    with pytest.raises(AssertionError, match="dense tensor"):
+        construct_trivial(1, 1).tensor
 
 
 # -- round trips ------------------------------------------------------------------

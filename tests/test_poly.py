@@ -251,8 +251,9 @@ def householder_dense(f, ring, v):
     n = f.n
     scale = Fraction(2, sum(a * a for a in v))
     h = [[int(k == l) - scale * v[k] * v[l] for l in range(n)] for k in range(n)]
+    T = f.tensor
     tensor = [
-        [[sum(h[k][l] * f.tensor[l][i][j] for l in range(n)) for j in range(f.s)] for i in range(f.r)]
+        [[sum(h[k][l] * T[l][i][j] for l in range(n)) for j in range(f.s)] for i in range(f.r)]
         for k in range(n)
     ]
     return SosFormula(f.r, f.s, n, ring, tensor)

@@ -210,7 +210,9 @@ def test_dot_matches_the_fold_of_add_and_mul(data):
     assert ring.dot(ys, xs) == expected
     # the scatter form: lazy products and sums, reduced once
     lazy = functools.reduce(ring.lazy_add, map(ring.lazy_mul, xs, ys), ring.zero())
-    assert ring.reduce(lazy) == expected
+    assert repr(ring.reduce(lazy)) == repr(expected)
+    # a lazy sum added to itself, as the Gram check doubles its diagonal
+    assert repr(ring.reduce(ring.lazy_add(lazy, lazy))) == repr(ring.add(expected, expected))
 
 
 def test_dot_of_empty_vectors_is_zero():
