@@ -107,7 +107,7 @@ class SosFormula:
 
     def z_poly(self, k: int) -> SparsePoly:
         r = self.r
-        return SparsePoly(self.ring, {((i, 1), (r + j, 1)): c for i, j, c in self.nonzeros[k]})
+        return SparsePoly._new(self.ring, {((i, 1), (r + j, 1)): c for i, j, c in self.nonzeros[k]})
 
     def z_polys(self) -> list[SparsePoly]:
         return [self.z_poly(k) for k in range(self.n)]

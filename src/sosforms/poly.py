@@ -3,8 +3,15 @@
 A polynomial is a map from monomials to nonzero coefficients.  Monomials are
 sorted tuples of (variable id, exponent) pairs with positive exponents, so
 the zero polynomial has an empty term map and equality of polynomials is
-equality of term maps.  Variable ids are plain ints; display names come from
-an optional registry.
+equality of term maps; the constructor rejects any other monomial.  Variable
+ids are plain ints; display names come from an optional registry.
+
+Products are formed on packed monomials.  Each multiplication packs the
+monomials of its inputs into Python ints, with one bit field per variable
+present, wide enough for twice that variable's largest exponent in the
+inputs, so the product of two monomials is the sum of their ints and no
+field carries into the next.  Only the products whose coefficients survive
+are unpacked back into tuples.  A packing is built per call and not kept.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -21,34 +28,68 @@ Monomial = tuple
 _ONE_MONOMIAL: Monomial = ()
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: one merge of the two sorted pair lists."""
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 < v2:
-            out.append(m1[i])
-            i += 1
-        elif v2 < v1:
-            out.append(m2[j])
-            j += 1
-        else:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _check_monomial(mono) -> None:
+    """Raise ValueError unless ``mono`` is a tuple of (var, exp) pairs with
+    int variable ids >= 0 in strictly increasing order and int exponents
+    >= 1."""
+    if not isinstance(mono, tuple):
+        raise ValueError(f"a monomial is a tuple of (var, exp) pairs, not {mono!r}")
+    last = -1
+    for pair in mono:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise ValueError(f"monomial {mono!r}: {pair!r} is not a (var, exp) pair")
+        v, e = pair
+        require_ints("a variable id", v, low=0)
+        require_ints("an exponent", e, low=1)
+        if v <= last:
+            raise ValueError(f"monomial {mono!r}: variable ids must strictly increase")
+        last = v
 
 
 def _text_order(m: Monomial) -> tuple:
-    """Graded-lex sort key: higher degree first, then the variable word."""
-    return (-_mono_degree(m), tuple(v for v, e in m for _ in range(e)))
+    """Graded-lex sort key: higher degree first, then the variable word (each
+    variable repeated by its exponent).  Two words of one degree compare as
+    their (var, -exp) pairs do, so the word itself is never spelled out."""
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+
+def _packing(supports: Iterable[Iterable[Monomial]]) -> tuple[Callable, Callable]:
+    """(pack, unpack) for products of two monomials from ``supports``.
+
+    Each variable present gets one bit field, in sorted id order, of
+    (2 * its largest exponent).bit_length() bits, so the sum of two packed
+    monomials never carries from one field into the next.  ``pack`` maps a
+    monomial to its int; ``unpack`` maps such a sum back to the product
+    monomial, walking its lowest set bits."""
+    top: dict = {}
+    for support in supports:
+        for mono in support:
+            for v, e in mono:
+                if e > top.get(v, 0):
+                    top[v] = e
+    shifts: dict = {}
+    fields = []  # bit position -> (var, shift, mask) of its field; 8 bytes a bit, the size of 64 keys
+    for v in sorted(top):
+        width = (2 * top[v]).bit_length()
+        shifts[v] = len(fields)
+        fields += [(v, len(fields), (1 << width) - 1)] * width
+
+    def pack(mono: Monomial) -> int:
+        key = 0
+        for v, e in mono:
+            key += e << shifts[v]
+        return key
+
+    def unpack(key: int) -> Monomial:
+        out = []
+        while key:
+            v, at, mask = fields[(key & -key).bit_length() - 1]
+            e = key >> at & mask
+            out.append((v, e))
+            key -= e << at
+        return tuple(out)
+
+    return pack, unpack
 
 
 class SparsePoly:
@@ -56,11 +97,21 @@ class SparsePoly:
 
     def __init__(self, ring: CoeffRing, terms: Mapping[Monomial, object] | None = None):
         self.ring = ring
+        self.terms = {}
         if terms:
             zero = ring.zero()
-            self.terms = {mono: c for mono, c in terms.items() if c != zero}
-        else:
-            self.terms = {}
+            for mono, c in terms.items():
+                _check_monomial(mono)
+                if c != zero:
+                    self.terms[mono] = c
+
+    @classmethod
+    def _new(cls, ring: CoeffRing, terms: dict) -> "SparsePoly":
+        """A poly from a term map that is canonical by construction: valid
+        monomials and nonzero coefficients, so neither is checked again."""
+        out = cls.__new__(cls)
+        out.ring, out.terms = ring, terms
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -76,7 +127,7 @@ class SparsePoly:
     def variable(cls, ring: CoeffRing, var: int, exp: int = 1) -> "SparsePoly":
         require_ints("var, exp", var, exp, low=0)
         mono = ((var, exp),) if exp > 0 else _ONE_MONOMIAL
-        return cls(ring, {mono: ring.one()})
+        return cls._new(ring, {mono: ring.one()})
 
     # -- basic queries -------------------------------------------------------
 
@@ -93,7 +144,7 @@ class SparsePoly:
 
     def __neg__(self):
         ring = self.ring
-        return SparsePoly(ring, {m: ring.neg(c) for m, c in self.terms.items()})
+        return SparsePoly._new(ring, {m: ring.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce_operand(other))
@@ -103,24 +154,23 @@ class SparsePoly:
 
     def __mul__(self, other):
         if other is self:
-            return self._square()
+            return sum_of_squares((self,), self.ring)
         other = self._coerce_operand(other)
-        _check_ring(self.ring, other.ring)
-        add, mul = self.ring.add, self.ring.mul
+        ring = self.ring
+        _check_ring(ring, other.ring)
+        pack, unpack = _packing((self.terms, other.terms))
+        add, mul = ring.lazy_add, ring.lazy_mul
         terms: dict = {}
         get = terms.get
-        others = list(other.terms.items())
+        others = [(pack(m), c) for m, c in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in others:
-                mono = _mono_mul(m1, m2)
+            k1 = pack(m1)
+            for k2, c2 in others:
+                k = k1 + k2
                 c = mul(c1, c2)
-                prev = get(mono)
-                terms[mono] = c if prev is None else add(prev, c)
-        return SparsePoly(self.ring, terms)
-
-    def _square(self) -> "SparsePoly":
-        """self * self, from each unordered pair of terms once."""
-        return _square_sum(self.ring, list(self.terms), [list(self.terms.values())])
+                prev = get(k)
+                terms[k] = c if prev is None else add(prev, c)
+        return _survivors(ring, terms, unpack)
 
     __rmul__ = __mul__
 
@@ -192,9 +242,21 @@ def _check_ring(ring: CoeffRing, other: CoeffRing):
         raise ValueError(f"ring mismatch: {ring!r} vs {other!r}")
 
 
+def _survivors(ring: CoeffRing, terms: dict, unpack: Callable) -> SparsePoly:
+    """The poly of a map from packed monomials to lazy sums: each sum is
+    reduced once, and only the monomials of nonzero ones are unpacked."""
+    reduce, zero = ring.reduce, ring.zero()
+    out = {}
+    for k, c in terms.items():
+        c = reduce(c)
+        if c != zero:
+            out[unpack(k)] = c
+    return SparsePoly._new(ring, out)
+
+
 def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     """The sum of ``polys``, all over ``ring``, added into one term map."""
-    add = ring.add
+    add, zero = ring.add, ring.zero()
     terms: dict = {}
     get = terms.get
     for p in polys:
@@ -202,53 +264,49 @@ def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
         for mono, c in p.terms.items():
             prev = get(mono)
             terms[mono] = c if prev is None else add(prev, c)
-    return SparsePoly(ring, terms)
+    return SparsePoly._new(ring, {m: c for m, c in terms.items() if c != zero})
 
 
 def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     """The sum of p * p over ``polys``, all over ``ring``, exactly.
 
     Polys with the same support, in the same insertion order, are squared
-    together, so the monomial product of each pair of support terms is formed
-    once for the group, not once per poly.  Nothing is kept between calls.
+    together: the packed product of each unordered pair of support terms is
+    formed once for the group, and its coefficient products are summed over
+    the group's coefficient rows by ``ring.dot``.  Every group adds into one
+    map keyed by packed monomial, gathered with the ring's lazy operations:
+    the cross sums are doubled once, the squares of the terms are added on
+    top, and each coefficient is reduced once.  Nothing is kept between
+    calls.
     """
     groups: dict = {}
     for p in polys:
         _check_ring(ring, p.ring)
         groups.setdefault(tuple(p.terms), []).append(list(p.terms.values()))
-    return poly_sum((_square_sum(ring, support, rows) for support, rows in groups.items()), ring)
-
-
-def _square_sum(ring: CoeffRing, support: list, rows: list) -> SparsePoly:
-    """The sum of the squares of the polys sum_a row[a] * support[a], one per
-    coefficient row.  Each unordered pair of support terms is multiplied
-    once, its coefficient products summed over the rows by ``ring.dot``; the
-    cross sums are doubled once per monomial and the squares of the terms
-    added on top.  The sums are gathered with the ring's lazy operations; a
-    coefficient is reduced when its cross sum is doubled and when a square
-    is added to it, not once per product."""
-    add, reduce = ring.lazy_add, ring.reduce
-    if len(rows) == 1:  # one poly: multiply its coefficients directly
-        cols, dot = rows[0], ring.lazy_mul
-    else:
-        cols, dot = list(zip(*rows)), ring.dot
-    items = list(zip(support, cols))
+    pack, unpack = _packing(groups)
+    add = ring.lazy_add
     terms: dict = {}
     get = terms.get
-    for a, (m1, col) in enumerate(items):
-        for m2, col2 in items[a + 1 :]:
-            mono = _mono_mul(m1, m2)
-            c = dot(col, col2)
-            prev = get(mono)
-            terms[mono] = c if prev is None else add(prev, c)
-    for mono, c in terms.items():  # in place: no second map of every monomial
-        terms[mono] = reduce(add(c, c))
-    for m, col in items:
-        mono = tuple((v, e + e) for v, e in m)
-        c = dot(col, col)
-        prev = get(mono)
-        terms[mono] = reduce(c if prev is None else add(prev, c))
-    return SparsePoly(ring, terms)
+    squares = []
+    for support, rows in groups.items():
+        if len(rows) == 1:  # one poly: multiply its coefficients directly
+            cols, dot = rows[0], ring.lazy_mul
+        else:
+            cols, dot = list(zip(*rows)), ring.dot
+        items = [(pack(m), col) for m, col in zip(support, cols)]
+        for a, (k1, col) in enumerate(items):
+            for k2, col2 in items[a + 1 :]:
+                k = k1 + k2
+                c = dot(col, col2)
+                prev = get(k)
+                terms[k] = c if prev is None else add(prev, c)
+        squares += [(k + k, dot(col, col)) for k, col in items]
+    for k, c in terms.items():  # in place: no second map of every monomial
+        terms[k] = add(c, c)
+    for k, c in squares:
+        prev = get(k)
+        terms[k] = c if prev is None else add(prev, c)
+    return _survivors(ring, terms, unpack)
 
 
 def hyperbolic_coordinate_change(n: int, ring: CoeffRing | None = None) -> bool:

@@ -79,6 +79,30 @@ def test_classical_formulas_verify_both_routes():
         assert f.verify_by_hurwitz()
 
 
+def test_the_two_verifiers_share_no_kernel(monkeypatch):
+    """Expansion and the Gram check cross-check each other, so each must
+    still decide with the other's kernel disabled."""
+    import sosforms.formulas
+    import sosforms.poly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other verifier's kernel was called")
+
+    good = [construct_hurwitz_radon(16), construct_classical("eight")]
+    bad = [SosFormula._of_nonzeros(f.r, f.s, f.n, f.ring, (f.nonzeros[1],) + f.nonzeros[1:]) for f in good]
+    with monkeypatch.context() as m:
+        m.setattr(SosFormula, "gram_defect", refuse)
+        assert all(f.verify_by_expansion() for f in good)
+        assert not any(f.verify_by_expansion() for f in bad)
+    monkeypatch.setattr(sosforms.poly, "sum_of_squares", refuse)
+    monkeypatch.setattr(sosforms.formulas, "sum_of_squares", refuse)
+    monkeypatch.setattr(sosforms.poly, "_packing", refuse)
+    assert all(f.gram_defect() is None for f in good)
+    assert all(f.gram_defect() is not None for f in bad)
+    with pytest.raises(AssertionError, match="other verifier"):
+        good[0].expansion_defect()
+
+
 def test_zero_tensor_fails_hurwitz():
     f = SosFormula(1, 1, 1, ZZ, [[[0]]])
     assert not f.verify_by_hurwitz()

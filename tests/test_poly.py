@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sosforms.poly
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
-from sosforms.poly import SparsePoly, _mono_mul, hyperbolic_coordinate_change, poly_sum, sum_of_squares
+from sosforms.poly import SparsePoly, _text_order, hyperbolic_coordinate_change, poly_sum, sum_of_squares
 from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
 
 
@@ -89,12 +88,6 @@ def polys(ring, max_terms=6):
     return st.dictionaries(monomials, coefficients(ring), max_size=max_terms).map(
         lambda terms: SparsePoly(ring, terms)
     )
-
-
-@settings(max_examples=200, deadline=None)
-@given(monomials, monomials)
-def test_mono_mul_matches_oracle(m1, m2):
-    assert _mono_mul(m1, m2) == oracle_mono_mul(m1, m2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,24 +284,122 @@ def test_expansion_defect_of_dense_formulas_matches_oracle(kind, ring):
     assert not corrupted.expansion_defect().is_zero
 
 
-def test_sum_of_squares_merges_a_shared_support_once(monkeypatch):
-    """Dense HR(8): eight z_k share one 64-term support, so the pair products
-    take 64 * 63 / 2 = 2,016 monomial merges, not 8 * 2,016."""
-    calls = []
-    original = sosforms.poly._mono_mul
-
-    def counted(m1, m2):
-        calls.append(1)
-        return original(m1, m2)
-
-    monkeypatch.setattr(sosforms.poly, "_mono_mul", counted)
+def test_sum_of_squares_forms_each_product_of_a_shared_support_once(monkeypatch):
+    """Dense HR(8): eight z_k share one 64-term support, so sum_of_squares
+    forms each of the 64 * 63 / 2 = 2,016 pair products and 64 squares of
+    support terms once, with one ring.dot over the eight coefficient rows;
+    squaring each z_k alone forms them 8 times, one coefficient product each."""
     f = dense_eight("hurwitz-radon", PrimeField(5))
     zs = f.z_polys()
+    dots, products = [], []
+    dot, lazy_mul = PrimeField.dot, PrimeField.lazy_mul
+    monkeypatch.setattr(PrimeField, "dot", lambda self, xs, ys: dots.append(len(xs)) or dot(self, xs, ys))
+    monkeypatch.setattr(PrimeField, "lazy_mul", staticmethod(lambda a, b: products.append(1) or lazy_mul(a, b)))
     total = sum_of_squares(zs, f.ring)
-    assert len(calls) == 2_016
-    calls.clear()
+    assert len(dots) == 2_016 + 64 and set(dots) == {8}
+    assert not products
+    dots.clear()
     assert poly_sum([z * z for z in zs], f.ring) == total
-    assert len(calls) == 8 * 2_016
+    assert not dots
+    assert len(products) == 8 * (2_016 + 64)
+
+
+# -- packed monomials: field widths that differ from call to call -----------------
+
+
+def wide_monomials(data):
+    """Monomials over a few variable ids up to 10^6, with exponents drawn from
+    a few values up to 2^40, so that products share variables and terms."""
+    ids = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True))
+    exps = data.draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 2**40)), min_size=1, max_size=3))
+    return st.dictionaries(st.sampled_from(ids), st.sampled_from(exps), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_match_oracle_on_wide_monomials(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    monos = wide_monomials(data)
+    wide_polys = st.dictionaries(monos, coefficients(ring), max_size=5).map(lambda t: SparsePoly(ring, t))
+    f, g = data.draw(wide_polys), data.draw(wide_polys)
+    assert (f * g).terms == oracle_mul_terms(ring, f.terms, g.terms)
+    assert (f * f).terms == oracle_mul_terms(ring, f.terms, f.terms)
+    e = data.draw(st.integers(0, 3))  # a small power: the binomial expansion grows fast
+    assert (f ** e).terms == oracle_pow_terms(f, e)
+    group = shared_support_group(data, ring, data.draw(st.lists(monos, min_size=1, max_size=5, unique=True)))
+    group = data.draw(st.permutations(group + [f, g, f * g]))
+    assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+
+
+def test_packed_fields_hold_the_doubled_largest_exponent():
+    big = 2**40
+    x, y = SparsePoly.variable(ZZ, 0, big), SparsePoly.variable(ZZ, 10**6, big)
+    assert (x * x).terms == {((0, 2 * big),): 1}
+    assert (x * SparsePoly.variable(ZZ, 0, big)).terms == {((0, 2 * big),): 1}
+    assert ((x + y) * (x - y)).terms == {((0, 2 * big),): 1, ((10**6, 2 * big),): -1}
+    assert sum_of_squares([x + y, x - y], ZZ).terms == {((0, 2 * big),): 2, ((10**6, 2 * big),): 2}
+    # a field sized for exponent 1 holds the product x0 * x0 = x0^2
+    x0 = var(ZZ, 0)
+    assert (x0 * var(ZZ, 0) * var(ZZ, 1)).terms == {((0, 2), (1, 1)): 1}
+
+
+# -- malformed monomials ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        ((0, -1),),  # negative exponent
+        ((0, 0),),  # zero exponent
+        ((-1, 1),),  # negative variable id
+        ((1, 1), (0, 1)),  # ids out of order
+        ((0, 1), (0, 2)),  # repeated id
+        ((0, 1.0),),  # float exponent
+        ((0.0, 1),),  # float id
+        ((True, 1),),  # bool id
+        ((0, True),),  # bool exponent
+        ((0, 1, 2),),  # not a pair
+        (0, 1),  # a bare pair, not a tuple of pairs
+        "x0",  # not a tuple
+    ],
+)
+def test_malformed_monomials_are_rejected(mono):
+    with pytest.raises(ValueError):
+        SparsePoly(ZZ, {mono: 1})
+    with pytest.raises(ValueError):  # also under a zero coefficient, which is dropped
+        SparsePoly(ZZ, {(): 1, mono: 0})
+
+
+# -- display order ------------------------------------------------------------------------
+
+
+def oracle_text_order(m):
+    """The former graded-lex key: higher degree first, then the variable word,
+    each variable repeated by its exponent."""
+    return (-sum(e for _, e in m), tuple(v for v, e in m for _ in range(e)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 6), st.integers(1, 6), max_size=4).map(lambda d: tuple(sorted(d.items()))),
+        unique=True,
+        max_size=12,
+    )
+)
+def test_text_order_matches_the_variable_word(monos):
+    assert sorted(monos, key=_text_order) == sorted(monos, key=oracle_text_order)
+    f = SparsePoly(ZZ, {m: 1 for m in monos})
+    assert f.first_term() == ((min(monos, key=oracle_text_order), 1) if monos else None)
+
+
+def test_text_of_a_huge_exponent():
+    big = 2**40
+    f = SparsePoly.variable(ZZ, 0, big) * 3 + SparsePoly.variable(ZZ, 1, big + 1)
+    assert f.to_text() == f"v1^{big + 1} + 3*v0^{big}"
+    assert f.first_term() == (((1, big + 1),), 1)
 
 
 def test_square_of_sum_over_z():
