@@ -113,12 +113,15 @@ class SosFormula:
         return [self.z_poly(k) for k in range(self.n)]
 
     def expansion_defect(self) -> SparsePoly:
-        """sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2), exactly."""
-        ring = self.ring
-        zsq = sum_of_squares(self.z_polys(), ring)
-        xs = poly_sum((SparsePoly.variable(ring, i, 2) for i in range(self.r)), ring)
-        ys = poly_sum((SparsePoly.variable(ring, self.r + j, 2) for j in range(self.s)), ring)
-        return zsq - xs * ys
+        """sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2), exactly.
+
+        The whole difference is gathered in the one packed map of
+        ``sum_of_squares``, so only its nonzero terms are ever unpacked:
+        none for a formula that holds."""
+        ring, r, one = self.ring, self.r, self.ring.one()
+        xs = SparsePoly._new(ring, {((i, 2),): one for i in range(r)})
+        ys = SparsePoly._new(ring, {((r + j, 2),): one for j in range(self.s)})
+        return sum_of_squares(self.z_polys(), ring, minus=(xs, ys))
 
     def verify_by_expansion(self) -> bool:
         return self.expansion_defect().is_zero

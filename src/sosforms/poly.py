@@ -3,15 +3,19 @@
 A polynomial is a map from monomials to nonzero coefficients.  Monomials are
 sorted tuples of (variable id, exponent) pairs with positive exponents, so
 the zero polynomial has an empty term map and equality of polynomials is
-equality of term maps; the constructor rejects any other monomial.  Variable
-ids are plain ints; display names come from an optional registry.
+equality of term maps; the constructor rejects any other monomial, coerces
+each coefficient into the ring and drops the zero ones.  Variable ids are
+plain ints; display names come from an optional registry.
 
 Products are formed on packed monomials.  Each multiplication packs the
 monomials of its inputs into Python ints, with one bit field per variable
 present, wide enough for twice that variable's largest exponent in the
 inputs, so the product of two monomials is the sum of their ints and no
-field carries into the next.  Only the products whose coefficients survive
-are unpacked back into tuples.  A packing is built per call and not kept.
+field carries into the next.  ``sum_of_squares`` can also subtract one
+product in the same packed map, so an identity such as
+sum_k z_k^2 = (sum_i x_i^2)(sum_j y_j^2) is checked by one map whose terms
+all cancel.  Only the monomials whose coefficients survive are unpacked back
+into tuples.  A packing is built per call and not kept.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -99,9 +103,10 @@ class SparsePoly:
         self.ring = ring
         self.terms = {}
         if terms:
-            zero = ring.zero()
+            coerce, zero = ring.coerce, ring.zero()
             for mono, c in terms.items():
                 _check_monomial(mono)
+                c = coerce(c)
                 if c != zero:
                     self.terms[mono] = c
 
@@ -121,7 +126,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, ring: CoeffRing, value) -> "SparsePoly":
-        return cls(ring, {_ONE_MONOMIAL: ring.coerce(value)})
+        return cls(ring, {_ONE_MONOMIAL: value})
 
     @classmethod
     def variable(cls, ring: CoeffRing, var: int, exp: int = 1) -> "SparsePoly":
@@ -159,17 +164,8 @@ class SparsePoly:
         ring = self.ring
         _check_ring(ring, other.ring)
         pack, unpack = _packing((self.terms, other.terms))
-        add, mul = ring.lazy_add, ring.lazy_mul
         terms: dict = {}
-        get = terms.get
-        others = [(pack(m), c) for m, c in other.terms.items()]
-        for m1, c1 in self.terms.items():
-            k1 = pack(m1)
-            for k2, c2 in others:
-                k = k1 + k2
-                c = mul(c1, c2)
-                prev = get(k)
-                terms[k] = c if prev is None else add(prev, c)
+        _add_products(ring, terms, pack, self.terms.items(), other.terms)
         return _survivors(ring, terms, unpack)
 
     __rmul__ = __mul__
@@ -242,6 +238,22 @@ def _check_ring(ring: CoeffRing, other: CoeffRing):
         raise ValueError(f"ring mismatch: {ring!r} vs {other!r}")
 
 
+def _add_products(ring: CoeffRing, terms: dict, pack: Callable, left: Iterable, right: Mapping) -> None:
+    """Add the product of every (monomial, coefficient) pair of ``left`` with
+    every term of ``right`` into ``terms``, a map from packed monomials to
+    lazy sums, with the ring's lazy operations."""
+    add, mul = ring.lazy_add, ring.lazy_mul
+    get = terms.get
+    rights = [(pack(m), c) for m, c in right.items()]
+    for m1, c1 in left:
+        k1 = pack(m1)
+        for k2, c2 in rights:
+            k = k1 + k2
+            c = mul(c1, c2)
+            prev = get(k)
+            terms[k] = c if prev is None else add(prev, c)
+
+
 def _survivors(ring: CoeffRing, terms: dict, unpack: Callable) -> SparsePoly:
     """The poly of a map from packed monomials to lazy sums: each sum is
     reduced once, and only the monomials of nonzero ones are unpacked."""
@@ -267,8 +279,11 @@ def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     return SparsePoly._new(ring, {m: c for m, c in terms.items() if c != zero})
 
 
-def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
-    """The sum of p * p over ``polys``, all over ``ring``, exactly.
+def sum_of_squares(
+    polys: Iterable[SparsePoly], ring: CoeffRing, minus: tuple[SparsePoly, SparsePoly] | None = None
+) -> SparsePoly:
+    """The sum of p * p over ``polys``, all over ``ring``, exactly, less the
+    product ``left * right`` when ``minus=(left, right)`` is given.
 
     Polys with the same support, in the same insertion order, are squared
     together: the packed product of each unordered pair of support terms is
@@ -276,14 +291,18 @@ def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     the group's coefficient rows by ``ring.dot``.  Every group adds into one
     map keyed by packed monomial, gathered with the ring's lazy operations:
     the cross sums are doubled once, the squares of the terms are added on
-    top, and each coefficient is reduced once.  Nothing is kept between
-    calls.
+    top, then the negated products of ``minus``, and each coefficient is
+    reduced once.  Only nonzero coefficients are unpacked, so a difference
+    that cancels unpacks nothing.  Nothing is kept between calls.
     """
     groups: dict = {}
     for p in polys:
         _check_ring(ring, p.ring)
         groups.setdefault(tuple(p.terms), []).append(list(p.terms.values()))
-    pack, unpack = _packing(groups)
+    minus = minus or ()
+    for p in minus:
+        _check_ring(ring, p.ring)
+    pack, unpack = _packing([*groups, *(p.terms for p in minus)])
     add = ring.lazy_add
     terms: dict = {}
     get = terms.get
@@ -306,6 +325,9 @@ def sum_of_squares(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     for k, c in squares:
         prev = get(k)
         terms[k] = c if prev is None else add(prev, c)
+    if minus:
+        left, right = minus
+        _add_products(ring, terms, pack, ((m, ring.neg(c)) for m, c in left.terms.items()), right.terms)
     return _survivors(ring, terms, unpack)
 
 

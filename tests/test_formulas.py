@@ -17,7 +17,7 @@ from sosforms.formulas import (
     rho,
 )
 from sosforms.hopf import bound_table, hopf_admissible
-from sosforms.poly import SparsePoly
+from sosforms.poly import SparsePoly, poly_sum, sum_of_squares
 from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
 from test_poly import dense_eight
 
@@ -194,6 +194,43 @@ def test_gram_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
     assert f.verify_by_hurwitz() == f.verify_by_expansion()
 
 
+# -- the expansion defect against the former composition ------------------------------
+
+
+def oracle_expansion_defect(f):
+    """The former composition: the squares, then (sum x_i^2)(sum y_j^2) as its
+    own product, negated and added in a separate sum."""
+    ring = f.ring
+    xs = poly_sum((SparsePoly.variable(ring, i, 2) for i in range(f.r)), ring)
+    ys = poly_sum((SparsePoly.variable(ring, f.r + j, 2) for j in range(f.s)), ring)
+    return sum_of_squares(f.z_polys(), ring) - xs * ys
+
+
+def assert_defect_matches_oracle(f):
+    defect, oracle = f.expansion_defect(), oracle_expansion_defect(f)
+    assert defect.terms == oracle.terms
+    assert defect.first_term() == oracle.first_term()  # the witness `sosforms verify` prints
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_formulas())
+def test_expansion_defect_matches_oracle_on_sparse_tensors(f):
+    assert_defect_matches_oracle(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corrupted_hurwitz_radon())
+def test_expansion_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
+    assert_defect_matches_oracle(f)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_expansion_defect_matches_oracle_on_hurwitz_radon(n):
+    f = construct_hurwitz_radon(n)
+    assert_defect_matches_oracle(f)
+    assert f.expansion_defect().is_zero
+
+
 DENSE_RINGS = [PrimeField(5), PrimeField(7), QQ, gaussian_ext(QQ), gaussian_ext(PrimeField(7))]
 
 
@@ -204,6 +241,56 @@ def test_gram_defect_is_none_on_dense_formulas(kind, ring):
     zero = ring.zero()
     assert all(c != zero for slice_k in f.tensor for row in slice_k for c in row)
     assert f.gram_defect() is None is naive_gram_defect(f)
+
+
+@pytest.mark.parametrize("ring", DENSE_RINGS)
+@pytest.mark.parametrize("kind", ["hurwitz-radon", "degen"])
+def test_expansion_defect_matches_oracle_on_dense_formulas(kind, ring):
+    f = dense_eight(kind, ring)
+    tensor = [[list(row) for row in sl] for sl in f.tensor]
+    tensor[3][7][2] = ring.add(tensor[3][7][2], ring.one())
+    tensor[0][0][0] = ring.zero()  # and an entry removed
+    corrupted = SosFormula(8, 8, 8, ring, tensor)
+    for g in (f, corrupted):
+        assert_defect_matches_oracle(g)
+    assert not corrupted.expansion_defect().is_zero
+
+
+def counting_unpacks(monkeypatch):
+    """Wrap ``sosforms.poly._packing`` so that each call of an ``unpack`` it
+    returns is counted; return the list of counts."""
+    import sosforms.poly
+
+    packing, calls = sosforms.poly._packing, []
+
+    def counted(supports):
+        pack, unpack = packing(supports)
+        return pack, lambda key: calls.append(1) or unpack(key)
+
+    monkeypatch.setattr(sosforms.poly, "_packing", counted)
+    return calls
+
+
+def test_a_formula_that_holds_unpacks_nothing(monkeypatch):
+    calls = counting_unpacks(monkeypatch)
+    hr32 = construct_hurwitz_radon(32)
+    for f in (hr32, hr32.restrict(7, 20), construct_classical("eight")):
+        assert f.expansion_defect().is_zero
+    assert not calls
+
+
+def test_a_failing_formula_unpacks_only_its_defect(monkeypatch):
+    calls = counting_unpacks(monkeypatch)
+    hr32 = construct_hurwitz_radon(32)
+    failing = [
+        SosFormula._of_nonzeros(hr32.r, hr32.s, hr32.n, hr32.ring, (hr32.nonzeros[1],) + hr32.nonzeros[1:]),
+        SosFormula(1, 1, 1, ZZ, [[[2]]]),
+        SosFormula(2, 3, 1, ZZ, [[[1, 0, 0], [0, 0, 0]]]),  # a zero row and zero columns
+    ]
+    for f in failing:
+        calls.clear()
+        defect = f.expansion_defect()
+        assert defect.terms and len(calls) == len(defect.terms)
 
 
 @settings(max_examples=40, deadline=None)

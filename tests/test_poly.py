@@ -229,6 +229,36 @@ def test_sum_of_squares_small_cases():
     assert sum_of_squares([u, u * zi.sqrt_minus_one()], zi).is_zero
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sum_of_squares_minus_a_product_matches_oracle(data):
+    """The subtracted product may use variables that no square has (ids up to
+    10^6, exponents up to 2^40), and may cancel the squares term by term."""
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    monos = wide_monomials(data)
+    wide_polys = st.dictionaries(monos, coefficients(ring), max_size=5).map(lambda t: SparsePoly(ring, t))
+    group = data.draw(st.lists(st.one_of(polys(ring), wide_polys), max_size=4))
+    left, right = data.draw(st.one_of(polys(ring), wide_polys)), data.draw(st.one_of(polys(ring), wide_polys))
+    for minus in ((left, right), (left, left), (right, SparsePoly.zero(ring))):
+        product = SparsePoly(ring, oracle_mul_terms(ring, *(p.terms for p in minus)))
+        oracle = oracle_sum([oracle_sum_of_squares(group, ring), -product], ring)
+        assert sum_of_squares(group, ring, minus=minus) == oracle
+    # the squares of the group itself, subtracted, leave nothing
+    square = oracle_sum_of_squares(group[:1], ring)
+    assert sum_of_squares(group[:1], ring, minus=(square, SparsePoly.constant(ring, 1))).is_zero
+
+
+def test_sum_of_squares_minus_a_product_small_cases():
+    x, y = var(ZZ, 0), var(ZZ, 1)
+    # Gauss: (x + y)^2 + (x - y)^2 - 2(x^2 + y^2) = 0
+    assert sum_of_squares([x + y, x - y], ZZ, minus=(2 * x * x + 2 * y * y, SparsePoly.constant(ZZ, 1))).is_zero
+    # y appears only in the product: it still gets a bit field
+    assert sum_of_squares([x], ZZ, minus=(x, y)) == x * x - x * y
+    assert sum_of_squares([], ZZ, minus=(x, y)) == -(x * y)
+    with pytest.raises(ValueError):
+        sum_of_squares([x], ZZ, minus=(x, var(PrimeField(3), 1)))
+
+
 def test_sum_of_squares_over_mixed_rings_raises():
     gf3, gf5 = PrimeField(3), PrimeField(5)
     with pytest.raises(ValueError):
@@ -343,6 +373,22 @@ def test_packed_fields_hold_the_doubled_largest_exponent():
     # a field sized for exponent 1 holds the product x0 * x0 = x0^2
     x0 = var(ZZ, 0)
     assert (x0 * var(ZZ, 0) * var(ZZ, 1)).terms == {((0, 2), (1, 1)): 1}
+
+
+# -- coefficients ---------------------------------------------------------------------------
+
+
+def test_constructor_coerces_coefficients():
+    gf5 = PrimeField(5)
+    assert SparsePoly(gf5, {((0, 1),): 7}) == 2 * SparsePoly.variable(gf5, 0)
+    assert SparsePoly(gf5, {((0, 1),): 7}).terms == {((0, 1),): 2}
+    assert SparsePoly(gf5, {((0, 1),): 10, (): 1}).terms == {(): 1}  # 10 is zero in GF(5)
+    assert SparsePoly(QQ, {(): 1, ((0, 1),): "0/7"}).terms == {(): Fraction(1)}
+    assert SparsePoly(gaussian_ext(ZZ), {(): 3}).terms == {(): (3, 0)}
+    with pytest.raises(ValueError):
+        SparsePoly(ZZ, {((0, 1),): 1.5})
+    with pytest.raises(ValueError):
+        SparsePoly(ZZ, {((0, 1),): True})
 
 
 # -- malformed monomials ----------------------------------------------------------------
