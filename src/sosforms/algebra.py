@@ -27,6 +27,13 @@ def accumulate(terms: dict, key, coeff) -> None:
     terms[key] = coeff
 
 
+def require_exponents(keys, arity: int) -> None:
+    """Raise ValueError unless each key is a tuple of ``arity`` ints >= 0 (not bools)."""
+    for key in keys:
+        if type(key) is not tuple or len(key) != arity or not all(type(e) is int and e >= 0 for e in key):
+            raise ValueError(f"a monomial is a tuple of {arity} integers >= 0, not {key!r}")
+
+
 def mono_text(names, exps) -> str:
     """``x^2*y`` for names (x, y) and exponents (2, 1); '' for the unit."""
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
@@ -38,6 +45,7 @@ class NormalForm:
 
     def __init__(self, ring, terms=None):
         self.ring = ring
+        require_exponents(terms or (), len(self.UNIT[0]))
         one = self.UNIT[1]
         clean: dict = {}
         for key, coeff in (terms or {}).items():

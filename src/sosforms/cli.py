@@ -9,7 +9,6 @@ machine-readable renderings; default is human-readable text.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -96,7 +95,7 @@ def cmd_bounds(args) -> int:
     if args.format == "csv":
         sys.stdout.write(hopf_mod.bound_table_csv(entries))
     elif args.format == "json":
-        _print_json([dataclasses.asdict(e) for e in entries])
+        _print_json([e._asdict() for e in entries])
     else:
         sys.stdout.write(hopf_mod.bound_table_text(entries))
     return EXIT_OK

@@ -25,7 +25,7 @@ Hurwitz-Radon function rho and the upper bound on r * s that the family gives.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
 from .rings import (
@@ -249,8 +249,9 @@ class SosFormula:
 
 
 def _load_tables() -> dict:
-    text = resources.files("sosforms.data").joinpath("classical_formulas.json").read_text()
-    return json.loads(text)
+    # through the module's own loader, as pkgutil.get_data reads package data
+    path = os.path.join(os.path.dirname(__file__), "data", "classical_formulas.json")
+    return json.loads(__spec__.loader.get_data(path))
 
 
 _TABLE_CACHE: dict = {}

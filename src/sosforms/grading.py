@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class BiDegree(NamedTuple):
-    p: int
-    q: int
+class BiDegree(namedtuple("BiDegree", "p q")):
+    __slots__ = ()
 
-    def __add__(self, other):  # type: ignore[override]
+    def __add__(self, other):
         return BiDegree(self.p + other[0], self.q + other[1])
 
     def __str__(self):

@@ -16,7 +16,7 @@ as the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
 from .rings import require_ints
@@ -104,13 +104,8 @@ def hopf_lower_bound(r: int, s: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    r: int
-    s: int
-    hopf_lower: int
-    construct_upper: int
-    tight: bool
+class BoundEntry(namedtuple("BoundEntry", "r s hopf_lower construct_upper tight")):
+    __slots__ = ()
 
 
 def bound_table(rmax: int, smax: int) -> list[BoundEntry]:

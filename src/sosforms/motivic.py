@@ -21,12 +21,12 @@ rings is what turns binomial parities into ring identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import NormalForm, accumulate, mono_text
+from .algebra import NormalForm, accumulate, mono_text, require_exponents
 from .grading import BiDegree
 from .hopf import hopf_admissible
-from .rings import require_ints
+from .rings import require_flags, require_ints
 
 
 class M2Poly:
@@ -39,7 +39,16 @@ class M2Poly:
     __slots__ = ("monos",)
 
     def __init__(self, monos=()):
+        monos = tuple(monos)
+        require_exponents(monos, 2)
         self.monos = frozenset(monos)
+
+    @classmethod
+    def _new(cls, monos: frozenset) -> "M2Poly":
+        """A polynomial from exponent pairs already known to be valid."""
+        out = cls.__new__(cls)
+        out.monos = monos
+        return out
 
     @staticmethod
     def monomial(t: int, m: int) -> "M2Poly":
@@ -53,7 +62,7 @@ class M2Poly:
         return bool(self.monos)
 
     def __add__(self, other: "M2Poly") -> "M2Poly":
-        return M2Poly(self.monos ^ other.monos)
+        return M2Poly._new(self.monos ^ other.monos)
 
     def __mul__(self, other: "M2Poly") -> "M2Poly":
         acc: set = set()
@@ -64,12 +73,12 @@ class M2Poly:
                     acc.discard(key)
                 else:
                     acc.add(key)
-        return M2Poly(acc)
+        return M2Poly._new(frozenset(acc))
 
     def strip_rho(self) -> "M2Poly":
         """Image under rho -> 0 (self when there is no rho to strip)."""
         kept = [(t, m) for t, m in self.monos if m == 0]
-        return self if len(kept) == len(self.monos) else M2Poly(kept)
+        return self if len(kept) == len(self.monos) else M2Poly._new(frozenset(kept))
 
     def bidegrees(self) -> set[BiDegree]:
         return {BiDegree(m, t + m) for t, m in self.monos}
@@ -93,8 +102,7 @@ M2_TAU = M2Poly.monomial(1, 0)
 M2_RHO = M2Poly.monomial(0, 1)
 
 
-@dataclass(frozen=True)
-class DQRingSpec:
+class DQRingSpec(namedtuple("DQRingSpec", "n rho eps_is_rho")):
     """Presentation parameters for the ring of DQ_n.
 
     ``rho`` keeps rho as a formal class (the model for F = R); with
@@ -105,15 +113,13 @@ class DQRingSpec:
     line (b = 0).
     """
 
-    n: int
-    rho: bool = False
-    eps_is_rho: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ints("n", self.n, low=0)
-        if self.eps_is_rho and (self.n % 2 == 1 or not self.rho):
-            # eps only exists in even rings, and eps = rho = 0 when rho is off
-            object.__setattr__(self, "eps_is_rho", False)
+    def __new__(cls, n: int, rho: bool = False, eps_is_rho: bool = False):
+        require_ints("n", n, low=0)
+        require_flags("rho, eps_is_rho", rho, eps_is_rho)
+        # eps only exists in even rings, and eps = rho = 0 when rho is off
+        return super().__new__(cls, n, rho, eps_is_rho and rho and n % 2 == 0)
 
     @property
     def k(self) -> int:
@@ -125,11 +131,7 @@ class DQRingSpec:
 
     def basis_monomials(self) -> tuple:
         """The (e, j) pairs of the free basis a^e b^j, in increasing bidegree."""
-        out = []
-        for i in range(self.n + 1):
-            e, j = i % 2, i // 2
-            out.append((e, j))
-        return tuple(out)
+        return tuple((i % 2, i // 2) for i in range(self.n + 1))
 
     def basis_bidegrees(self) -> list[BiDegree]:
         return [BiDegree(e + 2 * j, e + j) for e, j in self.basis_monomials()]
@@ -143,10 +145,11 @@ def _dq_reduce(spec: DQRingSpec, e: int, j: int) -> list:
         if spec.rho:
             out += [(key, u * M2_RHO) for key, u in _dq_reduce(spec, e - 1, j)]
         return out
-    if j > spec.k:
+    n = spec.n  # one field read: this runs once per product monomial
+    if j > n // 2:
         return []
-    if spec.is_even and e == 1 and j == spec.k:
-        # a*b^k = eps*b^k
+    if e == 1 and 2 * j == n:
+        # a*b^k = eps*b^k with k = n/2, n even
         return [((0, j), M2_RHO)] if spec.eps_is_rho else []
     return [((e, j), M2_ONE)]
 

@@ -22,7 +22,7 @@ Values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .rings import CoeffRing, IntegerRing, gaussian_ext, require_ints
 

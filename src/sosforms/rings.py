@@ -42,6 +42,12 @@ def require_ints(names: str, *values, low: int | None = 1) -> None:
             raise ValueError(f"{names} must be >= {low}")
 
 
+def require_flags(names: str, *values) -> None:
+    """The rule for every on/off option: raise ValueError unless each value is a bool."""
+    if not all(isinstance(value, bool) for value in values):
+        raise ValueError(f"{names} must be True or False")
+
+
 class CoeffRing:
     """Base class for coefficient rings.  Use the concrete subclasses.
 

@@ -42,11 +42,12 @@ import itertools
 import operator
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from numbers import Real
 
 from .formulas import SosFormula
 from .hopf import hopf_admissible
-from .rings import PrimeField, require_ints
+from .rings import PrimeField, require_flags, require_ints
 
 # Largest p^n a search without signed_monomial_only may enumerate.  Over
 # GF(3), n = 13 (532,170 unit vectors) takes about 1.5 s and 110 MB before
@@ -61,46 +62,44 @@ MAX_FULL_VECTORS = 3**13
 PARTITION_BUDGET = 16 * 2**20
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    canonical_first_matrix: bool = True
-    signed_monomial_only: bool = False
-    max_solutions: int | None = None
-    time_budget: float | None = None  # seconds
+class SearchOptions(
+    namedtuple("SearchOptions", "canonical_first_matrix signed_monomial_only max_solutions time_budget")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_solutions is not None:
-            require_ints("max_solutions", self.max_solutions)
-        if self.time_budget is not None and not self.time_budget >= 0:  # NaN too
-            raise ValueError("time_budget must be non-negative")
+    def __new__(cls, canonical_first_matrix: bool = True, signed_monomial_only: bool = False,
+                max_solutions: int | None = None, time_budget: float | None = None):  # seconds
+        require_flags("canonical_first_matrix, signed_monomial_only", canonical_first_matrix, signed_monomial_only)
+        if max_solutions is not None:
+            require_ints("max_solutions", max_solutions)
+        if time_budget is not None and (
+            isinstance(time_budget, bool) or not isinstance(time_budget, Real) or not time_budget >= 0  # NaN too
+        ):
+            raise ValueError("time_budget must be None or a non-negative number of seconds")
+        return super().__new__(cls, canonical_first_matrix, signed_monomial_only, max_solutions, time_budget)
 
 
-@dataclass(frozen=True)
-class SearchProblem:
-    r: int
-    s: int
-    n: int
-    p: int
-    options: SearchOptions = field(default_factory=SearchOptions)
+class SearchProblem(namedtuple("SearchProblem", "r s n p options")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_ints("r, s, n", self.r, self.s, self.n)
-        PrimeField(self.p)  # validates p odd prime
+    def __new__(cls, r: int, s: int, n: int, p: int, options: SearchOptions = SearchOptions()):
+        require_ints("r, s, n", r, s, n)
+        PrimeField(p)  # validates p odd prime
+        if not isinstance(options, SearchOptions):
+            raise ValueError(f"options must be a SearchOptions, not {type(options).__name__}")
         # p >= 3, so p^n > MAX_FULL_VECTORS once n reaches its bit length
-        vectors = self.p ** min(self.n, MAX_FULL_VECTORS.bit_length())
-        if not self.options.signed_monomial_only and vectors > MAX_FULL_VECTORS:
+        vectors = p ** min(n, MAX_FULL_VECTORS.bit_length())
+        if not options.signed_monomial_only and vectors > MAX_FULL_VECTORS:
             raise ValueError(
-                f"a full search enumerates p^n = {self.p}^{self.n} vectors, which exceeds "
+                f"a full search enumerates p^n = {p}^{n} vectors, which exceeds "
                 f"the limit of {MAX_FULL_VECTORS}; use the signed-monomial mode or a smaller n"
             )
+        return super().__new__(cls, r, s, n, p, options)
 
 
-@dataclass
-class SearchResult:
-    formulas: list[SosFormula]
-    stop_reason: str  # "exhausted" | "max_solutions" | "timeout"
-    nodes: int = 0
-    elapsed: float = 0.0
+# stop_reason: "exhausted" | "max_solutions" | "timeout"
+class SearchResult(namedtuple("SearchResult", "formulas stop_reason nodes elapsed", defaults=(0, 0.0))):
+    __slots__ = ()
 
     @property
     def exhausted(self) -> bool:
@@ -339,28 +338,17 @@ class _Stop(Exception):
 # -- consistency sweep ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    r: int
-    s: int
-    n: int
-    p: int
-    # found | empty-forbidden (exhausted, and Hopf forbids the cell) |
-    # empty-admissible (exhausted, Hopf allows it, GF(p) has no formula) | timeout
-    status: str
-    admissible: bool
+# status: found | empty-forbidden (exhausted, and Hopf forbids the cell) |
+# empty-admissible (exhausted, Hopf allows it, GF(p) has no formula) | timeout
+class SweepCell(namedtuple("SweepCell", "r s n p status admissible")):
+    __slots__ = ()
 
 
-@dataclass
-class SweepReport:
-    cells: list[SweepCell]
-    violations: list[SweepCell]
+class SweepReport(namedtuple("SweepReport", "cells violations")):
+    __slots__ = ()
 
     def to_csv(self) -> str:
-        lines = ["r,s,n,p,status"]
-        for c in self.cells:
-            lines.append(f"{c.r},{c.s},{c.n},{c.p},{c.status}")
-        return "\n".join(lines) + "\n"
+        return "r,s,n,p,status\n" + "".join(f"{c.r},{c.s},{c.n},{c.p},{c.status}\n" for c in self.cells)
 
 
 def hopf_consistency_sweep(

@@ -2,6 +2,8 @@
 public entry point takes is an int, not a bool, at or above the entry
 point's floor; anything else raises ValueError."""
 
+from fractions import Fraction
+
 import pytest
 
 from sosforms.chow import (
@@ -106,6 +108,49 @@ def test_the_floor_is_accepted_and_one_below_it_raises(name):
     call(floor)
     with pytest.raises(ValueError):
         call(floor - 1)
+
+
+# Every on/off option is a bool, a time budget is None or a real number >= 0
+# (not a bool), and a problem's options are a SearchOptions.
+FLAGS = {
+    "SearchOptions.canonical_first_matrix": lambda v: SearchOptions(canonical_first_matrix=v),
+    "SearchOptions.signed_monomial_only": lambda v: SearchOptions(signed_monomial_only=v),
+    "DQRingSpec.rho": lambda v: DQRingSpec(4, rho=v),
+    "DQRingSpec.eps_is_rho": lambda v: DQRingSpec(4, rho=True, eps_is_rho=v),
+}
+
+
+@pytest.mark.parametrize("bad", [1, 0, "no", "x", None, 1.0], ids=repr)
+@pytest.mark.parametrize("name", FLAGS)
+def test_a_flag_that_is_not_a_bool_raises_value_error(name, bad):
+    call = FLAGS[name]
+    call(True)
+    call(False)
+    with pytest.raises(ValueError, match="must be True or False"):
+        call(bad)
+
+
+BUDGETS = {
+    "SearchOptions.time_budget": lambda v: SearchOptions(time_budget=v),
+    "hopf_consistency_sweep": lambda v: hopf_consistency_sweep(1, 1, 1, 3, time_budget=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", 1j, -1, -0.5, float("nan"), [1]], ids=repr)
+@pytest.mark.parametrize("name", BUDGETS)
+def test_a_time_budget_is_none_or_a_non_negative_number(name, bad):
+    call = BUDGETS[name]
+    for good in (None, 0, 0.0, 2, 0.5, Fraction(1, 2), float("inf")):
+        call(good)
+    with pytest.raises(ValueError, match="time_budget"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [None, {}, {"max_solutions": 1}, (True, False, None, None), "x"], ids=repr)
+def test_search_problem_options_must_be_search_options(bad):
+    assert SearchProblem(2, 2, 2, 3, SearchOptions(max_solutions=1)).options.max_solutions == 1
+    with pytest.raises(ValueError, match="^options must be a SearchOptions"):
+        SearchProblem(2, 2, 2, 3, bad)
 
 
 def test_one_wording_names_the_type_and_the_floor():

@@ -534,3 +534,15 @@ print(at_import, len(built))
     at_import, after_call = map(int, proc.stdout.split())
     assert at_import == 0
     assert after_call > 0  # the counter sees the build that main() makes
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_module():
+    # a short command's run time is mostly start-up; -S keeps site hooks
+    # (.pth files) from loading these modules before the package does
+    script = "import sys, sosforms.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "sosforms.cli" in loaded
+    assert not loaded & {"dataclasses", "typing", "inspect", "importlib.resources"}

@@ -1,12 +1,18 @@
 """Composition formulas: verification oracles, constructions, transformations."""
 
+import os
 import random
+import subprocess
+import sys
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sosforms.formulas
 from sosforms.formulas import (
     SosFormula,
     construct_classical,
@@ -77,6 +83,25 @@ def test_classical_formulas_verify_both_routes():
         assert f.type_triple == triple
         assert f.verify_by_expansion()
         assert f.verify_by_hurwitz()
+
+
+def test_classical_tables_load_from_a_zipped_package(tmp_path):
+    # the tables are read through the module's loader, so a package imported
+    # from a zip archive finds its data file too
+    package = Path(sosforms.formulas.__file__).parent
+    archive = tmp_path / "sosforms.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in [*package.glob("*.py"), *package.glob("data/*.json")]:
+            zf.write(path, path.relative_to(package.parent).as_posix())
+    script = (
+        "import sosforms\n"
+        "assert '.zip' in sosforms.__file__, sosforms.__file__\n"
+        "print([sosforms.construct_classical(k).type_triple for k in ('two', 'four', 'eight')])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[(2, 2, 2), (4, 4, 4), (8, 8, 8)]"
 
 
 def test_the_two_verifiers_share_no_kernel(monkeypatch):

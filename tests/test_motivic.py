@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosforms import algebra, motivic
+from sosforms.chow import ChowClass
 from sosforms.grading import BiDegree
 from sosforms.hopf import hopf_admissible
 from sosforms.motivic import (
@@ -376,3 +378,51 @@ def test_render_zero_and_one():
     spec = DQRingSpec(3)
     assert DQClass.zero(spec).to_text() == "0"
     assert DQClass.one(spec).to_text() == "1"
+
+
+# -- malformed monomials -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DQClass(DQRingSpec(4), {(0, -1): M2_ONE}),
+        lambda: DQClass(DQRingSpec(4), {(0, 1, 0): M2_ONE}),
+        lambda: DQClass(DQRingSpec(4), {(1,): M2_ONE}),
+        lambda: DQClass(DQRingSpec(4), {(True, 0): M2_ONE}),
+        lambda: DQClass(DQRingSpec(4), {(1.0, 0): M2_ONE}),
+        lambda: DQClass(DQRingSpec(4), {"ab": M2_ONE}),
+        lambda: TensorClass(DQRingSpec(2), DQRingSpec(2), {(1, 0, 0): M2_ONE}),
+        lambda: TensorClass(DQRingSpec(2), DQRingSpec(2), {(1, 0, 0, -1): M2_ONE}),
+        lambda: ChowClass(4, {(-1, 0): 1}),
+        lambda: ChowClass(4, {(0,): 1}),
+        lambda: ChowClass.monomial(4, 1, -1),
+        lambda: M2Poly([(-1, 0)]),
+        lambda: M2Poly([(1,)]),
+        lambda: M2Poly([("a", 0)]),
+        lambda: M2Poly([(0, False)]),
+        lambda: M2Poly([[1, 0]]),
+        lambda: M2Poly.monomial(0, -2),
+    ],
+)
+def test_malformed_monomials_are_rejected(make):
+    # they used to print as b^-1, x^-1, t^-1, t and t^a, or fail deep in the reduction
+    with pytest.raises(ValueError, match="^a monomial is a tuple of [24] integers >= 0"):
+        make()
+
+
+def test_products_take_the_unchecked_path(monkeypatch):
+    spec = DQRingSpec(9, rho=True)
+    a, b = DQClass.gen_a(spec), DQClass.gen_b(spec)
+    left, right = DQRingSpec(4, rho=True), DQRingSpec(6, rho=True)
+    x = TensorClass.a_left(left, right) + TensorClass.a_right(left, right)
+    c = ChowClass.x(6) + ChowClass.y(6)
+    t = M2_TAU + M2_RHO
+    expected = [(a + b) ** 7, a * b * a, x ** 9, c ** 5, (t * t + t).strip_rho()]
+
+    def refuse(*args):
+        raise AssertionError("an internal product re-checked its monomials")
+
+    monkeypatch.setattr(algebra, "require_exponents", refuse)
+    monkeypatch.setattr(motivic, "require_exponents", refuse)
+    assert [(a + b) ** 7, a * b * a, x ** 9, c ** 5, (t * t + t).strip_rho()] == expected
