@@ -1,9 +1,13 @@
 """Command-line front door.
 
-Exit codes: 0 = success, 1 = a mathematical check came out false
-(inadmissible triple, failed verification, engine disagreement, sweep
-violation), 2 = usage or I/O error.  ``--format json|csv`` switches the
-machine-readable renderings; default is human-readable text.
+Each ``cmd_*`` returns ``(holds, payload, text)``: the verdict, the JSON
+object, and the text (or CSV) rendering, exactly as stdout gets it; a
+rendering that costs real work is left None unless ``--format`` asks for it.
+``main`` alone writes stdout, the payload for ``--format json`` and else the
+text, and picks the exit code: 0 = success, 1 = a mathematical check came out
+false (inadmissible triple, failed verification, engine disagreement, sweep
+violation), 2 = usage or I/O error, raised as ``ValueError``.  Diagnostics go
+to stderr from the command that finds them.
 """
 
 from __future__ import annotations
@@ -26,17 +30,16 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _lines(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     try:
         with open(args.path) as fh:
             formula = SosFormula.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load formula: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot load formula: {exc}") from exc
     r, s, n = formula.type_triple
     defect = formula.expansion_defect()
     by_expansion = defect.is_zero
@@ -58,270 +61,170 @@ def cmd_verify(args) -> int:
             "B_a^T B_b + B_b^T B_a is not 2 delta_ab delta_jk (indices from 0)",
             file=sys.stderr,
         )
-    verdict = by_expansion and by_hurwitz
-    if args.format == "json":
-        _print_json(
-            {
-                "r": r,
-                "s": s,
-                "n": n,
-                "field": formula.ring.kind,
-                "verified": verdict,
-                "by_expansion": by_expansion,
-                "by_hurwitz": by_hurwitz,
-            }
-        )
-    else:
-        word = "verified" if verdict else "NOT verified"
-        print(f"{word} [{r},{s},{n}] over {formula.ring!r}")
-    return EXIT_OK if verdict else EXIT_FALSE
+    holds = by_expansion and by_hurwitz
+    payload = dict(
+        r=r, s=s, n=n, field=formula.ring.kind, verified=holds, by_expansion=by_expansion, by_hurwitz=by_hurwitz
+    )
+    word = "verified" if holds else "NOT verified"
+    return holds, payload, _lines(f"{word} [{r},{s},{n}] over {formula.ring!r}")
 
 
-def cmd_hopf(args) -> int:
+def cmd_hopf(args):
     r, s, n = args.r, args.s, args.n
     witness = hopf_mod.hopf_violation_witness(r, s, n)
-    admissible = witness is None
-    if args.format == "json":
-        _print_json({"r": r, "s": s, "n": n, "admissible": admissible, "witness": witness})
-    elif admissible:
-        print(f"admissible: C({n},i) even for {n - r} < i < {s}")
-    else:
-        print(f"inadmissible: C({n},{witness}) odd")
-    return EXIT_OK if admissible else EXIT_FALSE
+    holds = witness is None
+    text = f"admissible: C({n},i) even for {n - r} < i < {s}" if holds else f"inadmissible: C({n},{witness}) odd"
+    return holds, {"r": r, "s": s, "n": n, "admissible": holds, "witness": witness}, _lines(text)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     entries = hopf_mod.bound_table(args.rmax, args.smax)
-    if args.format == "csv":
-        sys.stdout.write(hopf_mod.bound_table_csv(entries))
-    elif args.format == "json":
-        _print_json([e._asdict() for e in entries])
-    else:
-        sys.stdout.write(hopf_mod.bound_table_text(entries))
-    return EXIT_OK
+    if args.format == "json":
+        return True, [e._asdict() for e in entries], None
+    render = hopf_mod.bound_table_csv if args.format == "csv" else hopf_mod.bound_table_text
+    return True, None, render(entries)
 
 
-def cmd_ring_power(args) -> int:
+def cmd_ring_power(args):
     spec = DQRingSpec(args.n, rho=args.rho == "formal", eps_is_rho=args.epsilon == "rho")
     value = dq_power_a(spec, args.m)
-    if args.format == "json":
-        _print_json({"n": args.n, "m": args.m, "value": value.to_text(), "zero": value.is_zero})
-    else:
-        print(value.to_text())
-    return EXIT_OK
+    text = value.to_text()
+    return True, {"n": args.n, "m": args.m, "value": text, "zero": value.is_zero}, _lines(text)
 
 
-def cmd_motivic(args) -> int:
+def cmd_motivic(args):
     r, s, n = args.r, args.s, args.n
     power = motivic_mod.diagonal_power(r, s, n)
-    ring_verdict = power.is_zero
-    parity_verdict = hopf_mod.hopf_admissible(r, s, n)
-    if ring_verdict != parity_verdict:
-        print(
-            f"error: ring engine and binomial parity disagree on ({r},{s},{n})",
-            file=sys.stderr,
-        )
-        return EXIT_FALSE
-    if args.format == "json":
-        _print_json(
-            {
-                "r": r,
-                "s": s,
-                "n": n,
-                "admissible": ring_verdict,
-                "diagonal_power": power.to_text(),
-            }
-        )
-    elif ring_verdict:
-        print(f"admissible: (a1 + a2)^{n} = 0")
-    else:
-        print(f"inadmissible: (a1 + a2)^{n} = {power.to_text()}")
-    return EXIT_OK if ring_verdict else EXIT_FALSE
+    holds = power.is_zero
+    if holds != hopf_mod.hopf_admissible(r, s, n):
+        print(f"error: ring engine and binomial parity disagree on ({r},{s},{n})", file=sys.stderr)
+        return False, None, ""
+    shown = power.to_text()
+    text = f"admissible: (a1 + a2)^{n} = 0" if holds else f"inadmissible: (a1 + a2)^{n} = {shown}"
+    return holds, {"r": r, "s": s, "n": n, "admissible": holds, "diagonal_power": shown}, _lines(text)
 
 
-def cmd_chow(args) -> int:
-    raw = args.args
-    gysin = raw[0] == "gysin"
-    if len(raw) != 1 + gysin:
-        print("error: expected `chow M` or `chow gysin N`", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_chow(args):
+    gysin = args.args[0] == "gysin"
+    if len(args.args) != 1 + gysin:
+        raise ValueError("expected `chow M` or `chow gysin N`")
     try:
-        value = int(raw[-1])
+        value = int(args.args[-1])
     except ValueError:
-        print("error: chow arguments must be integers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("chow arguments must be integers") from None
     if value > chow_mod.MAX_TABLE_DIM:
         raise ValueError(f"chow argument {value} exceeds the limit of {chow_mod.MAX_TABLE_DIM}")
-    if gysin:
-        n = value
-        if n < 1:
-            print("error: gysin table needs n >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        rows = [
-            {
-                "codim": i,
-                "pushforward": [list(r) for r in chow_mod.gysin_pushforward(n, i)],
-                # at the even middle x^i = alpha + beta: one column per plane class
-                "pullback": [[1], [1]] if 2 * i == n - 1
-                else [[c] for c in chow_mod.gysin_pullback(n, i).terms.values()],
-            }
-            for i in range(n)
-        ]
-        double_cover = all(
-            chow_mod.pushforward_class(n, chow_mod.gysin_pullback(n, i)) == {i + 1: 2}
-            for i in range(n)
-        )
-        if args.format == "json":
-            _print_json({"n": n, "rows": rows, "double_cover": double_cover})
-        elif args.format == "csv":
-            print("codim,pushforward,pullback")
-            for row in rows:
-                print(f"{row['codim']},\"{row['pushforward']}\",\"{row['pullback']}\"")
-        else:
-            print(f"Gysin tables for Q_{n - 1} in P^{n}")
-            for row in rows:
-                print(
-                    f"  codim {row['codim']}: j_* = {row['pushforward']}"
-                    f"  j^* = {row['pullback']}"
-                )
-            print(f"  j_* j^* = x2 everywhere: {double_cover}")
-        return EXIT_OK
+    return (_gysin_tables if gysin else _chow_ring)(value, args.format)
 
-    m = value
+
+def _chow_ring(m: int, fmt: str):
     ranks = chow_mod.additive_ranks(m)
     degrees = chow_mod.quadric_generator_degrees(m)
-    if args.format == "json":
-        _print_json(
-            {
-                "m": m,
-                "presentation": chow_mod.presentation_text(m),
-                "ranks": {str(c): ranks[c] for c in sorted(ranks)},
-                "generator_degrees": [[d.p, d.q] for d in degrees],
-            }
-        )
-    elif args.format == "csv":
-        print("codim,rank")
-        for c in sorted(ranks):
-            print(f"{c},{ranks[c]}")
-    else:
-        print(f"CH*(Q_{m}) = {chow_mod.presentation_text(m)}")
-        print("codim ranks: " + " ".join(f"{c}:{ranks[c]}" for c in sorted(ranks)))
-        print("module generators: " + " ".join(str(d) for d in degrees))
-    return EXIT_OK
-
-
-def cmd_search(args) -> int:
-    opts = SearchOptions(
-        canonical_first_matrix=not args.no_canonical,
-        signed_monomial_only=args.signed_monomial,
-        max_solutions=None if args.exhaustive else args.max_solutions,
-        time_budget=args.budget,
+    codims = sorted(ranks)
+    if fmt == "csv":
+        return True, None, _lines("codim,rank", *(f"{c},{ranks[c]}" for c in codims))
+    presentation = chow_mod.presentation_text(m)
+    payload = {
+        "m": m,
+        "presentation": presentation,
+        "ranks": {str(c): ranks[c] for c in codims},
+        "generator_degrees": [[d.p, d.q] for d in degrees],
+    }
+    text = _lines(
+        f"CH*(Q_{m}) = {presentation}",
+        "codim ranks: " + " ".join(f"{c}:{ranks[c]}" for c in codims),
+        "module generators: " + " ".join(str(d) for d in degrees),
     )
-    try:
-        problem = SearchProblem(args.r, args.s, args.n, args.p, opts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    result = search(problem)
-    for f in result.formulas:
-        print(f.to_json())
+    return True, payload, text
+
+
+def _gysin_tables(n: int, fmt: str):
+    if n < 1:
+        raise ValueError("gysin table needs n >= 1")
+    rows = []
+    for i in range(n):
+        push = [list(r) for r in chow_mod.gysin_pushforward(n, i)]
+        # at the even middle x^i = alpha + beta: one column per plane class
+        pull = [[1], [1]] if 2 * i == n - 1 else [[c] for c in chow_mod.gysin_pullback(n, i).terms.values()]
+        rows.append((i, push, pull))
+    if fmt == "csv":
+        csv_rows = (f'{i},"{push}","{pull}"' for i, push, pull in rows)
+        return True, None, _lines("codim,pushforward,pullback", *csv_rows)
+    double_cover = all(chow_mod.pushforward_class(n, chow_mod.gysin_pullback(n, i)) == {i + 1: 2} for i in range(n))
+    if fmt == "json":
+        rows = [{"codim": i, "pushforward": push, "pullback": pull} for i, push, pull in rows]
+        return True, {"n": n, "rows": rows, "double_cover": double_cover}, None
+    text = _lines(
+        f"Gysin tables for Q_{n - 1} in P^{n}",
+        *(f"  codim {i}: j_* = {push}  j^* = {pull}" for i, push, pull in rows),
+        f"  j_* j^* = x2 everywhere: {double_cover}",
+    )
+    return True, None, text
+
+
+def cmd_search(args):
+    cap = None if args.exhaustive else args.max_solutions
+    opts = SearchOptions(not args.no_canonical, args.signed_monomial, cap, args.budget)
+    result = search(SearchProblem(args.r, args.s, args.n, args.p, opts))
     print(
         f"found={len(result.formulas)} exhausted={str(result.exhausted).lower()} "
         f"nodes={result.nodes} stop={result.stop_reason}",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return True, None, _lines(*(f.to_json() for f in result.formulas))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     report = hopf_consistency_sweep(args.rmax, args.smax, args.nmax, args.p, time_budget=args.budget)
-    if args.format == "json":
-        _print_json(
-            {
-                "cells": [
-                    {"r": c.r, "s": c.s, "n": c.n, "p": c.p, "status": c.status}
-                    for c in report.cells
-                ],
-                "violations": len(report.violations),
-            }
-        )
-    else:
-        sys.stdout.write(report.to_csv())
     if report.violations:
         print(f"error: {len(report.violations)} Hopf violations", file=sys.stderr)
-        return EXIT_FALSE
-    return EXIT_OK
+    cells = [{"r": c.r, "s": c.s, "n": c.n, "p": c.p, "status": c.status} for c in report.cells]
+    payload = {"cells": cells, "violations": len(report.violations)}
+    return not report.violations, payload, report.to_csv()
+
+
+# name, command, help, integer positionals, --format choices (none: no --format)
+_COMMANDS = (
+    ("verify", cmd_verify, "verify a formula JSON file", "", "text json"),
+    ("hopf", cmd_hopf, "test the Hopf condition for (r, s, n)", "r s n", "text json"),
+    ("bounds", cmd_bounds, "lower/upper bound table for r * s", "rmax smax", "text json csv"),
+    ("ring-power", cmd_ring_power, "normal form of a^m in the ring of DQ_n", "n m", "text json"),
+    ("motivic", cmd_motivic, "Hopf verdict via the ring engine", "r s n", "text json"),
+    ("chow", cmd_chow, "Chow ring of Q_m, or Gysin tables (chow gysin N)", "", "text json csv"),
+    ("search", cmd_search, "backtracking search over GF(p)", "r s n p", ""),
+    ("sweep", cmd_sweep, "existence vs Hopf consistency sweep", "rmax smax nmax p", "text json csv"),
+)
+# each command's other arguments, added after its integer positionals
+_EXTRA_ARGS = {
+    "verify": [("path", {})],
+    "ring-power": [
+        ("--rho", {"choices": ("0", "formal"), "default": "0"}),
+        ("--epsilon", {"choices": ("0", "rho"), "default": "0"}),
+    ],
+    "chow": [("args", {"nargs": "+", "metavar": "m | gysin n"})],
+    "search": [
+        ("--exhaustive", {"action": "store_true", "help": "no solution cap"}),
+        ("--max-solutions", {"type": int}),
+        ("--budget", {"type": float, "help": "time budget in seconds"}),
+        ("--signed-monomial", {"action": "store_true"}),
+        ("--no-canonical", {"action": "store_true", "help": "do not pin B_1"}),
+    ],
+    "sweep": [("--budget", {"type": float, "help": "per-cell budget in seconds"})],
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sosforms",
-        description="Workbench for sums-of-squares composition formulas.",
-    )
+    parser = argparse.ArgumentParser("sosforms", description="Workbench for sums-of-squares composition formulas.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
-
-    p = sub.add_parser("verify", help="verify a formula JSON file")
-    p.add_argument("path")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("hopf", help="test the Hopf condition for (r, s, n)")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("n", type=int)
-    add_format(p)
-    p.set_defaults(func=cmd_hopf)
-
-    p = sub.add_parser("bounds", help="lower/upper bound table for r * s")
-    p.add_argument("rmax", type=int)
-    p.add_argument("smax", type=int)
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("ring-power", help="normal form of a^m in the ring of DQ_n")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--rho", choices=("0", "formal"), default="0")
-    p.add_argument("--epsilon", choices=("0", "rho"), default="0")
-    add_format(p)
-    p.set_defaults(func=cmd_ring_power)
-
-    p = sub.add_parser("motivic", help="Hopf verdict via the ring engine")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("n", type=int)
-    add_format(p)
-    p.set_defaults(func=cmd_motivic)
-
-    p = sub.add_parser("chow", help="Chow ring of Q_m, or Gysin tables (chow gysin N)")
-    p.add_argument("args", nargs="+", metavar="m | gysin n")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_chow)
-
-    p = sub.add_parser("search", help="backtracking search over GF(p)")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("--exhaustive", action="store_true", help="no solution cap")
-    p.add_argument("--max-solutions", type=int, default=None)
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--signed-monomial", action="store_true")
-    p.add_argument("--no-canonical", action="store_true", help="do not pin B_1")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("sweep", help="existence vs Hopf consistency sweep")
-    p.add_argument("rmax", type=int)
-    p.add_argument("smax", type=int)
-    p.add_argument("nmax", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("--budget", type=float, default=None, help="per-cell budget in seconds")
-    add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_sweep)
-
+    for name, func, help_text, positionals, formats in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for dest in positionals.split():
+            p.add_argument(dest, type=int)
+        for flag, options in _EXTRA_ARGS.get(name, ()):
+            p.add_argument(flag, **options)
+        if formats:
+            p.add_argument("--format", choices=formats.split(), default="text")
+        p.set_defaults(func=func, format="text")
     return parser
 
 
@@ -339,10 +242,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        holds, payload, text = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json" and payload is not None:
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    return EXIT_OK if holds else EXIT_FALSE
 
 
 def run_main() -> None:

@@ -21,11 +21,11 @@ from collections import namedtuple
 from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
 from .rings import require_ints
 
-# bound_table builds and keeps one dense HR(n) for each distinct upper bound n,
-# so its memory grows with the largest one.  Measured with Python 3.11 on a
-# 2-core machine: `bounds 17 17` 2.2 s and 42 MB, `bounds 1 256` 4.7 s and
-# 152 MB, `bounds 17 256` (the largest table allowed) 265 s and 173 MB; past
-# the limit, `bounds 1 512` took 32 s and 1.0 GB.
+# bound_table expands a restriction of a sparse HR(n) for every cell, so its time
+# grows with the cells and their n.  Measured 2026-10-19, Python 3.11.7, 2-core Xeon:
+# `bounds 17 17` 0.26 s and 18 MB peak RSS, `bounds 1 256` 0.49 s and 24 MB,
+# `bounds 17 256` (the largest table allowed) 33 s and 28 MB; with the cap at 512,
+# `bounds 1 512` took 1.1 s and 50 MB, but `bounds 17 512` 139 s and 63 MB.
 MAX_TABLE_UPPER = 256
 
 # hopf_lower_bound refuses a result r o s above this cap.  Since r o s never

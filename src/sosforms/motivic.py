@@ -114,20 +114,13 @@ class DQRingSpec(namedtuple("DQRingSpec", "n rho eps_is_rho")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, n: int, rho: bool = False, eps_is_rho: bool = False):
         require_ints("n", n, low=0)
         require_flags("rho, eps_is_rho", rho, eps_is_rho)
         # eps only exists in even rings, and eps = rho = 0 when rho is off
         return super().__new__(cls, n, rho, eps_is_rho and rho and n % 2 == 0)
-
-    @property
-    def k(self) -> int:
-        return self.n // 2
-
-    @property
-    def is_even(self) -> bool:
-        return self.n % 2 == 0
 
     def basis_monomials(self) -> tuple:
         """The (e, j) pairs of the free basis a^e b^j, in increasing bidegree."""

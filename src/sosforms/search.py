@@ -66,6 +66,7 @@ class SearchOptions(
     namedtuple("SearchOptions", "canonical_first_matrix signed_monomial_only max_solutions time_budget")
 ):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, canonical_first_matrix: bool = True, signed_monomial_only: bool = False,
                 max_solutions: int | None = None, time_budget: float | None = None):  # seconds
@@ -81,6 +82,7 @@ class SearchOptions(
 
 class SearchProblem(namedtuple("SearchProblem", "r s n p options")):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, r: int, s: int, n: int, p: int, options: SearchOptions = SearchOptions()):
         require_ints("r, s, n", r, s, n)

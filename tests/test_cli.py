@@ -407,6 +407,67 @@ def test_hopf_on_a_triple_too_large_to_scan():
     assert json.loads(proc.stdout) == {"r": big, "s": big, "n": big, "admissible": True, "witness": None}
 
 
+# -- one verdict per command, whatever the --format -------------------------------------
+
+
+def _format_choices() -> dict:
+    """{subcommand: its --format choices, or None}, read off the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: next((a.choices for a in p._actions if a.dest == "format"), None)
+        for name, p in sub.choices.items()
+    }
+
+
+# (argv, exit code); GOOD, BAD and MISSING stand for a formula file that holds, one that fails and none
+FORMAT_CASES = [
+    (["hopf", "3", "3", "3"], 1),
+    (["hopf", "4", "4", "4"], 0),
+    (["hopf", "-1", "2", "3"], 2),
+    (["motivic", "3", "3", "3"], 1),
+    (["motivic", "4", "4", "4"], 0),
+    (["verify", "GOOD"], 0),
+    (["verify", "BAD"], 1),
+    (["verify", "MISSING"], 2),
+    (["bounds", "4", "4"], 0),
+    (["bounds", "18", "18"], 2),
+    (["ring-power", "4", "3"], 0),
+    (["chow", "5"], 0),
+    (["chow", "gysin", "4"], 0),
+    (["chow", "gysin", "0"], 2),
+    (["sweep", "2", "2", "3", "3"], 0),
+]
+
+
+def test_format_cases_cover_every_command_with_a_format():
+    choices = _format_choices()
+    assert {argv[0] for argv, _ in FORMAT_CASES} == {name for name, c in choices.items() if c}
+    assert choices["search"] is None
+    for name in ("hopf", "motivic", "verify"):  # a true case and a false case each
+        assert {0, 1} <= {c for argv, c in FORMAT_CASES if argv[0] == name}
+
+
+@pytest.mark.parametrize("argv, code", FORMAT_CASES, ids=[" ".join(argv) for argv, _ in FORMAT_CASES])
+def test_every_format_gives_one_exit_code_and_stderr(tmp_path, capsys, argv, code):
+    good = construct_hurwitz_radon(8)
+    data = good.to_json_dict()
+    data["tensor"][5][3][2] += 1
+    files = {"GOOD": good.to_json(), "BAD": json.dumps(data)}
+    for placeholder, text in files.items():
+        (tmp_path / placeholder).write_text(text)
+    argv = [str(tmp_path / a) if a in (*files, "MISSING") else a for a in argv]
+    runs = {}
+    for fmt in (None, *_format_choices()[argv[0]]):
+        runs[fmt] = (main(argv if fmt is None else [*argv, "--format", fmt]), *capsys.readouterr())
+    assert {(c, err) for c, _, err in runs.values()} == {(code, runs["text"][2])}
+    assert runs[None] == runs["text"]  # text is the default
+    if code == 2:
+        assert all(out == "" for _, out, _ in runs.values())
+    else:
+        json.loads(runs["json"][1])
+        assert all(out for _, out, _ in runs.values())
+
+
 # -- the parser is built once per process and reused ------------------------------------
 
 

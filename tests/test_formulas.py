@@ -499,6 +499,14 @@ def test_restrict_trivial_and_identity_cases():
         f.restrict(3, 1)
 
 
+def test_restrict_to_a_larger_type_raises():
+    f = construct_hurwitz_radon(4)
+    r, s, _ = f.type_triple
+    for r2, s2 in ((r, s + 1), (r + 1, s)):
+        with pytest.raises(ValueError, match="out of bounds"):
+            f.restrict(r2, s2)
+
+
 # -- Hurwitz-Radon family --------------------------------------------------------------
 
 

@@ -70,7 +70,7 @@ def test_spec_basis_counts_and_degrees():
         degrees = [BiDegree(e + 2 * j, e + j) for e, j in basis]
         assert degrees == [BiDegree(i, (i + 1) // 2) for i in range(n + 1)]
         if n % 2 == 0:
-            assert (1, spec.k) not in basis
+            assert (1, spec.n // 2) not in basis
 
 
 def test_ring_additive_basis_examples():

@@ -420,9 +420,10 @@ def test_zero_budget_expands_no_node(signed):
 
 def test_time_budget_bounds_wall_time():
     cells = [
-        # 5^8 candidate vectors take about 0.3 s to enumerate: the deadline
-        # must interrupt the enumeration, not only the tree walk after it
-        ((2, 2, 8, 5), 0.05),
+        # 3^12 prefixes take about 0.6 s to enumerate, well past budget + 0.1:
+        # the deadline must interrupt the enumeration, not only the tree walk
+        # after it
+        ((2, 2, 13, 3), 0.05),
         # one node has thousands of candidates (tens of thousands over
         # GF(5)): the deadline must interrupt a node's candidates
         ((4, 4, 8, 3), 0.05),

@@ -73,3 +73,19 @@ def test_defaults_and_fields():
     assert report.cells == [SweepCell(1, 1, 1, 3, "found", True), SweepCell(1, 1, 2, 3, "found", True)]
     assert report.violations == [] and report.to_csv() == "r,s,n,p,status\n1,1,1,3,found\n1,1,2,3,found\n"
     assert bound_table(1, 2)[1]._asdict() == {"r": 1, "s": 2, "hopf_lower": 2, "construct_upper": 2, "tight": True}
+
+
+def test_replace_and_make_check_like_the_constructor():
+    with pytest.raises(ValueError):
+        DQRingSpec(4)._replace(rho="x")
+    with pytest.raises(ValueError):
+        SearchOptions()._replace(time_budget=-1)
+    with pytest.raises(ValueError):
+        SearchProblem(2, 2, 2, 3)._replace(options=None)
+    # eps exists only in even rings: the fold to 0 applies here too
+    assert DQRingSpec(5, True)._replace(eps_is_rho=True).eps_is_rho is False
+    assert DQRingSpec(4, True)._replace(eps_is_rho=True) == DQRingSpec(4, True, True)
+    assert DQRingSpec._make([5, True, True]) == DQRingSpec(5, True)
+    with pytest.raises(ValueError):
+        SearchOptions._make([True, False, None, float("nan")])
+    assert SearchProblem(2, 2, 2, 3)._replace(p=5) == SearchProblem(2, 2, 2, 5)
