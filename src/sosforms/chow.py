@@ -215,15 +215,14 @@ def projection_formula_check(n: int) -> bool:
     j_* j^* is multiplication by 2 in every codimension."""
     require_ints("n", n)
     m = n - 1
+    # neither a basis class g nor j_* g depends on d
+    classes = [ChowClass.monomial(m, i, ybit) for i, ybit in basis_monomials(m)]
+    basis = [(g, pushforward_class(n, g)) for g in classes]
     for d in range(0, n + 1):
         xd = gysin_pullback(n, d)
-        for (i, ybit) in basis_monomials(m):
-            g = ChowClass.monomial(m, i, ybit)
+        for g, pushed in basis:
             lhs = pushforward_class(n, g * xd)
-            rhs = {}
-            for deg, c in pushforward_class(n, g).items():
-                if deg + d <= n:
-                    rhs[deg + d] = c
+            rhs = {deg + d: c for deg, c in pushed.items() if deg + d <= n}
             if lhs != rhs:
                 return False
         # projection formula with g = [Q]: j_* j^* = x2

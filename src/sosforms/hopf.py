@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
-from .rings import require_ints
+from .rings import ValueTuple, require_ints
 
 # bound_table expands a restriction of a sparse HR(n) for every cell, so its time
 # grows with the cells and their n.  Measured 2026-10-19, Python 3.11.7, 2-core Xeon:
@@ -104,7 +104,7 @@ def hopf_lower_bound(r: int, s: int) -> int:
     return n
 
 
-class BoundEntry(namedtuple("BoundEntry", "r s hopf_lower construct_upper tight")):
+class BoundEntry(ValueTuple, namedtuple("BoundEntry", "r s hopf_lower construct_upper tight")):
     __slots__ = ()
 
 

@@ -26,7 +26,7 @@ from collections import namedtuple
 from .algebra import NormalForm, accumulate, mono_text, require_exponents
 from .grading import BiDegree
 from .hopf import hopf_admissible
-from .rings import require_flags, require_ints
+from .rings import ValueTuple, require_flags, require_ints
 
 
 class M2Poly:
@@ -43,13 +43,6 @@ class M2Poly:
         require_exponents(monos, 2)
         self.monos = frozenset(monos)
 
-    @classmethod
-    def _new(cls, monos: frozenset) -> "M2Poly":
-        """A polynomial from exponent pairs already known to be valid."""
-        out = cls.__new__(cls)
-        out.monos = monos
-        return out
-
     @staticmethod
     def monomial(t: int, m: int) -> "M2Poly":
         return M2Poly(((t, m),))
@@ -62,7 +55,7 @@ class M2Poly:
         return bool(self.monos)
 
     def __add__(self, other: "M2Poly") -> "M2Poly":
-        return M2Poly._new(self.monos ^ other.monos)
+        return _m2poly(self.monos ^ other.monos)
 
     def __mul__(self, other: "M2Poly") -> "M2Poly":
         acc: set = set()
@@ -73,12 +66,12 @@ class M2Poly:
                     acc.discard(key)
                 else:
                     acc.add(key)
-        return M2Poly._new(frozenset(acc))
+        return _m2poly(frozenset(acc))
 
     def strip_rho(self) -> "M2Poly":
         """Image under rho -> 0 (self when there is no rho to strip)."""
         kept = [(t, m) for t, m in self.monos if m == 0]
-        return self if len(kept) == len(self.monos) else M2Poly._new(frozenset(kept))
+        return self if len(kept) == len(self.monos) else _m2poly(frozenset(kept))
 
     def bidegrees(self) -> set[BiDegree]:
         return {BiDegree(m, t + m) for t, m in self.monos}
@@ -96,13 +89,24 @@ class M2Poly:
         return f"M2Poly({self.to_text()})"
 
 
+_new_object = object.__new__
+
+
+def _m2poly(monos: frozenset) -> M2Poly:
+    """A polynomial from exponent pairs already known to be valid.  A module
+    function rather than a classmethod, so it costs no more than a type call."""
+    out = _new_object(M2Poly)
+    out.monos = monos
+    return out
+
+
 _TR = ("t", "r")
 M2_ONE = M2Poly.monomial(0, 0)
 M2_TAU = M2Poly.monomial(1, 0)
 M2_RHO = M2Poly.monomial(0, 1)
 
 
-class DQRingSpec(namedtuple("DQRingSpec", "n rho eps_is_rho")):
+class DQRingSpec(ValueTuple, namedtuple("DQRingSpec", "n rho eps_is_rho")):
     """Presentation parameters for the ring of DQ_n.
 
     ``rho`` keeps rho as a formal class (the model for F = R); with
@@ -133,10 +137,10 @@ class DQRingSpec(namedtuple("DQRingSpec", "n rho eps_is_rho")):
 def _dq_reduce(spec: DQRingSpec, e: int, j: int) -> list:
     """Normal form of a^e b^j as [((e', j'), unit), ...]; a key may repeat."""
     if e >= 2:
-        # a^2 = rho*a + tau*b
-        out = [(key, u * M2_TAU) for key, u in _dq_reduce(spec, e - 2, j + 1)]
+        # a^2 = rho*a + tau*b; the unit is nearly always M2_ONE
+        out = [(key, M2_TAU if u is M2_ONE else u * M2_TAU) for key, u in _dq_reduce(spec, e - 2, j + 1)]
         if spec.rho:
-            out += [(key, u * M2_RHO) for key, u in _dq_reduce(spec, e - 1, j)]
+            out += [(key, M2_RHO if u is M2_ONE else u * M2_RHO) for key, u in _dq_reduce(spec, e - 1, j)]
         return out
     n = spec.n  # one field read: this runs once per product monomial
     if j > n // 2:
@@ -195,16 +199,18 @@ class DQClass(NormalForm):
     def bockstein(self) -> "DQClass":
         """The derivation with beta(tau) = rho, beta(a) = b, beta(rho) =
         beta(b) = 0, extended by the Leibniz rule (characteristic 2)."""
+        spec = self.ring
         terms: dict = {}
         for (e, j), coeff in self.terms.items():
             for t, m in coeff.monos:
-                if t % 2 == 1:
-                    # beta(tau^t) = t tau^(t-1) rho
-                    accumulate(terms, (e, j), M2Poly.monomial(t - 1, m + 1))
-                if e == 1:
-                    # beta(a b^j) = b^(j+1)
-                    accumulate(terms, (0, j + 1), M2Poly.monomial(t, m))
-        return DQClass(self.ring, terms)
+                if t % 2 == 1 and spec.rho:
+                    # beta(tau^t) = t tau^(t-1) rho, and rho = 0 in the other model
+                    accumulate(terms, (e, j), _m2poly(frozenset(((t - 1, m + 1),))))
+                if e == 1 and j < spec.n // 2:
+                    # beta(a b^j) = b^(j+1), and b^(k+1) = 0
+                    accumulate(terms, (0, j + 1), _m2poly(frozenset(((t, m),))))
+        # every key above is a basis key and every coefficient lives in the model
+        return DQClass._new(spec, terms)
 
     def restrict(self, *, eps_is_rho: bool = False) -> "DQClass":
         """Image in the ring of DQ_(n-1) under a -> a, b -> b, renormalized
@@ -301,7 +307,9 @@ def motivic_binomial_mismatches(rmax: int, smax: int, nmax: int) -> list[tuple]:
     """Exhaustively compare the ring engine against binomial parity for all
     1 <= r <= rmax, 1 <= s <= smax, max(r, s) <= n <= nmax.  Returns the list
     of disagreeing (r, s, n, ring_verdict, parity_verdict); empty means the
-    two engines agree.  Powers are built incrementally per (r, s)."""
+    two engines agree.  Powers are built incrementally per (r, s), and the
+    multiplying stops once a power is zero, since every later power is zero
+    too; the parity oracle still runs on every cell."""
     require_ints("rmax, smax, nmax", rmax, smax, nmax, low=0)
     mismatches = []
     for r in range(1, rmax + 1):
@@ -311,7 +319,8 @@ def motivic_binomial_mismatches(rmax: int, smax: int, nmax: int) -> list[tuple]:
             x = TensorClass.a_left(left, right) + TensorClass.a_right(left, right)
             power = TensorClass.one(left, right)
             for n in range(1, nmax + 1):
-                power = power * x
+                if power.terms:
+                    power = power * x
                 if n < max(r, s):
                     continue
                 ring_verdict = power.is_zero

@@ -35,7 +35,8 @@ def require_ints(names: str, *values, low: int | None = 1) -> None:
     prime: raise ValueError unless each value is an int, not a bool, and
     >= low (no floor when low is None)."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
+        # an exact int (the usual case) skips the two isinstance calls
+        if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
             noun = "integers" if len(values) > 1 else "an integer"
             raise ValueError(f"{names} must be {noun}, not {type(value).__name__}")
         if low is not None and value < low:
@@ -46,6 +47,23 @@ def require_flags(names: str, *values) -> None:
     """The rule for every on/off option: raise ValueError unless each value is a bool."""
     if not all(isinstance(value, bool) for value in values):
         raise ValueError(f"{names} must be True or False")
+
+
+class ValueTuple:
+    """Base of the named-tuple value classes (``class V(ValueTuple,
+    namedtuple(...))``): a value equals only a value of its own class, never
+    a plain tuple or another class with the same fields.  Hashing and
+    ordering stay the tuple's."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
 
 class CoeffRing:

@@ -47,7 +47,7 @@ from numbers import Real
 
 from .formulas import SosFormula
 from .hopf import hopf_admissible
-from .rings import PrimeField, require_flags, require_ints
+from .rings import PrimeField, ValueTuple, require_flags, require_ints
 
 # Largest p^n a search without signed_monomial_only may enumerate.  Over
 # GF(3), n = 13 (532,170 unit vectors) takes about 1.5 s and 110 MB before
@@ -63,6 +63,7 @@ PARTITION_BUDGET = 16 * 2**20
 
 
 class SearchOptions(
+    ValueTuple,
     namedtuple("SearchOptions", "canonical_first_matrix signed_monomial_only max_solutions time_budget")
 ):
     __slots__ = ()
@@ -80,7 +81,7 @@ class SearchOptions(
         return super().__new__(cls, canonical_first_matrix, signed_monomial_only, max_solutions, time_budget)
 
 
-class SearchProblem(namedtuple("SearchProblem", "r s n p options")):
+class SearchProblem(ValueTuple, namedtuple("SearchProblem", "r s n p options")):
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
@@ -100,7 +101,7 @@ class SearchProblem(namedtuple("SearchProblem", "r s n p options")):
 
 
 # stop_reason: "exhausted" | "max_solutions" | "timeout"
-class SearchResult(namedtuple("SearchResult", "formulas stop_reason nodes elapsed", defaults=(0, 0.0))):
+class SearchResult(ValueTuple, namedtuple("SearchResult", "formulas stop_reason nodes elapsed", defaults=(0, 0.0))):
     __slots__ = ()
 
     @property
@@ -342,11 +343,11 @@ class _Stop(Exception):
 
 # status: found | empty-forbidden (exhausted, and Hopf forbids the cell) |
 # empty-admissible (exhausted, Hopf allows it, GF(p) has no formula) | timeout
-class SweepCell(namedtuple("SweepCell", "r s n p status admissible")):
+class SweepCell(ValueTuple, namedtuple("SweepCell", "r s n p status admissible")):
     __slots__ = ()
 
 
-class SweepReport(namedtuple("SweepReport", "cells violations")):
+class SweepReport(ValueTuple, namedtuple("SweepReport", "cells violations")):
     __slots__ = ()
 
     def to_csv(self) -> str:

@@ -2,6 +2,7 @@
 public entry point takes is an int, not a bool, at or above the entry
 point's floor; anything else raises ValueError."""
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ from sosforms.motivic import (
     ring_additive_basis,
 )
 from sosforms.poly import SparsePoly, hyperbolic_coordinate_change
-from sosforms.rings import ZZ, PrimeField
+from sosforms.rings import ZZ, PrimeField, require_ints
 from sosforms.search import SearchOptions, SearchProblem, hopf_consistency_sweep
 
 # (call with the argument under test, the smallest value that call accepts)
@@ -171,3 +172,20 @@ def test_the_binomial_index_is_an_int_with_no_floor(parity):
             parity(5, bad)
     # C(n, i) = 0 outside 0 <= i <= n, so a negative or large i is even
     assert [parity(5, i) for i in (-3, -1, 0, 1, 4, 5, 6)] == [False, False, True, True, True, True, False]
+
+
+def test_an_int_subclass_passes_and_a_bool_does_not():
+    # exact ints take a fast path; the rule for everything else is unchanged
+    class Dim(IntEnum):
+        ZERO = 0
+        FOUR = 4
+
+    require_ints("n", Dim.FOUR)
+    require_ints("r, s, n", 1, Dim.FOUR, 2**70)
+    assert dq_power_a(DQRingSpec(Dim.FOUR), Dim.FOUR).to_text() == "t^2*b^2"
+    with pytest.raises(ValueError, match="^n must be an integer, not bool$"):
+        require_ints("n", True)
+    with pytest.raises(ValueError, match="^r, s must be integers, not bool$"):
+        require_ints("r, s", 3, True)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        require_ints("n", Dim.ZERO)

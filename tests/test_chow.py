@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosforms import chow
+from sosforms.algebra import accumulate
 from sosforms.chow import (
     ChowClass,
     additive_ranks,
@@ -170,6 +172,29 @@ def test_gysin_cli_rows_match_positional_rule(capsys):
 def test_projection_formula():
     for n in range(1, 25):
         assert projection_formula_check(n)
+
+
+def test_projection_formula_check_catches_a_wrong_map(monkeypatch):
+    # coefficient 1 instead of 2 on pure x powers: the doubling range is lost
+    def wrong_pushforward(n, cls):
+        pushed = {}
+        for (i, ybit), c in cls.terms.items():
+            accumulate(pushed, i + ybit * y_codim(cls.m) + 1, c)
+        return pushed
+
+    monkeypatch.setattr(chow, "pushforward_class", wrong_pushforward)
+    assert not any(projection_formula_check(n) for n in range(2, 13))
+    monkeypatch.undo()
+
+    # j^* t^k as 2*alpha instead of alpha + beta at the middle of an odd n: j_* j^*
+    # is still 2, so only the products g . j^* t^d can tell
+    def wrong_pullback(n, d, pullback=gysin_pullback):
+        return ChowClass.alpha(n - 1) * 2 if 2 * d == n - 1 else pullback(n, d)
+
+    monkeypatch.setattr(chow, "gysin_pullback", wrong_pullback)
+    assert [projection_formula_check(n) for n in range(2, 13)] == [n % 2 == 0 for n in range(2, 13)]
+    monkeypatch.undo()
+    assert all(projection_formula_check(n) for n in range(2, 13))
 
 
 def test_fold_pushforward_on_middle_classes():

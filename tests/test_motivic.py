@@ -155,6 +155,17 @@ def test_bockstein_generators():
     assert tau_one.bockstein() == DQClass(spec, {(0, 0): M2_RHO})
 
 
+def test_bockstein_in_the_all_squares_model():
+    # beta(tau) = rho = 0 here, so beta(tau^3 a) = tau^3 b and beta(tau^3) = 0
+    spec = DQRingSpec(6)
+    tau3 = M2Poly.monomial(3, 0)
+    a = DQClass.gen_a(spec)
+    assert (a * DQClass(spec, {(0, 0): tau3})).bockstein().terms == {(0, 1): tau3}
+    assert DQClass(spec, {(0, 0): tau3, (0, 3): tau3}).bockstein().is_zero
+    assert DQClass(spec, {(1, 3): M2_ONE}).is_zero  # a*b^3 = eps*b^3 = 0
+    assert DQClass(spec, {(1, 2): M2_ONE}).bockstein().terms == {(0, 3): M2_ONE}
+
+
 def test_bockstein_on_a_b_powers():
     spec = DQRingSpec(11)
     a, b = DQClass.gen_a(spec), DQClass.gen_b(spec)
@@ -291,6 +302,19 @@ def test_engines_agree_small_sweep():
     assert motivic_binomial_mismatches(8, 8, 16) == []
 
 
+def test_the_sweep_reports_every_cell(monkeypatch):
+    # against a negated oracle every cell with n >= max(r, s) is a mismatch, so
+    # the sweep's ring verdicts (which stop multiplying at zero) can be read off
+    # and checked against the per-cell engine
+    monkeypatch.setattr(motivic, "hopf_admissible", lambda r, s, n: not hopf_admissible(r, s, n))
+    reported = motivic_binomial_mismatches(8, 8, 16)
+    cells = [(r, s, n) for r in range(1, 9) for s in range(1, 9) for n in range(max(r, s), 17)]
+    assert [row[:3] for row in reported] == cells
+    for r, s, n, ring_verdict, parity_verdict in reported:
+        assert ring_verdict == hopf_via_motivic(r, s, n) == (not parity_verdict)
+    assert {row[3] for row in reported} == {True, False}
+
+
 def test_engines_agree_spot_triples():
     for (r, s, n) in ((1, 1, 1), (1, 5, 5), (6, 2, 8), (7, 7, 7), (7, 7, 8)):
         assert hopf_via_motivic(r, s, n) == hopf_admissible(r, s, n)
@@ -418,11 +442,23 @@ def test_products_take_the_unchecked_path(monkeypatch):
     x = TensorClass.a_left(left, right) + TensorClass.a_right(left, right)
     c = ChowClass.x(6) + ChowClass.y(6)
     t = M2_TAU + M2_RHO
-    expected = [(a + b) ** 7, a * b * a, x ** 9, c ** 5, (t * t + t).strip_rho()]
+    # the Bockstein in all three models, on odd tau powers and on a*b^j up to the top
+    odd = M2Poly.monomial(3, 1) + t
+    classes = [
+        DQClass(model, {(1, 0): odd, (1, 3): t, (0, 2): odd, (1, 4): M2_TAU})
+        for model in (DQRingSpec(8), DQRingSpec(8, rho=True), DQRingSpec(8, rho=True, eps_is_rho=True), spec)
+    ]
+
+    def compute():
+        products = [(a + b) ** 7, a * b * a, x ** 9, c ** 5, (t * t + t).strip_rho()]
+        return products + [u.bockstein() for u in classes] + [u.bockstein().bockstein() for u in classes]
+
+    expected = compute()
+    assert not any(u.bockstein().is_zero for u in classes)
 
     def refuse(*args):
         raise AssertionError("an internal product re-checked its monomials")
 
     monkeypatch.setattr(algebra, "require_exponents", refuse)
     monkeypatch.setattr(motivic, "require_exponents", refuse)
-    assert [(a + b) ** 7, a * b * a, x ** 9, c ** 5, (t * t + t).strip_rho()] == expected
+    assert compute() == expected

@@ -1,10 +1,13 @@
 """The value classes are immutable named tuples: their fields, defaults,
 repr, equality and hashing read as they did when they were dataclasses."""
 
+from collections import namedtuple
+
 import pytest
 
 from sosforms.hopf import BoundEntry, bound_table
 from sosforms.motivic import DQClass, DQRingSpec
+from sosforms.rings import ValueTuple
 from sosforms.search import (
     SearchOptions,
     SearchProblem,
@@ -89,3 +92,29 @@ def test_replace_and_make_check_like_the_constructor():
     with pytest.raises(ValueError):
         SearchOptions._make([True, False, None, float("nan")])
     assert SearchProblem(2, 2, 2, 3)._replace(p=5) == SearchProblem(2, 2, 2, 5)
+
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_a_value_equals_only_values_of_its_own_class(value):
+    assert isinstance(value, ValueTuple)
+    twin = tuple.__new__(type(value), value)
+    assert value == twin and not value != twin
+    if not any(isinstance(field, list) for field in value):  # a list field is unhashable, as before
+        assert hash(value) == hash(twin) == hash(tuple(value))  # hashing stays the tuple's
+    for other in (tuple(value), list(value)):
+        assert value != other and other != value
+        assert not (value == other or other == value)
+    # another named tuple with the same fields, seen from the value's side
+    lookalike = namedtuple("Lookalike", value._fields)(*value)
+    assert value != lookalike and not value == lookalike
+
+
+def test_equal_fields_in_another_value_class_are_not_equal():
+    problem = SearchProblem(2, 2, 2, 3)
+    entry = BoundEntry(*problem)
+    assert tuple(entry) == tuple(problem)
+    assert entry != problem and problem != entry and not (entry == problem or problem == entry)
+    assert SearchOptions() != (True, False, None, None) and (True, False, None, None) != SearchOptions()
+    assert BoundEntry(1, 1, 1, 1, True) != (1, 1, 1, 1, True)
+    assert DQRingSpec(4) in {DQRingSpec(4, rho=False)} and (4, False, False) not in {DQRingSpec(4)}
