@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import json
 import os
+from math import lcm
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
 from .rings import (
     CoeffRing,
+    GaussianExt,
     IntegerRing,
     ZZ,
     gaussian_ext,
@@ -130,49 +132,66 @@ class SosFormula:
 
     def gram_defect(self) -> tuple[int, int, int, int] | None:
         """The first (a, b, j, k) with a <= b, in lexicographic order, at which
-        B_a^T B_b + B_b^T B_a differs from 2 delta_ab delta_jk; None if none.
+        G = B_a^T B_b + B_b^T B_a differs from 2 delta_ab delta_jk; None if none.
 
-        Only nonzero entries are touched.  For each pair a <= b the Gram
-        matrix G = P + P^T, P = B_a^T B_b, is accumulated on and above its
-        diagonal from the products of nonzeros sharing a row, which costs
-        sum_m nnz(B_a[m]) * nnz(B_b[m]) ring products.  G can differ from its
-        target only on that support, or on the diagonal when a = b.  The
-        products are summed with the ring's lazy operations, and each entry
-        is reduced once, when it is compared.
+        Row m of B_i is packed into the integer R[i][m] = sum_k x_k 2^(w k)
+        (Kronecker substitution), each entry lifted once to an exact integer:
+        itself over Z, its balanced residue over GF(p), itself times the lcm D
+        of the denominators over Q (the target becomes 2 D^2), and a Gaussian
+        entry part by part into lanes 2k and 2k + 1, with a second row packed
+        times i.  Row j of G is the sum of x R[b][m] over the nonzeros
+        x = B_a[m][j] and of y R[a][m] over y = B_b[m][j]: nnz(B_a) + nnz(B_b)
+        integer multiply-adds per pair.  No lane of G - target exceeds
+        ``bound``, so over Z and Q a row holds exactly when it is 0.  Over
+        GF(p), w leaves room for row / p plus a bias of 2^(t-1) in the low t
+        bits of each lane: a row holds exactly when p divides it and that sum
+        has no other bit.  The first failing lane of the first failing row is
+        the witness, as G is symmetric; its digits before it are read exactly.
         """
-        ring = self.ring
-        if ring.characteristic() == 2:  # unreachable: such rings are rejected
-            raise ValueError("matrix criterion needs characteristic != 2")
-        add, mul, reduce, s = ring.lazy_add, ring.lazy_mul, ring.reduce, self.s
-        zero, two = ring.zero(), ring.coerce(2)
-        # rows[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
-        rows = [[[] for _ in range(self.n)] for _ in range(self.r)]
+        ring, r, s, n = self.ring, self.r, self.s, self.n
+        p, gaussian = ring.characteristic(), isinstance(ring, GaussianExt)
+        lanes = 2 if gaussian else 1
+        values = {c for entries in self.nonzeros for _, _, c in entries}
+        values = {v for c in values for v in c} if gaussian else values
+        if p:
+            scale, lift = 1, {v: v - p if 2 * v > p else v for v in values}
+        else:
+            scale = lcm(*{v.denominator for v in values})
+            lift = {v: v.numerator * (scale // v.denominator) for v in values}
+        bound = 2 * lanes * n * max(map(abs, lift.values()), default=0) ** 2 + 2 * scale**2
+        w = bound.bit_length()
+        if p:
+            t = (bound // p).bit_length() + 1
+            w = t + p.bit_length()
+            ones = ((1 << (w * lanes * s)) - 1) // ((1 << w) - 1)
+            bias, outside = ones << (t - 1), ~(ones * ((1 << t) - 1))
+        # packed[i][lanes * m + u] is i^u times row m of B_i; nz[i] holds the (j, slot, x) of B_i
+        packed, nz = [[0] * (lanes * n) for _ in range(r)], [[] for _ in range(r)]
         for m, entries in enumerate(self.nonzeros):
             for i, j, c in entries:
-                rows[i][m].append((j, c))
-        for a, rows_a in enumerate(rows):
-            for b in range(a, len(rows)):
-                # upper[j * s + k], j <= k, is G[j][k] for j < k and P[j][j] = G[j][j] / 2
-                upper = {}
-                get = upper.get
-                for row_a, row_b in zip(rows_a, rows[b]):
-                    for j, x in row_a:
-                        for k, y in row_b:
-                            key = j * s + k if j <= k else k * s + j
-                            prev = get(key)
-                            upper[key] = mul(x, y) if prev is None else add(prev, mul(x, y))
-                if a == b:
-                    for j in range(s):
-                        upper.setdefault(j * s + j, zero)
-                diagonal = two if a == b else zero
-                # j = k exactly when s + 1 divides j * s + k, since 0 <= k - j < s
-                bad = [
-                    key
-                    for key, g in upper.items()
-                    if (reduce(add(g, g)) != diagonal if key % (s + 1) == 0 else reduce(g) != zero)
-                ]
-                if bad:
-                    return (a, b, *divmod(min(bad), s))
+                if gaussian:
+                    x, y, shift = lift[c[0]], lift[c[1]], 2 * w * j
+                    packed[i][2 * m] += (x << shift) + (y << (shift + w))
+                    packed[i][2 * m + 1] += (x << (shift + w)) - (y << shift)
+                    nz[i] += [(j, 2 * m, x), (j, 2 * m + 1, y)]
+                else:
+                    packed[i][m] += lift[c] << (w * j)
+                    nz[i].append((j, m, lift[c]))
+        minus_target = [-2 * scale**2 << (lanes * w * j) for j in range(s)]
+        for a, rows_a in enumerate(packed):
+            for b in range(a, r):
+                g, rows_b = minus_target[:] if a == b else [0] * s, packed[b]
+                for j, m, x in nz[a]:
+                    g[j] += x * rows_b[m]
+                for j, m, y in nz[b]:
+                    g[j] += y * rows_a[m]
+                for j, v in enumerate(g) if any(g) else ():
+                    if v and (not p or v % p or (v // p + bias) & outside):
+                        # the first balanced digit not divisible by p (over Z and Q: not 0)
+                        k, half, q = 0, 1 << (w - 1), p or 1 << w
+                        while v and (d := ((v + half) & (2 * half - 1)) - half) % q == 0:
+                            v, k = (v - d) >> w, k + 1
+                        return (a, b, j, k // lanes)
         return None
 
     def verify_by_hurwitz(self) -> bool:

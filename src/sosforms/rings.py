@@ -10,13 +10,12 @@ returns sum_i xs[i] * ys[i] for equal-length vectors, exactly the element
 that folding ``add`` over the ``mul`` of each pair gives (zero for empty
 vectors): Z and GF(p) sum the integer products and reduce mod p once, Q puts
 the products over the lcm of their denominators and builds one Fraction, and
-a Gaussian extension takes four dots over its base.  For scatter loops that
-cannot gather a sum's factors first, ``lazy_mul`` and ``lazy_add`` compute
-without reducing, on elements or on their own results, and ``reduce`` maps
-any such sum of products to the element that the fold would give: Z and
-GF(p) use Python integers, Q unnormalized (numerator, denominator) pairs
-that add over the lcm of their denominators, so no Fraction is built per
-product or per sum.
+a Gaussian extension takes four dots over its base.  The expansion's scatter
+loops (``sosforms.poly``) sum with ``lazy_mul`` and ``lazy_add``, which do
+not reduce: Python integers over Z and GF(p), unnormalized (numerator,
+denominator) pairs over Q, so no Fraction is built per product or per sum;
+``reduce`` gives the element.  The Gram check lifts entries to integers
+itself (``SosFormula.gram_defect``).
 
 Characteristic 2 is rejected at construction: every identity handled here
 lives over a field (or domain) in which 2 is regular, and the matrix form of

@@ -24,8 +24,8 @@ from sosforms.formulas import (
 )
 from sosforms.hopf import bound_table, hopf_admissible
 from sosforms.poly import SparsePoly, poly_sum, sum_of_squares
-from sosforms.rings import PrimeField, QQ, ZZ, gaussian_ext
-from test_poly import dense_eight
+from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
+from test_poly import dense_eight, householder_dense
 
 
 def gauss():
@@ -134,20 +134,6 @@ def test_zero_tensor_fails_hurwitz():
     assert not f.verify_by_expansion()
 
 
-def test_expansion_hurwitz_equivalence_on_random_tensors():
-    rng = random.Random(2024)
-    for p in (3, 5):
-        ring = PrimeField(p)
-        for _ in range(100):
-            r, s = rng.randint(1, 2), rng.randint(1, 3)
-            n = rng.randint(1, 3)
-            tensor = [
-                [[rng.randrange(p) for _ in range(s)] for _ in range(r)] for _ in range(n)
-            ]
-            f = SosFormula(r, s, n, ring, tensor)
-            assert f.verify_by_expansion() == f.verify_by_hurwitz()
-
-
 # -- Gram defect against the naive oracle -----------------------------------------
 
 
@@ -171,7 +157,10 @@ def naive_gram_defect(f):
     return None
 
 
-# (ring, nonzero entries); zeros are drawn far more often than these
+# (ring, nonzero entries); zeros are drawn far more often than these.  The
+# last five rings put the packed Gram kernel's lanes at their edges: residues
+# near +-p/2 of a 31-bit prime, integers of 71 bits, large coprime
+# denominators, and Gaussian entries over Q and GF(7).
 RINGS_AND_ENTRIES = [
     (PrimeField(3), [1, 2]),
     (PrimeField(5), [1, 2, 3, 4]),
@@ -180,6 +169,11 @@ RINGS_AND_ENTRIES = [
     (ZZ, [1, -1, 2]),
     (QQ, [1, -1, Fraction(1, 2), Fraction(-3, 5)]),
     (gaussian_ext(ZZ), [1, -1, (0, 1), (0, -1), (1, 1)]),
+    (PrimeField(2147483647), [1, 2, 1073741823, 1073741824, 2147483646]),
+    (ZZ, [1, -1, 2**70, -(2**70)]),
+    (QQ, [1, Fraction(1, 2**61 - 1), Fraction(-(2**40), 3**41), Fraction(7, 5**30)]),
+    (gaussian_ext(QQ), [1, (0, 1), (Fraction(1, 3), Fraction(-2, 5)), (Fraction(-5, 7), 0)]),
+    (gaussian_ext(PrimeField(7)), [1, (0, 1), (3, 4), (6, 6), (0, 3)]),
 ]
 
 
@@ -217,6 +211,19 @@ def test_gram_defect_matches_oracle_on_sparse_tensors(f):
 def test_gram_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
     assert f.gram_defect() == naive_gram_defect(f)
     assert f.verify_by_hurwitz() == f.verify_by_expansion()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_expansion_hurwitz_equivalence_on_random_tensors(data):
+    """Small tensors with any entries, dense residues over GF(3) and GF(5)
+    included: the two verifiers agree."""
+    ring, nonzero = data.draw(st.sampled_from(RINGS_AND_ENTRIES), label="ring")
+    r, s, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entry = st.sampled_from([0, *nonzero])
+    tensor = [[[data.draw(entry) for _ in range(s)] for _ in range(r)] for _ in range(n)]
+    f = SosFormula(r, s, n, ring, tensor)
+    assert f.verify_by_expansion() == f.verify_by_hurwitz()
 
 
 # -- the expansion defect against the former composition ------------------------------
@@ -343,6 +350,144 @@ def test_gram_defect_examples():
     broken = [list(map(list, slice_k)) for slice_k in gauss().tensor]
     broken[0][1][1] = 1
     assert SosFormula(2, 2, 2, ZZ, broken).gram_defect() == (0, 1, 0, 1)
+
+
+# -- the packed Gram kernel against the former scatter loop ----------------------------
+
+
+def scatter_gram_defect(f):
+    """The Gram check before rows were packed into integers, kept verbatim as
+    the oracle wherever naive_gram_defect is too slow: for each pair a <= b,
+    the products of nonzeros sharing a row, summed with the ring's lazy
+    operations into the entries of G on and above its diagonal."""
+    ring = f.ring
+    if ring.characteristic() == 2:  # unreachable: such rings are rejected
+        raise ValueError("matrix criterion needs characteristic != 2")
+    add, mul, reduce, s = ring.lazy_add, ring.lazy_mul, ring.reduce, f.s
+    zero, two = ring.zero(), ring.coerce(2)
+    # rows[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
+    rows = [[[] for _ in range(f.n)] for _ in range(f.r)]
+    for m, entries in enumerate(f.nonzeros):
+        for i, j, c in entries:
+            rows[i][m].append((j, c))
+    for a, rows_a in enumerate(rows):
+        for b in range(a, len(rows)):
+            # upper[j * s + k], j <= k, is G[j][k] for j < k and P[j][j] = G[j][j] / 2
+            upper = {}
+            get = upper.get
+            for row_a, row_b in zip(rows_a, rows[b]):
+                for j, x in row_a:
+                    for k, y in row_b:
+                        key = j * s + k if j <= k else k * s + j
+                        prev = get(key)
+                        upper[key] = mul(x, y) if prev is None else add(prev, mul(x, y))
+            if a == b:
+                for j in range(s):
+                    upper.setdefault(j * s + j, zero)
+            diagonal = two if a == b else zero
+            # j = k exactly when s + 1 divides j * s + k, since 0 <= k - j < s
+            bad = [
+                key
+                for key, g in upper.items()
+                if (reduce(add(g, g)) != diagonal if key % (s + 1) == 0 else reduce(g) != zero)
+            ]
+            if bad:
+                return (a, b, *divmod(min(bad), s))
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_gram_defect_matches_scatter_oracle_on_hurwitz_radon(n):
+    f = construct_hurwitz_radon(n)
+    assert f.gram_defect() is None is scatter_gram_defect(f)
+    # an entry of B_0 and two of the last matrix moved by 1, which changes a column's norm
+    for k, i, j in ((0, 0, 0), (n // 2, f.r - 1, 0), (n - 1, f.r - 1, n - 1)):
+        tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+        tensor[k][i][j] += 1
+        g = SosFormula(f.r, f.s, f.n, ZZ, tensor)
+        assert g.gram_defect() == scatter_gram_defect(g) is not None
+
+
+def rotate_gaussian(f):
+    """f with each pair z_2k, z_2k+1 turned by [[5/4, 3i/4], [-3i/4, 5/4]],
+    which is orthogonal since (5/4)^2 + (3i/4)^2 = 1: the identity still
+    holds, and the entries get imaginary parts."""
+    ring, T = f.ring, f.tensor
+    a, b = ring.coerce(Fraction(5, 4)), ring.coerce((0, Fraction(3, 4)))
+    tensor = [[list(row) for row in slice_k] for slice_k in T]
+    for k in range(0, f.n - 1, 2):
+        for i in range(f.r):
+            for j in range(f.s):
+                x, y = T[k][i][j], T[k + 1][i][j]
+                tensor[k][i][j] = ring.add(ring.mul(a, x), ring.mul(b, y))
+                tensor[k + 1][i][j] = ring.sub(ring.mul(a, y), ring.mul(b, x))
+    return SosFormula(f.r, f.s, f.n, ring, tensor)
+
+
+def dense_sixteen(ring):
+    """HR(16) after the reflection by (1, ..., 1, 2), whose norm 19 is a unit
+    over Q, GF(5) and GF(7); over a Gaussian ring also rotated."""
+    f = householder_dense(construct_hurwitz_radon(16), ring, (1,) * 15 + (2,))
+    return rotate_gaussian(f) if isinstance(ring, GaussianExt) else f
+
+
+@pytest.mark.parametrize("ring", DENSE_RINGS)
+def test_gram_defect_matches_scatter_oracle_on_dense_hurwitz_radon_16(ring):
+    f = dense_sixteen(ring)
+    zero = ring.zero()
+    assert all(c != zero for slice_k in f.tensor for row in slice_k for c in row)
+    assert f.gram_defect() is None is scatter_gram_defect(f)
+    # one entry of B_0, of B_4 and of the last matrix B_8 moved
+    for k, i, j in ((0, 0, 0), (7, 4, 11), (15, 8, 15)):
+        tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+        tensor[k][i][j] = ring.add(tensor[k][i][j], ring.one())
+        g = SosFormula(f.r, f.s, f.n, ring, tensor)
+        assert g.gram_defect() == scatter_gram_defect(g) is not None
+
+
+# -- lanes at their edges ----------------------------------------------------------------
+
+# rings in which 2 is invertible, so that entries of 1/2 exist
+HALVES = [QQ, PrimeField(3), PrimeField(7), PrimeField(2147483647), gaussian_ext(QQ), gaussian_ext(PrimeField(7))]
+
+
+@pytest.mark.parametrize("ring", HALVES)
+def test_gram_defect_reads_a_defect_of_minus_one_in_the_top_lane(ring):
+    """B_0 has the columns e_0, e_3 and (-1/2, 1/2, 1/2, 1/2), so row 0 of G
+    is (2, 0, -1): the defect is -1 in the top lane and 0 below it."""
+    h = Fraction(1, 2)
+    f = SosFormula(1, 3, 4, ring, [[[1, 0, -h]], [[0, 0, h]], [[0, 0, h]], [[0, 1, h]]])
+    assert f.gram_defect() == (0, 0, 0, 2) == naive_gram_defect(f)
+
+
+def test_gram_defect_reads_a_defect_of_minus_one_in_the_top_lane_over_z():
+    """(B_0, B_1) = (I, -E_02): row 0 of B_0^T B_1 + B_1^T B_0 is (0, 0, -1)."""
+    f = SosFormula(2, 3, 3, ZZ, [[[1, 0, 0], [0, 0, -1]], [[0, 1, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0]]])
+    assert f.gram_defect() == (0, 1, 0, 2) == naive_gram_defect(f)
+
+
+@pytest.mark.parametrize("ring", HALVES)
+def test_gram_defect_reads_a_defect_of_minus_one_in_lane_0(ring):
+    """B_0 has the columns (1/2, 1/2, 0, 0), e_2 and e_3: G[0][0] = 1 is one
+    less than its target, and every other entry of G holds."""
+    h = Fraction(1, 2)
+    f = SosFormula(1, 3, 4, ring, [[[h, 0, 0]], [[h, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]])
+    assert f.gram_defect() == (0, 0, 0, 0) == naive_gram_defect(f)
+
+
+@pytest.mark.parametrize("ring, top", [
+    (ZZ, 3), (ZZ, 2**70), (QQ, Fraction(3, 2)), (PrimeField(3), 1), (PrimeField(5), 2),
+    (PrimeField(7), 3), (PrimeField(2147483647), 1073741823), (gaussian_ext(PrimeField(7)), (3, 3)),
+])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gram_defect_at_the_lane_bound(ring, top, n):
+    """Column 0 of B_0 holds n entries of the largest lift, so lane 0 of row 0
+    nears the bound that the lane width is chosen from; column 1 is zero, e_0
+    or a copy of column 0.  Over GF(p) the largest lift is (p - 1) / 2, which
+    is -1/2, so column 0 has norm 1 when n = 4 (and n = 1, 7, 10 over GF(3))."""
+    for column in ([0] * n, [1] + [0] * (n - 1), [top] * n):
+        f = SosFormula(1, 2, n, ring, [[[top, c]] for c in column])
+        assert f.gram_defect() == naive_gram_defect(f)
 
 
 def test_substitution_soundness_over_gf():
