@@ -9,7 +9,7 @@ holds identically in the polynomial ring.  The one stored form is the
 tensor's nonzeros: per slice k, the (i, j, c) with c = T[k][i][j] != 0, in
 (i, j) order.  Every classical formula is sparse, so loading, restricting,
 changing the ring and setting up either verifier cost O(nnz), not O(n r s);
-the dense tensor is built only on demand (``tensor``, ``to_json_dict``).
+the dense tensor is built only on demand (``tensor``).
 Two independent verifiers read the nonzeros: direct expansion
 (``verify_by_expansion``), and the equivalent matrix equations
 B_a^T B_b + B_b^T B_a = 2 delta_{ab} I (``gram_defect``, ``verify_by_hurwitz``)
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from math import lcm
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
@@ -33,6 +34,7 @@ from .rings import (
     CoeffRing,
     GaussianExt,
     IntegerRing,
+    RationalField,
     ZZ,
     gaussian_ext,
     require_ints,
@@ -119,11 +121,32 @@ class SosFormula:
 
         The whole difference is gathered in the one packed map of
         ``sum_of_squares``, so only its nonzero terms are ever unpacked:
-        none for a formula that holds."""
-        ring, r, one = self.ring, self.r, self.ring.one()
-        xs = SparsePoly._new(ring, {((i, 2),): one for i in range(r)})
-        ys = SparsePoly._new(ring, {((r + j, 2),): one for j in range(self.s)})
-        return sum_of_squares(self.z_polys(), ring, minus=(xs, ys))
+        none for a formula that holds.  Over Z, GF(p) and their Gaussian
+        extensions it is expanded as it stands.  Over Q and Q[i] each entry
+        (each part of it) is first scaled by the lcm D of the denominators
+        into Z or Z[i], where sum_k (D z_k)^2 - D^2 (sum x_i^2)(sum y_j^2) is
+        expanded in integers; each surviving coefficient v gives v / D^2."""
+        ring, r, nonzeros = self.ring, self.r, self.nonzeros
+        gaussian = isinstance(ring, GaussianExt)
+        work, scale = ring, 1
+        if isinstance(ring.base if gaussian else ring, RationalField):
+            parts = {v for entries in nonzeros for _, _, c in entries for v in (c if gaussian else (c,))}
+            scale = lcm(*{v.denominator for v in parts})
+            lift = {v: v.numerator * (scale // v.denominator) for v in parts}
+            work = gaussian_ext(ZZ) if gaussian else ZZ
+            nonzeros = [
+                [(i, j, (lift[c[0]], lift[c[1]]) if gaussian else lift[c]) for i, j, c in entries]
+                for entries in nonzeros
+            ]
+        zs = [SparsePoly._new(work, {((i, 1), (r + j, 1)): c for i, j, c in entries}) for entries in nonzeros]
+        square, one = work.coerce(scale * scale), work.one()
+        xs = SparsePoly._new(work, {((i, 2),): square for i in range(r)})
+        ys = SparsePoly._new(work, {((r + j, 2),): one for j in range(self.s)})
+        defect = sum_of_squares(zs, work, minus=(xs, ys))
+        if work is ring:
+            return defect
+        inverse = ring.coerce(Fraction(1, scale * scale))
+        return SparsePoly._new(ring, {m: ring.mul(ring.coerce(v), inverse) for m, v in defect.terms.items()})
 
     def verify_by_expansion(self) -> bool:
         return self.expansion_defect().is_zero
@@ -222,17 +245,17 @@ class SosFormula:
     # -- serialization -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        ring = self.ring
-        return {
-            "r": self.r,
-            "s": self.s,
-            "n": self.n,
-            "field": ring_to_json(ring),
-            "tensor": [
-                [[ring.element_to_json(c) for c in row] for row in slice_k]
-                for slice_k in self.tensor
-            ],
-        }
+        """The dense JSON form, written from the nonzeros: one JSON value per
+        nonzero, and one JSON zero shared by every zero entry."""
+        to_json = self.ring.element_to_json
+        zero = to_json(self.ring.zero())
+        tensor = []
+        for entries in self.nonzeros:
+            rows = [[zero] * self.s for _ in range(self.r)]
+            for i, j, c in entries:
+                rows[i][j] = to_json(c)
+            tensor.append(rows)
+        return {"r": self.r, "s": self.s, "n": self.n, "field": ring_to_json(self.ring), "tensor": tensor}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -323,16 +346,18 @@ def construct_classical(kind: str) -> SosFormula:
 # symmetric involution that anticommutes with the size-16 family.
 
 
+def _two_adic(n: int) -> tuple[int, int]:
+    """(t, m) with n = 2^t * m and m odd, for n >= 1."""
+    t = (n & -n).bit_length() - 1
+    return t, n >> t
+
+
 def rho(n: int) -> int:
     """Hurwitz-Radon function: for n = 2^(4a+b) * odd with 0 <= b <= 3,
     rho(n) = 8a + 2^b.  This is the largest r with a classical [r, n, n]
     formula."""
     require_ints("n", n)
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    a, b = divmod(t, 4)
+    a, b = divmod(_two_adic(n)[0], 4)
     return 8 * a + 2 ** b
 
 
@@ -405,11 +430,7 @@ def _skew_family(t: int) -> list:
 def construct_hurwitz_radon(n: int) -> SosFormula:
     """The [rho(n), n, n] formula with entries in {-1, 0, 1}."""
     require_ints("n", n)
-    m = n
-    t = 0
-    while m % 2 == 0:
-        m //= 2
-        t += 1
+    t, m = _two_adic(n)
     fam = _skew_family(t)
     if m > 1:
         block = _eye(m)
@@ -543,6 +564,5 @@ def homotopy_invariance_check(
         raise ValueError("ring has no square root of -1")
     if n == "formal":
         return _homotopy_formal(mode, ring, omit_uv_relation)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("n must be 'formal' or a positive integer")
+    require_ints("n", n)
     return _homotopy_concrete(mode, n, ring, omit_uv_relation)

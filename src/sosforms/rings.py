@@ -8,14 +8,13 @@ structure, so they can be shared freely between threads.
 Sums of products are reduced once, not once per product.  ``dot(xs, ys)``
 returns sum_i xs[i] * ys[i] for equal-length vectors, exactly the element
 that folding ``add`` over the ``mul`` of each pair gives (zero for empty
-vectors): Z and GF(p) sum the integer products and reduce mod p once, Q puts
-the products over the lcm of their denominators and builds one Fraction, and
-a Gaussian extension takes four dots over its base.  The expansion's scatter
+vectors): Z and GF(p) sum the integer products and reduce mod p once, and a
+Gaussian extension takes four dots over its base.  The expansion's scatter
 loops (``sosforms.poly``) sum with ``lazy_mul`` and ``lazy_add``, which do
-not reduce: Python integers over Z and GF(p), unnormalized (numerator,
-denominator) pairs over Q, so no Fraction is built per product or per sum;
-``reduce`` gives the element.  The Gram check lifts entries to integers
-itself (``SosFormula.gram_defect``).
+not reduce mod p; ``reduce`` gives the element.  Q is plain ``Fraction``
+arithmetic: both verifiers scale a formula over Q or Q[i] into integers by
+the lcm of its denominators first (``SosFormula.expansion_defect``,
+``SosFormula.gram_defect``).
 
 Characteristic 2 is rejected at construction: every identity handled here
 lives over a field (or domain) in which 2 is regular, and the matrix form of
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
 
 
 def require_ints(names: str, *values, low: int | None = 1) -> None:
@@ -97,10 +95,10 @@ class CoeffRing:
 
     def dot(self, xs, ys):
         """sum_i xs[i] * ys[i] over equal-length vectors, reduced once."""
-        return self.reduce(sum(map(operator.mul, xs, ys)))
+        return self.reduce(sum(map(operator.mul, xs, ys), self.zero()))
 
-    # Unreduced arithmetic on Python integers: exact in Z, reduced mod p by
-    # reduce in GF(p).
+    # Unreduced arithmetic with Python's operators: exact in Z and Q, reduced
+    # mod p by reduce in GF(p).
     lazy_mul = staticmethod(operator.mul)
     lazy_add = staticmethod(operator.add)
 
@@ -160,42 +158,8 @@ class RationalField(CoeffRing):
                 raise ValueError(f"zero denominator in {value!r}") from None
         raise ValueError(f"cannot coerce {value!r} into Q")
 
-    def dot(self, xs, ys):
-        # each product n/d joins the sum as n * (common / d): one Fraction in all
-        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-        common = lcm(*set(dens))
-        return Fraction(
-            sum(x.numerator * y.numerator * (common // d) for x, y, d in zip(xs, ys, dens)),
-            common,
-        )
-
-    # Unreduced values are (numerator, denominator) pairs, never normalized;
-    # an element joins as its own pair.
-    @staticmethod
-    def lazy_mul(a, b):
-        an, ad = _pair(a)
-        bn, bd = _pair(b)
-        return (an * bn, ad * bd)
-
-    @staticmethod
-    def lazy_add(a, b):
-        an, ad = _pair(a)
-        bn, bd = _pair(b)
-        if ad == bd:
-            return (an + bn, ad)
-        common = lcm(ad, bd)
-        return (an * (common // ad) + bn * (common // bd), common)
-
-    def reduce(self, a):
-        return Fraction(*_pair(a))
-
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-
-
-def _pair(a) -> tuple:
-    """A rational as an unreduced (numerator, denominator) pair."""
-    return a if type(a) is tuple else (a.numerator, a.denominator)
 
 
 # Miller-Rabin with these bases is exact below _MR_LIMIT: no composite under

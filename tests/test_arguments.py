@@ -23,6 +23,7 @@ from sosforms.formulas import (
     SosFormula,
     construct_hurwitz_radon,
     construct_trivial,
+    homotopy_invariance_check,
     hurwitz_radon_upper_bound,
     rho,
 )
@@ -55,6 +56,7 @@ ENTRY_POINTS = {
     "rho": (rho, 1),
     "hurwitz_radon_upper_bound": (lambda v: hurwitz_radon_upper_bound(2, v), 1),
     "construct_hurwitz_radon": (construct_hurwitz_radon, 1),
+    "homotopy_invariance_check": (lambda v: homotopy_invariance_check("first", v), 1),
     "binom_is_odd": (lambda v: binom_is_odd(v, 1), 0),
     "binom_parity_pascal": (lambda v: binom_parity_pascal(v, 1), 0),
     "hopf_admissible": (lambda v: hopf_admissible(2, 3, v), 1),

@@ -1,5 +1,6 @@
 """Composition formulas: verification oracles, constructions, transformations."""
 
+import json
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from sosforms.formulas import (
 )
 from sosforms.hopf import bound_table, hopf_admissible
 from sosforms.poly import SparsePoly, poly_sum, sum_of_squares
-from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
+from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext, ring_to_json
 from test_poly import dense_eight, householder_dense
 
 
@@ -114,6 +115,7 @@ def test_the_two_verifiers_share_no_kernel(monkeypatch):
         raise AssertionError("the other verifier's kernel was called")
 
     good = [construct_hurwitz_radon(16), construct_classical("eight")]
+    good += [dense_sixteen(QQ), dense_sixteen(gaussian_ext(QQ))]  # expanded in integers
     bad = [SosFormula._of_nonzeros(f.r, f.s, f.n, f.ring, (f.nonzeros[1],) + f.nonzeros[1:]) for f in good]
     with monkeypatch.context() as m:
         m.setattr(SosFormula, "gram_defect", refuse)
@@ -445,6 +447,85 @@ def test_gram_defect_matches_scatter_oracle_on_dense_hurwitz_radon_16(ring):
         assert g.gram_defect() == scatter_gram_defect(g) is not None
 
 
+# -- the expansion over Q and Q[i], done in integers, against the Fraction one ------------
+
+QI = gaussian_ext(QQ)
+# the Q and Q[i] entries above, whose large coprime denominators make D huge,
+# and entries with no denominator, for which D = 1
+RATIONAL_ENTRIES = [(ring, nonzero) for ring, nonzero in RINGS_AND_ENTRIES if ring in (QQ, QI)]
+RATIONAL_ENTRIES += [(QQ, [1, -1, 2, -3]), (QI, [1, (0, 1), (2, -1), (0, -3)])]
+
+
+def fraction_expansion_defect(f):
+    """The expansion in the formula's own ring, unscaled: over Q and Q[i]
+    every product and sum is one of Fractions."""
+    ring, r = f.ring, f.r
+    xs = SparsePoly(ring, {((i, 2),): 1 for i in range(r)})
+    ys = SparsePoly(ring, {((r + j, 2),): 1 for j in range(f.s)})
+    return sum_of_squares(f.z_polys(), ring, minus=(xs, ys))
+
+
+def assert_integer_expansion_matches(f):
+    defect, oracle = f.expansion_defect(), fraction_expansion_defect(f)
+    assert defect.ring == f.ring
+    # equal, with coefficients of the same types (Fractions, not ints)
+    assert repr(sorted(defect.terms.items())) == repr(sorted(oracle.terms.items()))
+    assert defect.first_term() == oracle.first_term()
+
+
+@st.composite
+def rational_formulas(draw):
+    """Sparse formulas over Q and Q[i], some slices left empty."""
+    ring, nonzero = draw(st.sampled_from(RATIONAL_ENTRIES))
+    r, s, n = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.sampled_from([0] * len(nonzero) + nonzero)
+    tensor = [[[draw(entry) for _ in range(s)] for _ in range(r)] for _ in range(n)]
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        tensor[k] = [[0] * s for _ in range(r)]
+    return SosFormula(r, s, n, ring, tensor)
+
+
+@st.composite
+def corrupted_rational_formulas(draw):
+    """Formulas over Q and Q[i] that hold (Hurwitz-Radon, or dense HR(8)
+    with fractional and, over Q[i], imaginary entries) with up to three
+    entries replaced by drawn ones."""
+    ring, nonzero = draw(st.sampled_from(RATIONAL_ENTRIES))
+    if draw(st.booleans()):
+        f = dense_eight("hurwitz-radon", QQ).change_ring(ring)
+        f = rotate_gaussian(f) if ring == QI else f
+    else:
+        f = construct_hurwitz_radon(draw(st.integers(1, 16))).change_ring(ring)
+    tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+    entry = st.tuples(st.integers(0, f.n - 1), st.integers(0, f.r - 1), st.integers(0, f.s - 1))
+    for k, i, j in draw(st.lists(entry, max_size=3, unique=True), label="entries"):
+        tensor[k][i][j] = draw(st.sampled_from([0, *nonzero]))
+    return SosFormula(f.r, f.s, f.n, ring, tensor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_formulas())
+def test_integer_expansion_matches_fraction_expansion_on_sparse_tensors(f):
+    assert_integer_expansion_matches(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_rational_formulas())
+def test_integer_expansion_matches_fraction_expansion_on_corrupted_formulas(f):
+    assert_integer_expansion_matches(f)
+
+
+@pytest.mark.parametrize("ring", [QQ, QI])
+def test_integer_expansion_edge_cases(ring):
+    empty = SosFormula(2, 3, 2, ring, [[[0] * 3] * 2] * 2)
+    integral = construct_hurwitz_radon(8).change_ring(ring)
+    assert integral.expansion_defect().is_zero
+    halves = SosFormula(1, 1, 1, ring, [[[Fraction(1, 2)]]])  # (x y / 2)^2 - x^2 y^2
+    for f in (empty, integral, halves, dense_sixteen(ring)):
+        assert_integer_expansion_matches(f)
+    assert halves.expansion_defect().terms == {((0, 2), (1, 2)): ring.coerce(Fraction(-3, 4))}
+
+
 # -- lanes at their edges ----------------------------------------------------------------
 
 # rings in which 2 is invertible, so that entries of 1/2 exist
@@ -614,6 +695,33 @@ def test_json_round_trip_bit_exact():
         again = SosFormula.from_json(f.to_json())
         assert again == f
         assert again.to_json() == f.to_json()
+
+
+def dense_to_json(f):
+    """The former writer: every entry of the dense tensor, zeros included."""
+    ring = f.ring
+    tensor = [[[ring.element_to_json(c) for c in row] for row in slice_k] for slice_k in f.tensor]
+    data = {"r": f.r, "s": f.s, "n": f.n, "field": ring_to_json(ring), "tensor": tensor}
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def test_to_json_writes_each_nonzero_once_without_the_dense_tensor(monkeypatch):
+    formulas = [
+        gauss(),
+        construct_trivial(2, 3).restrict(1, 2),  # zero slices
+        dense_eight("degen", QQ),
+        rotate_gaussian(dense_eight("hurwitz-radon", QQ).change_ring(QI)),
+        construct_hurwitz_radon(12).change_ring(GaussianExt(PrimeField(7))),
+    ]
+    expected = [dense_to_json(f) for f in formulas]
+    monkeypatch.setattr(SosFormula, "tensor", property(lambda self: pytest.fail("dense tensor built")))
+    for f, text in zip(formulas, expected):
+        ring_class, calls = type(f.ring), []
+        to_json = ring_class.element_to_json
+        with monkeypatch.context() as m:
+            m.setattr(ring_class, "element_to_json", lambda self, a: calls.append(a) or to_json(self, a))
+            assert f.to_json() == text
+        assert len(calls) == 1 + sum(map(len, f.nonzeros))  # the zero, then each nonzero
 
 
 def test_json_schema_shape():
@@ -802,7 +910,7 @@ def test_homotopy_rejects_bad_mode_and_ring():
 def test_homotopy_rejects_a_length_that_is_not_a_positive_int(bad):
     # a bool is an int in Python; True must not pass as n = 1
     for mode in ("first", "second"):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="^n must be "):
             homotopy_invariance_check(mode, bad)
 
 
