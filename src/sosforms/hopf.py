@@ -21,11 +21,12 @@ from collections import namedtuple
 from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
 from .rings import ValueTuple, require_ints
 
-# bound_table expands a restriction of a sparse HR(n) for every cell, so its time
-# grows with the cells and their n.  Measured 2026-10-19, Python 3.11.7, 2-core Xeon:
-# `bounds 17 17` 0.26 s and 18 MB peak RSS, `bounds 1 256` 0.49 s and 24 MB,
-# `bounds 17 256` (the largest table allowed) 33 s and 28 MB; with the cap at 512,
-# `bounds 1 512` took 1.1 s and 50 MB, but `bounds 17 512` 139 s and 63 MB.
+# bound_table Gram-checks a restriction of a sparse HR(n) for every cell, so its time
+# grows with the cells and their n.  Measured 2026-10-20 in-process, import included,
+# Python 3.11.7, shared 2-core Xeon: `bounds 17 17` 0.09 s and 16 MB peak RSS,
+# `bounds 1 256` 0.16 s and 23 MB, `bounds 17 256` (the largest table allowed) 16 s
+# and 28 MB; with the cap at 512, `bounds 1 512` took 0.6 s and 50 MB, but
+# `bounds 17 512` 95 s and 58 MB.
 MAX_TABLE_UPPER = 256
 
 # hopf_lower_bound refuses a result r o s above this cap.  Since r o s never
@@ -114,8 +115,9 @@ def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
     Hurwitz-Radon formula, and whether they meet.
 
     Each upper bound is actually realized: the restricted formula is built
-    and checked by expansion.  Raises ValueError, before any work, when the
-    largest upper bound exceeds MAX_TABLE_UPPER.
+    and checked by the packed Gram check (SosFormula.gram_defect), which the
+    tests cross-check against expansion.  Raises ValueError, before any work,
+    when the largest upper bound exceeds MAX_TABLE_UPPER.
     """
     require_ints("rmax, smax", rmax, smax)
     largest = hurwitz_radon_upper_bound(rmax, smax)
@@ -132,7 +134,7 @@ def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
             upper = hurwitz_radon_upper_bound(r, s)
             if upper not in hr_cache:
                 hr_cache[upper] = construct_hurwitz_radon(upper)
-            if not hr_cache[upper].restrict(r, s).verify_by_expansion():
+            if hr_cache[upper].restrict(r, s).gram_defect() is not None:
                 raise AssertionError(
                     f"restricted Hurwitz-Radon formula [{r},{s},{upper}] failed to verify"
                 )

@@ -71,6 +71,7 @@ class CoeffRing:
     """
 
     kind: str = "?"
+    _ZERO = 0  # the start of dot's sum: zero() without a coerce per call
 
     def zero(self):
         return self.coerce(0)
@@ -95,7 +96,7 @@ class CoeffRing:
 
     def dot(self, xs, ys):
         """sum_i xs[i] * ys[i] over equal-length vectors, reduced once."""
-        return self.reduce(sum(map(operator.mul, xs, ys), self.zero()))
+        return self.reduce(sum(map(operator.mul, xs, ys), self._ZERO))
 
     # Unreduced arithmetic with Python's operators: exact in Z and Q, reduced
     # mod p by reduce in GF(p).
@@ -149,6 +150,7 @@ class RationalField(CoeffRing):
     """The rationals, backed by fractions.Fraction."""
 
     kind = "Q"
+    _ZERO = Fraction(0)
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):

@@ -179,6 +179,16 @@ RINGS_AND_ENTRIES = [
 ]
 
 
+@pytest.mark.parametrize("ring", [ring for ring, _ in RINGS_AND_ENTRIES], ids=repr)
+def test_empty_dot_is_the_rings_own_zero(ring):
+    # dot sums from a stored zero, which must match zero() in value and type
+    def kinds(v):
+        return type(v), tuple(map(type, v)) if isinstance(v, tuple) else ()
+
+    got, zero = ring.dot([], []), ring.zero()
+    assert got == zero and kinds(got) == kinds(zero)
+
+
 @st.composite
 def sparse_formulas(draw):
     ring, nonzero = draw(st.sampled_from(RINGS_AND_ENTRIES))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosforms.hopf
-from sosforms.formulas import hurwitz_radon_upper_bound, rho
+from sosforms.formulas import SosFormula, hurwitz_radon_upper_bound, rho
 from sosforms.hopf import (
     _LOWER_BOUND_CAP,
     MAX_TABLE_UPPER,
@@ -302,6 +302,27 @@ def test_bound_table_rejects_an_oversized_upper_bound(monkeypatch):
     for rmax, smax in ((18, 18), (1, 257), (25, 1)):
         with pytest.raises(ValueError, match="Hurwitz-Radon formula of size"):
             bound_table(rmax, smax)
+
+
+def test_bound_table_checks_every_restriction(monkeypatch):
+    # flip one sign of HR(4) in the entry at x_3 y_4: the restrictions to
+    # r <= 2 or s <= 3 drop it and still verify, and the first cell in table
+    # order that keeps it, [3, 4, 4], must fail
+    real = sosforms.hopf.construct_hurwitz_radon
+
+    def corrupted(n):
+        f = real(n)
+        if n != 4:
+            return f
+        tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+        k = next(k for k in range(n) if tensor[k][2][3])
+        tensor[k][2][3] = -tensor[k][2][3]
+        return SosFormula(f.r, f.s, f.n, f.ring, tensor)
+
+    monkeypatch.setattr(sosforms.hopf, "construct_hurwitz_radon", corrupted)
+    assert len(bound_table(4, 3)) == 12
+    with pytest.raises(AssertionError, match=r"\[3,4,4\] failed to verify"):
+        bound_table(4, 4)
 
 
 def test_input_validation():

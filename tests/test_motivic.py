@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sosforms import algebra, motivic
 from sosforms.chow import ChowClass
 from sosforms.grading import BiDegree
-from sosforms.hopf import hopf_admissible
+from sosforms.hopf import hopf_admissible, hopf_lower_bound
 from sosforms.motivic import (
     DQClass,
     DQRingSpec,
@@ -302,17 +302,66 @@ def test_engines_agree_small_sweep():
     assert motivic_binomial_mismatches(8, 8, 16) == []
 
 
-def test_the_sweep_reports_every_cell(monkeypatch):
+@pytest.mark.parametrize(
+    "rmax, smax, nmax", [(8, 8, 16), (12, 5, 20), (5, 12, 20), (9, 6, 7), (0, 5, 8), (5, 0, 8)]
+)
+def test_the_sweep_reports_every_cell(monkeypatch, rmax, smax, nmax):
     # against a negated oracle every cell with n >= max(r, s) is a mismatch, so
-    # the sweep's ring verdicts (which stop multiplying at zero) can be read off
-    # and checked against the per-cell engine
+    # the sweep's ring verdicts (read off restrictions of the powers in the
+    # largest ring) can be checked against the per-cell engine, which builds
+    # its own power in each cell's ring
     monkeypatch.setattr(motivic, "hopf_admissible", lambda r, s, n: not hopf_admissible(r, s, n))
-    reported = motivic_binomial_mismatches(8, 8, 16)
-    cells = [(r, s, n) for r in range(1, 9) for s in range(1, 9) for n in range(max(r, s), 17)]
+    reported = motivic_binomial_mismatches(rmax, smax, nmax)
+    cells = [
+        (r, s, n) for r in range(1, rmax + 1) for s in range(1, smax + 1) for n in range(max(r, s), nmax + 1)
+    ]
     assert [row[:3] for row in reported] == cells
     for r, s, n, ring_verdict, parity_verdict in reported:
         assert ring_verdict == hopf_via_motivic(r, s, n) == (not parity_verdict)
-    assert {row[3] for row in reported} == {True, False}
+    assert {row[3] for row in reported} == ({True, False} if cells else set())
+
+
+@pytest.mark.parametrize("rmax, smax, nmax", [(16, 16, 32), (12, 5, 20), (5, 12, 7), (1, 1, 3)])
+def test_the_sweep_builds_each_power_once(monkeypatch, rmax, smax, nmax):
+    # one product per power of a1 + a2, in the largest ring, until a power is zero
+    calls = []
+    mul = TensorClass.__mul__
+
+    def counting(self, other):
+        calls.append(self.ring)
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorClass, "__mul__", counting)
+    motivic_binomial_mismatches(rmax, smax, nmax)
+    assert len(calls) == min(nmax, hopf_lower_bound(rmax, smax))
+    assert set(calls) <= {(DQRingSpec(rmax - 1), DQRingSpec(smax - 1))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_restriction_of_tensor_classes_is_a_ring_map(data):
+    sizes = [data.draw(st.integers(0, 8)) for _ in range(2)]
+    big = [DQRingSpec(m) for m in sizes]
+    small = [DQRingSpec(data.draw(st.integers(0, m))) for m in sizes]
+    x, y = data.draw(tensor_classes(*big)), data.draw(tensor_classes(*big))
+
+    def restrict(w):
+        return motivic._restrict_flat(w, *small)
+
+    assert restrict(x * y) == restrict(x) * restrict(y)
+    assert restrict(x + y) == restrict(x) + restrict(y)
+    assert motivic._restrict_flat(x, *big) == x
+
+
+def test_restriction_of_tensor_classes_refuses_rho_and_larger_rings():
+    flat, formal = DQRingSpec(6), DQRingSpec(6, rho=True)
+    for x, target in (
+        (TensorClass.a_left(formal, formal), (DQRingSpec(4, rho=True), DQRingSpec(5, rho=True))),
+        (TensorClass.a_left(flat, flat), (formal, formal)),
+        (TensorClass.a_left(flat, DQRingSpec(3)), (flat, flat)),
+    ):
+        with pytest.raises(ValueError, match="only to smaller rings with rho = 0"):
+            motivic._restrict_flat(x, *target)
 
 
 def test_engines_agree_spot_triples():
