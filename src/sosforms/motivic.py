@@ -309,15 +309,18 @@ def _restrict_flat(x: TensorClass, left: DQRingSpec, right: DQRingSpec) -> Tenso
     keeps the degree e + 2j or dies, so the terms of degree > m form an ideal
     and this is a ring map.  With rho formal an even ring may keep its size
     but change eps (a*b^k = 0 or rho*b^k), and then it is not multiplicative,
-    so a rho-formal class is refused with ValueError, as is a larger ring."""
+    so a rho-formal class is refused with ValueError, as is a larger ring.
+    The keys of x are those of a normal form, with e <= 1 in each factor, so
+    renormalizing never meets a^2 = tau*b: it keeps a key with unit 1 or
+    drops it, and each coefficient is carried over as it is."""
     big_left, big_right = x.ring
     if big_left.rho or left.rho or right.rho or left.n > big_left.n or right.n > big_right.n:
         raise ValueError("restriction is a ring map only to smaller rings with rho = 0")
     reduce = TensorClass._new((left, right), {})._reduce
     terms: dict = {}
     for key, coeff in x.terms.items():
-        for basis_key, unit in reduce(key):
-            accumulate(terms, basis_key, coeff if unit is M2_ONE else coeff * unit)
+        for basis_key, _ in reduce(key):
+            accumulate(terms, basis_key, coeff)
     return TensorClass._new((left, right), terms)
 
 

@@ -7,16 +7,22 @@ of a constrained pair are placed.
 
 The candidate columns (the unit vectors) are numbered 0..m-1, and a set of
 them is a Python int used as a bitset.  Each placed column u carries its
-partition: the candidates grouped by <v, u> mod p.  Every constraint on the
-next column asks <v, u> = t for one placed u and one residue t, so it
-selects one class, and a node's admissible set is the AND of one class per
-constraint.  Its members are tried in ascending order, which is the order
-of the candidate list.  A partition is refined from the coordinate sets one
-nonzero coordinate at a time, or, when p is large for the number of
-candidates, grouped from one dot product per candidate.  One search builds
-each candidate's partition once and keeps it for the next time that
-candidate is placed, until the kept partitions fill PARTITION_BUDGET bytes;
-past that, partitions are built on use and dropped with their column.
+partition: the candidates grouped by <v, u> mod p.  Every constraint on a
+later column asks <v, u> = t for one placed u and one residue t, so it
+selects one class, and a node's candidates are the AND of one class per
+constraint, tried in ascending order, which is the order of the candidate
+list.  A node of column c ANDs the classes that the columns before c select
+for column c + 1 once for all its candidates, and each candidate adds its
+own.  A partition is refined from the coordinate sets one nonzero
+coordinate at a time, or, when p is large for the number of candidates,
+grouped from one dot product per candidate.
+
+The candidates, their coordinate sets and the partitions built so far form
+the space of (p, n, signed_monomial_only).  A search keeps each partition
+for the next time its candidate is placed, until the kept partitions fill
+PARTITION_BUDGET bytes; past that, partitions are built on use and dropped
+with their column.  Searches given one ``spaces`` dict share their spaces;
+the consistency sweep gives the cells of each n one.
 
 Without ``signed_monomial_only`` all the unit vectors, about p^(n-1) of
 them, are enumerated up front, so such problems are limited to
@@ -55,10 +61,11 @@ from .rings import PrimeField, ValueTuple, require_flags, require_ints
 # both by about 3, so n = 18 would need some 25 GB.
 MAX_FULL_VECTORS = 3**13
 
-# Bytes of partitions one search may keep for reuse, charged as the sizes of
-# each partition's dict and class bitsets.  Peak RSS with Python 3.11 of the
-# unpinned (2, 2, 2, 1259) search: 171 MB unbounded, 39 MB with this budget;
-# of the unpinned (3, 3, 3, 101) over 20 s: 434 MB unbounded, 34 MB with it.
+# Bytes of partitions a space keeps (see above), charged as the getsizeof
+# sizes of the partition dicts and their class bitsets.  Peak RSS with
+# Python 3.11 of the unpinned (2, 2, 2, 1259) search: 172 MB unbounded,
+# 40 MB with this budget; of the unpinned (3, 3, 3, 101) over 20 s:
+# 311 MB unbounded, 34 MB with it.
 PARTITION_BUDGET = 16 * 2**20
 
 
@@ -188,17 +195,19 @@ def _partition(coord, candidates, u, field: PrimeField, everything: int) -> dict
     return classes
 
 
-class _Partitions:
-    """The partitions of the candidates, by candidate index, for one search.
+class _Space:
+    """The candidates of one (p, n, signed_monomial_only), their coordinate
+    sets, and the partitions kept so far, by candidate index.  A partition
+    is built on first use and kept while fewer than PARTITION_BUDGET bytes
+    of partitions are charged, so that charge passes the budget by at most
+    one partition.  Callers only read what they get: the partitions, and
+    the coordinate sets that the pinned frame uses as its partitions."""
 
-    Each is built on first use and kept while fewer than PARTITION_BUDGET
-    bytes are charged, so the charge passes the budget by at most one
-    partition.  Callers only read the partitions they get, as they read the
-    coordinate sets that the pinned frame uses as its partitions.
-    """
-
-    def __init__(self, coord, candidates, field: PrimeField, everything: int):
-        self.coord, self.candidates, self.field, self.everything = coord, candidates, field, everything
+    def __init__(self, p: int, n: int, signed_only: bool, deadline: float | None):
+        self.field = PrimeField(p)
+        self.candidates = _unit_columns(p, n, signed_only, deadline)
+        self.coord = _coordinate_sets(self.candidates, deadline)
+        self.everything = (1 << len(self.candidates)) - 1
         self.kept: dict[int, dict[int, int]] = {}
         self.charged = 0
 
@@ -225,13 +234,22 @@ class _Timeout(Exception):
     pass
 
 
-def search(problem: SearchProblem) -> SearchResult:
+def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResult:
     """All formulas of the given type over GF(p), up to the option limits.
 
     The formulas come sorted by tensor T[k][i][j], compared entry by entry as
     residues 0..p-1.  This is numeric order: for p < 11 it is also the order
     of their JSON text, for p >= 11 it is not (10 sorts after 9, not before 2).
+
+    Searches given the same ``spaces`` dict share the candidate space of
+    their (p, n, signed_monomial_only) kept there: the candidates and the
+    partitions kept so far.  A search builds its space and stores it there
+    if missing; without a dict it builds a space of its own.
     """
+    if spaces is None:
+        spaces = {}
+    elif not isinstance(spaces, dict):
+        raise ValueError(f"spaces must be None or a dict, not {type(spaces).__name__}")
     r, s, n, p = problem.r, problem.s, problem.n, problem.p
     opts = problem.options
     start = time.monotonic()
@@ -240,46 +258,49 @@ def search(problem: SearchProblem) -> SearchResult:
     if s > n or r > n:
         return SearchResult([], "exhausted", elapsed=time.monotonic() - start)
 
-    field_ring = PrimeField(p)
-    dot = field_ring.dot
-
     solutions: list[tuple[tuple[int, ...], SosFormula]] = []  # (flat tensor, formula)
     state = {"nodes": 0}
     deadline = start + opts.time_budget if opts.time_budget is not None else None
     matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
     partitions: list[list[dict[int, int]]] = []  # per placed column
+    places = [(i, j) for i in range(r) for j in range(s)]
 
-    def admissible(mi: int, ci: int) -> int:
-        """The candidates for column ci of B_mi, as a bitset.  Norm 1 is
-        baked into the candidate set; each constraint selects one class."""
+    def diagonal(mi: int, c: int) -> int:
+        """The candidates that meet the diagonal constraints on column c of
+        B_mi: 2<v, B_j[c]> = 0 for j < mi, as p is odd."""
         bits = everything
-        # own-matrix orthogonality: <v, B_mi[l]> = 0
-        for part in partitions[mi]:
-            bits &= part.get(0, 0)
-        cols = matrices[mi]
-        for other, parts in zip(matrices[:mi], partitions):
-            # cross pairs (ci, l < ci): <v, B_j[l]> = -<B_j[ci], B_mi[l]>
-            for l in range(ci):
-                bits &= parts[l].get(-dot(other[ci], cols[l]) % p, 0)
-            # the diagonal: 2<v, B_j[ci]> = 0, and p is odd
-            bits &= parts[ci].get(0, 0)
+        for parts in partitions[:mi]:
+            bits &= parts[c].get(0, 0)
+        return bits
+
+    def narrow(bits: int, mi: int, l: int, c: int) -> int:
+        """bits AND the classes that column l of B_mi selects for column c:
+        its own <v, B_mi[l]> = 0, and the cross pairs (c, l) with each
+        earlier matrix, <v, B_j[l]> = -<B_j[c], B_mi[l]>."""
+        u = matrices[mi][l]
+        bits &= partitions[mi][l].get(0, 0)
+        if pinned:  # <e_c, u> = u[c]
+            bits &= coord[l].get(-u[c] % p, 0)
+        for j in range(pinned, mi):
             if not bits:
                 break
+            bits &= partitions[j][l].get(-dot(matrices[j][c], u) % p, 0)
         return bits
 
     def emit():
-        # T[k][i][j] is entry k of column j of B_i; flat lists it in (k, i, j) order
-        placed = [(i, j, col) for i, cols in enumerate(matrices[:r]) for j, col in enumerate(cols)]
-        flat = tuple(col[k] for k in range(n) for _, _, col in placed)
-        nonzeros = tuple(tuple((i, j, col[k]) for i, j, col in placed if col[k]) for k in range(n))
-        f = SosFormula._of_nonzeros(r, s, n, field_ring, nonzeros)
+        # T[k][i][j] is entry k of column j of B_i: rows[k] lists them in (i, j) order
+        rows = list(zip(*itertools.chain.from_iterable(matrices[:r])))
+        flat = tuple(itertools.chain.from_iterable(rows))
+        nonzeros = tuple(tuple((i, j, a) for (i, j), a in zip(places, row) if a) for row in rows)
+        f = SosFormula._of_nonzeros(r, s, n, space.field, nonzeros)
         # The constraints imply this; the Gram check reads the built formula,
         # not the bitsets, so it does not share the search's code.
         if f.gram_defect() is not None:
             raise AssertionError("search emitted a formula that fails verification")
         solutions.append((flat, f))
 
-    def extend(mi: int, ci: int) -> None:
+    def extend(mi: int, ci: int, bits: int) -> None:
+        """Walk the subtree of column ci of B_mi, whose candidates are bits."""
         if deadline is not None and time.monotonic() >= deadline:
             raise _Timeout
         state["nodes"] += 1
@@ -288,41 +309,52 @@ def search(problem: SearchProblem) -> SearchResult:
             if opts.max_solutions is not None and len(solutions) >= opts.max_solutions:
                 raise _Stop
             return
+        cols, parts = matrices[mi], partitions[mi]
+        nxt = ci + 1
+        if bits and nxt < s:
+            # what the columns placed before ci allow in column nxt, once for
+            # all the candidates tried here
+            shared = diagonal(mi, nxt)
+            for l in range(ci):
+                if not shared:
+                    break
+                shared = narrow(shared, mi, l, nxt)
         # each candidate gets its partition and then enters the child node,
         # which checks the deadline first
-        for k in _members(admissible(mi, ci)):
-            matrices[mi].append(candidates[k])
-            partitions[mi].append(partitions_of(k))
-            if ci + 1 == s:
+        for k in _members(bits):
+            cols.append(candidates[k])
+            parts.append(partitions_of(k))
+            if nxt < s:
+                extend(mi, nxt, shared and narrow(shared, mi, ci, nxt))
+            else:
                 matrices.append([])
                 partitions.append([])
-                extend(mi + 1, 0)
+                extend(mi + 1, 0, diagonal(mi + 1, 0) if mi + 1 < r else 0)  # a leaf reads none
                 matrices.pop()
                 partitions.pop()
-            else:
-                extend(mi, ci + 1)
-            matrices[mi].pop()
-            partitions[mi].pop()
+            cols.pop()
+            parts.pop()
 
+    pinned = int(opts.canonical_first_matrix)
+    key = (p, n, opts.signed_monomial_only)
     stop_reason = "exhausted"
     try:
-        candidates = _unit_columns(p, n, opts.signed_monomial_only, deadline)
-        coord = _coordinate_sets(candidates, deadline)
-        everything = (1 << len(candidates)) - 1
-        partitions_of = _Partitions(coord, candidates, field_ring, everything).of
-        pinned = 0
-        if opts.canonical_first_matrix:
+        space = spaces.get(key)
+        if space is None:  # a build cut by the deadline stores nothing
+            space = spaces[key] = _Space(*key, deadline)
+        candidates, coord, everything, partitions_of = space.candidates, space.coord, space.everything, space.of
+        dot = space.field.dot
+        if pinned:
             # B_1 = [I_s; 0]: column c is e_c, whose partition is coord[c]
             matrices.append([tuple(int(row == c) for row in range(n)) for c in range(s)])
             partitions.append(coord[:s])
-            pinned = 1
         matrices.append([])
         partitions.append([])
         if pinned == r:
             # nothing left to search: the pinned frame is the whole solution
             emit()
         else:
-            extend(pinned, 0)
+            extend(pinned, 0, diagonal(pinned, 0))
     except _Stop:
         stop_reason = "max_solutions"
     except _Timeout:
@@ -365,7 +397,9 @@ def hopf_consistency_sweep(
     """Search every cell (r, s, n) in range and check that each hit satisfies
     the Hopf condition.  A found formula in an inadmissible cell would
     contradict the necessity of the condition; such cells are returned as
-    violations (and there are none).
+    violations (and there are none).  The cells are searched n by n, so the
+    cells of one n share its candidate space; the report lists them in
+    (r, s, n) order.
 
     Raises ValueError before any cell is searched when the range is empty
     (rmax, smax or nmax below 1) or a cell's search would be rejected.
@@ -373,23 +407,26 @@ def hopf_consistency_sweep(
     require_ints("rmax, smax, nmax", rmax, smax, nmax)
     opts = SearchOptions(max_solutions=1, time_budget=time_budget)
     SearchProblem(rmax, smax, nmax, p, opts)  # rejects p or n before any cell
+    results = {}
+    for n in range(1, nmax + 1):
+        spaces: dict[tuple[int, int, bool], _Space] = {}  # the cells of one n share its space
+        for r in range(1, rmax + 1):
+            for s in range(1, smax + 1):
+                results[r, s, n] = search(SearchProblem(r, s, n, p, opts), spaces=spaces)
     cells: list[SweepCell] = []
     violations: list[SweepCell] = []
-    for r in range(1, rmax + 1):
-        for s in range(1, smax + 1):
-            for n in range(1, nmax + 1):
-                result = search(SearchProblem(r, s, n, p, opts))
-                admissible = hopf_admissible(r, s, n)
-                if result.found:
-                    status = "found"
-                elif not result.exhausted:
-                    status = "timeout"
-                elif admissible:
-                    status = "empty-admissible"
-                else:
-                    status = "empty-forbidden"
-                cell = SweepCell(r, s, n, p, status, admissible)
-                cells.append(cell)
-                if status == "found" and not admissible:
-                    violations.append(cell)
+    for (r, s, n), result in sorted(results.items()):
+        admissible = hopf_admissible(r, s, n)
+        if result.found:
+            status = "found"
+        elif not result.exhausted:
+            status = "timeout"
+        elif admissible:
+            status = "empty-admissible"
+        else:
+            status = "empty-forbidden"
+        cell = SweepCell(r, s, n, p, status, admissible)
+        cells.append(cell)
+        if status == "found" and not admissible:
+            violations.append(cell)
     return SweepReport(cells, violations)

@@ -273,6 +273,10 @@ def test_bound_table_entries():
     assert entries[(3, 3)].tight
     for s in (1, 2, 3):
         assert entries[(1, s)].tight
+    # a gap: Hopf asks for n >= 3, the best construction here needs 4
+    assert entries[(3, 1)].hopf_lower == 3
+    assert entries[(3, 1)].construct_upper == 4
+    assert not entries[(3, 1)].tight
 
 
 def test_bound_table_lower_le_upper():

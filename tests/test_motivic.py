@@ -353,6 +353,24 @@ def test_restriction_of_tensor_classes_is_a_ring_map(data):
     assert motivic._restrict_flat(x, *big) == x
 
 
+@pytest.mark.parametrize("rmax, smax, nmax", [(16, 16, 32), (12, 5, 20)])
+def test_restriction_keeps_every_unit_one_on_the_sweeps(rmax, smax, nmax):
+    # _restrict_flat carries each coefficient over unmultiplied: every key of
+    # the sweep's powers renormalizes in every cell's ring with unit 1
+    top = (DQRingSpec(rmax - 1), DQRingSpec(smax - 1))
+    x = TensorClass.a_left(*top) + TensorClass.a_right(*top)
+    powers = [TensorClass.one(*top)]
+    for _ in range(nmax):
+        powers.append(powers[-1] * x)
+    units = []
+    for r in range(1, rmax + 1):
+        for s in range(1, smax + 1):
+            reduce = TensorClass._new((DQRingSpec(r - 1), DQRingSpec(s - 1)), {})._reduce
+            for n in range(max(r, s), nmax + 1):
+                units += [unit for key in powers[n].terms for _, unit in reduce(key)]
+    assert units and all(unit is M2_ONE for unit in units)
+
+
 def test_restriction_of_tensor_classes_refuses_rho_and_larger_rings():
     flat, formal = DQRingSpec(6), DQRingSpec(6, rho=True)
     for x, target in (

@@ -17,6 +17,7 @@ from sosforms.search import (
     SearchOptions,
     SearchProblem,
     SearchResult,
+    SweepCell,
     _coordinate_sets,
     _members,
     _partition,
@@ -189,7 +190,7 @@ def partition_charge(part):
 def test_partition_budget_changes_no_result(monkeypatch, budget):
     memos = []
 
-    class Recorded(search_module._Partitions):
+    class Recorded(search_module._Space):
         def __init__(self, *args):
             super().__init__(*args)
             memos.append(self)
@@ -199,7 +200,7 @@ def test_partition_budget_changes_no_result(monkeypatch, budget):
     for cell, opts in cells:
         result = run(*cell, **opts)
         expected[cell] = (result.stop_reason, result.nodes, [f.tensor for f in result.formulas])
-    monkeypatch.setattr(search_module, "_Partitions", Recorded)
+    monkeypatch.setattr(search_module, "_Space", Recorded)
     monkeypatch.setattr(search_module, "PARTITION_BUDGET", budget)
     for cell, opts in cells:
         result = run(*cell, **opts)
@@ -227,11 +228,114 @@ def test_kept_partitions_are_those_of_their_candidates():
     coord = _coordinate_sets(candidates, None)
     everything = (1 << len(candidates)) - 1
     field = PrimeField(101)
-    memo = search_module._Partitions(coord, candidates, field, everything)
+    space = search_module._Space(101, 2, False, None)
+    assert (space.candidates, space.coord, space.everything) == (candidates, coord, everything)
     for k in (5, 7, 5, 0, 7):
-        assert memo.of(k) == _partition(coord, candidates, candidates[k], field, everything)
-    assert sorted(memo.kept) == [0, 5, 7]
-    assert memo.of(5) is memo.kept[5]
+        assert space.of(k) == _partition(coord, candidates, candidates[k], field, everything)
+    assert sorted(space.kept) == [0, 5, 7]
+    assert space.of(5) is space.kept[5]
+
+
+# -- one space shared by several searches ----------------------------------------
+
+
+def assert_space_consistent(space):
+    """The space charges the bytes of its kept partitions, only the last one
+    kept is charged at or past the budget, and each kept partition is the
+    one built afresh."""
+    kept = list(space.kept.values())
+    assert space.charged == sum(map(partition_charge, kept))
+    assert not kept or space.charged - partition_charge(kept[-1]) < search_module.PARTITION_BUDGET
+    for k, part in space.kept.items():
+        assert part == _partition(space.coord, space.candidates, space.candidates[k], space.field, space.everything)
+
+
+def result_of(r, s, n, p, opts, spaces):
+    result = search(SearchProblem(r, s, n, p, opts), spaces=spaces)
+    for space in spaces.values():
+        assert_space_consistent(space)
+    return result.formulas, result.stop_reason, result.nodes
+
+
+def search_options(canonical, signed, max_solutions):
+    return SearchOptions(canonical_first_matrix=canonical, signed_monomial_only=signed, max_solutions=max_solutions)
+
+
+OPTIONS = st.builds(search_options, st.booleans(), st.booleans(), st.sampled_from([None, 1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_space_gives_the_fresh_result(data):
+    # unpinned trees grow fast past n = 3 (seconds at n = 5), as in the oracle tests
+    p = data.draw(st.sampled_from([3, 5]), label="p")
+    n = data.draw(st.integers(1, 5), label="n")
+    # r, s <= n: a larger r or s stops before the space is looked up
+    dims = st.tuples(st.integers(1, min(3, n)), st.integers(1, min(3, n)))
+    cell = st.tuples(dims, OPTIONS).filter(lambda c: c[1].canonical_first_matrix or n <= 3)
+    (r, s), opts = data.draw(cell, label="cell")
+    fresh = result_of(r, s, n, p, opts, {})
+    # other cells of (p, n), the first of them in the same mode, so that
+    # this search starts from partitions that others kept, in their order
+    same_mode = cell.filter(lambda c: c[1].signed_monomial_only == opts.signed_monomial_only)
+    warmers = [data.draw(same_mode, label="warmer")] + data.draw(st.lists(cell, max_size=3), label="warmers")
+    spaces = {}
+    for (r2, s2), opts2 in warmers:
+        result_of(r2, s2, n, p, opts2, spaces)
+    assert (p, n, opts.signed_monomial_only) in spaces
+    assert result_of(r, s, n, p, opts, spaces) == fresh
+    assert result_of(r, s, n, p, opts, spaces) == fresh
+
+
+def test_shared_space_gives_the_fresh_result_on_the_dot_product_path():
+    unpinned = search_options(False, False, None)
+    fresh = result_of(2, 2, 2, 101, unpinned, {})
+    spaces = {}
+    for opts in (search_options(True, False, None), search_options(False, False, 1)):
+        for cell in ((1, 2), (2, 1), (2, 2)):
+            result_of(*cell, 2, 101, opts, spaces)
+    assert result_of(2, 2, 2, 101, unpinned, spaces) == fresh
+    assert len(fresh[0]) > 1
+
+
+def test_spaces_must_be_a_dict():
+    with pytest.raises(ValueError, match="spaces must be None or a dict"):
+        search(SearchProblem(1, 1, 1, 3), spaces=[])
+
+
+def test_a_build_cut_by_the_deadline_stores_no_space():
+    spaces = {}
+    # 3^12 prefixes take about 0.6 s to enumerate
+    problem = SearchProblem(2, 2, 13, 3, SearchOptions(time_budget=0.05))
+    assert search(problem, spaces=spaces).stop_reason == "timeout"
+    assert spaces == {}
+    # a timeout in the tree walk keeps the space it walked over
+    problem = SearchProblem(4, 4, 8, 3, SearchOptions(time_budget=0.05))
+    assert search(problem, spaces=spaces).stop_reason == "timeout"
+    assert list(spaces) == [(3, 8, False)]
+    assert_space_consistent(spaces[3, 8, False])
+
+
+def test_the_sweep_builds_one_space_per_n(monkeypatch):
+    built = []
+
+    class Recorded(search_module._Space):
+        def __init__(self, p, n, signed_only, deadline):
+            super().__init__(p, n, signed_only, deadline)
+            built.append((p, n, signed_only))
+
+    expected = [
+        SweepCell(r, s, n, 3, None, hopf_admissible(r, s, n))
+        for r in range(1, 4) for s in range(1, 4) for n in range(1, 5)
+    ]
+    monkeypatch.setattr(search_module, "_Space", Recorded)
+    report = hopf_consistency_sweep(3, 3, 4, 3)
+    assert built == [(3, n, False) for n in range(1, 5)]
+    # cell by cell in (r, s, n) order, each with the status of its own search
+    assert [c._replace(status=None) for c in report.cells] == expected
+    for c in report.cells:
+        result = run(c.r, c.s, c.n, 3, max_solutions=1)
+        assert c.status == ("found" if result.found else "empty-forbidden" if not c.admissible else "empty-admissible")
 
 
 @settings(max_examples=200, deadline=None)
@@ -503,13 +607,13 @@ def test_sweep_desk_scale():
 def test_sweep_tells_the_two_empty_statuses_apart(monkeypatch):
     # no small cell is empty over GF(3) where Hopf allows it, so a search that
     # exhausts every cell empty stands in for one
-    monkeypatch.setattr(search_module, "search", lambda problem: SearchResult([], "exhausted"))
+    monkeypatch.setattr(search_module, "search", lambda problem, spaces: SearchResult([], "exhausted"))
     report = hopf_consistency_sweep(2, 2, 2, 3)
     for c in report.cells:
         assert c.status == ("empty-admissible" if c.admissible else "empty-forbidden")
     assert {c.status for c in report.cells} == {"empty-admissible", "empty-forbidden"}
     assert report.violations == []
-    monkeypatch.setattr(search_module, "search", lambda problem: SearchResult([], "timeout"))
+    monkeypatch.setattr(search_module, "search", lambda problem, spaces: SearchResult([], "timeout"))
     assert {c.status for c in hopf_consistency_sweep(2, 2, 2, 3).cells} == {"timeout"}
 
 
