@@ -14,7 +14,8 @@ from sosforms import (
 
 print("=== tiny instances over GF(3) ===")
 result = search(SearchProblem(1, 1, 1, 3, SearchOptions(canonical_first_matrix=False)))
-print(f"[1,1,1]: scalars c with c^2 = 1: {[f.tensor[0][0][0] for f in result.formulas]}")
+# z_1 = c*x_1*y_1: the one nonzero (i, j, c) of slice 0
+print(f"[1,1,1]: scalars c with c^2 = 1: {[f.nonzeros[0][0][2] for f in result.formulas]}")
 
 result = search(SearchProblem(2, 2, 2, 3))
 print(f"[2,2,2] canonical solutions: {len(result.formulas)} "

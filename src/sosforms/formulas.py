@@ -9,7 +9,7 @@ holds identically in the polynomial ring.  The one stored form is the
 tensor's nonzeros: per slice k, the (i, j, c) with c = T[k][i][j] != 0, in
 (i, j) order.  Every classical formula is sparse, so loading, restricting,
 changing the ring and setting up either verifier cost O(nnz), not O(n r s);
-the dense tensor is built only on demand (``tensor``).
+only the JSON form lists every entry.
 Two independent verifiers read the nonzeros: direct expansion
 (``verify_by_expansion``), and the equivalent matrix equations
 B_a^T B_b + B_b^T B_a = 2 delta_{ab} I (``gram_defect``, ``verify_by_hurwitz``)
@@ -90,18 +90,6 @@ class SosFormula:
         f = object.__new__(cls)
         f.r, f.s, f.n, f.ring, f.nonzeros = r, s, n, ring, nonzeros
         return f
-
-    @property
-    def tensor(self) -> tuple:
-        """The dense tensor T[k][i][j] as nested tuples, built on each call."""
-        zero = self.ring.zero()
-        dense = []
-        for entries in self.nonzeros:
-            rows = [[zero] * self.s for _ in range(self.r)]
-            for i, j, c in entries:
-                rows[i][j] = c
-            dense.append(tuple(map(tuple, rows)))
-        return tuple(dense)
 
     @property
     def type_triple(self) -> tuple[int, int, int]:

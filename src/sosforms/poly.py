@@ -17,12 +17,18 @@ sum_k z_k^2 = (sum_i x_i^2)(sum_j y_j^2) is checked by one map whose terms
 all cancel.  Only the monomials whose coefficients survive are unpacked back
 into tuples.  A packing is built per call and not kept.
 
+Coefficients are packed too where polys share a support: ``sum_of_squares``
+lifts each coefficient column of such a group to integers >= 0 and packs it
+into one int (Kronecker substitution), so the dot product of two columns is
+one lane of one integer product.
+
 Values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from math import lcm
 
 from .rings import CoeffRing, IntegerRing, gaussian_ext, require_ints
 
@@ -279,6 +285,72 @@ def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     return SparsePoly._new(ring, {m: c for m, c in terms.items() if c != zero})
 
 
+def _lane_width(rows: int, top: int) -> int:
+    """Bits per lane for packed columns of ``rows`` entries in 0..top: no lane
+    of the product of two such columns, a sum of at most ``rows`` products
+    of two entries, reaches 2^W."""
+    return (rows * top * top).bit_length()
+
+
+def _pack(column, lift: dict, width: int) -> tuple[int, int]:
+    """The lifts of ``column`` in lanes of ``width`` bits, forward,
+    sum_k lift[c_k] 2^(W k), and reversed, sum_k lift[c_k] 2^(W (n-1-k))."""
+    forward = reverse = 0
+    for c in column:
+        reverse = reverse << width | lift[c]
+    for c in reversed(column):
+        forward = forward << width | lift[c]
+    return forward, reverse
+
+
+def _column_products(ring: CoeffRing, rows: list) -> Iterator[list]:
+    """For each column u of ``rows``, the coefficient rows of a group of
+    polys with one support, the list of sum_k rows[k][u] * rows[k][v] over
+    v = u, u + 1, ... as ring elements.
+
+    ``ring.row_parts`` splits each row into parts of ints or Fractions: one,
+    or the real and imaginary parts over a Gaussian extension.  Each part is
+    lifted to an integer >= 0: times the lcm D of the group's denominators,
+    plus M = max(0, -min).  Part a of column u is packed as
+    P_u = sum_k c_ku 2^(W k) and reversed as Q_u = sum_k c_ku 2^(W (n-1-k)),
+    W from ``_lane_width``, so lane n - 1 of P_u * Q_v is sum_k c_ku c_kv,
+    exact because no lane reaches 2^W: one integer product per pair of
+    columns and pair of parts.  The shift comes back off as
+    M (S_u + S_v) + n M^2, with S the unshifted column sums, and
+    ``ring.from_part_dots`` reads the integer dots, in units of 1 / D^2, as
+    elements."""
+    n = len(rows)
+    parts = [ring.row_parts(row) for row in rows]  # parts[k][a] is part a of row k
+    values = {v for row in parts for part in row for v in part}
+    scale = lcm(*{v.denominator for v in values})
+    ints = {v: v.numerator * (scale // v.denominator) for v in values}
+    shift = max(0, -min(ints.values(), default=0))
+    lift = {v: x + shift for v, x in ints.items()}
+    width = _lane_width(n, max(lift.values(), default=0))
+    at, mask = width * (n - 1), (1 << width) - 1
+    packed = []  # per part: the columns packed forward (P) and reversed (Q), and their sums S
+    for part_rows in zip(*parts):
+        forward, reverse, sums = [], [], []
+        for column in zip(*part_rows):  # one column tuple at a time: only the packed ints stay
+            p, q = _pack(column, lift, width)
+            forward.append(p)
+            reverse.append(q)
+            sums.append(sum(map(ints.__getitem__, column)) if shift else 0)
+        packed.append((forward, reverse, sums))
+    offset = n * shift * shift
+    for u in range(len(packed[0][0])):
+        dots = []  # dots[a][b]: part a of column u against part b of columns u, u + 1, ...
+        for p, _, s in packed:
+            pu, su, row = p[u], s[u], []
+            for _, q, t in packed:
+                lanes = [pu * qv >> at & mask for qv in q[u:]]
+                if shift:
+                    lanes = [x - shift * (su + tv) - offset for x, tv in zip(lanes, t[u:])]
+                row.append(lanes)
+            dots.append(row)
+        yield ring.from_part_dots(dots, scale * scale)
+
+
 def sum_of_squares(
     polys: Iterable[SparsePoly], ring: CoeffRing, minus: tuple[SparsePoly, SparsePoly] | None = None
 ) -> SparsePoly:
@@ -287,13 +359,17 @@ def sum_of_squares(
 
     Polys with the same support, in the same insertion order, are squared
     together: the packed product of each unordered pair of support terms is
-    formed once for the group, and its coefficient products are summed over
-    the group's coefficient rows by ``ring.dot``.  Every group adds into one
-    map keyed by packed monomial, gathered with the ring's lazy operations:
-    the cross sums are doubled once, the squares of the terms are added on
-    top, then the negated products of ``minus``, and each coefficient is
-    reduced once.  Only nonzero coefficients are unpacked, so a difference
-    that cancels unpacks nothing.  Nothing is kept between calls.
+    formed once for the group, and its coefficient is the dot product of the
+    two terms' coefficient columns over the group's rows.  A group of one
+    poly multiplies its coefficients with ``ring.lazy_mul``; a larger group
+    reads each dot off one integer product of Kronecker-packed columns per
+    pair of terms (``_column_products``; four over a Gaussian extension, one
+    per pair of parts).  Every group adds into one map keyed by packed
+    monomial, gathered with the ring's lazy operations: the cross sums are
+    doubled once, the squares of the terms are added on top, then the
+    negated products of ``minus``, and each coefficient is reduced once.
+    Only nonzero coefficients are unpacked, so a difference that cancels
+    unpacks nothing.  Nothing is kept between calls.
     """
     groups: dict = {}
     for p in polys:
@@ -308,18 +384,24 @@ def sum_of_squares(
     get = terms.get
     squares = []
     for support, rows in groups.items():
+        keys = [pack(m) for m in support]
         if len(rows) == 1:  # one poly: multiply its coefficients directly
-            cols, dot = rows[0], ring.lazy_mul
-        else:
-            cols, dot = list(zip(*rows)), ring.dot
-        items = [(pack(m), col) for m, col in zip(support, cols)]
-        for a, (k1, col) in enumerate(items):
-            for k2, col2 in items[a + 1 :]:
+            items, mul = list(zip(keys, rows[0])), ring.lazy_mul
+            for a, (k1, c1) in enumerate(items):
+                for k2, c2 in items[a + 1 :]:
+                    k = k1 + k2
+                    c = mul(c1, c2)
+                    prev = get(k)
+                    terms[k] = c if prev is None else add(prev, c)
+            squares += [(k + k, mul(c, c)) for k, c in items]
+            continue
+        # dots[v - u] is the dot of columns u and v: the square first, then the cross sums
+        for k1, dots in zip(keys, _column_products(ring, rows)):
+            squares.append((k1 + k1, dots[0]))
+            for k2, c in zip(keys[len(keys) - len(dots) + 1 :], dots[1:]):
                 k = k1 + k2
-                c = dot(col, col2)
                 prev = get(k)
                 terms[k] = c if prev is None else add(prev, c)
-        squares += [(k + k, dot(col, col)) for k, col in items]
     for k, c in terms.items():  # in place: no second map of every monomial
         terms[k] = add(c, c)
     for k, c in squares:

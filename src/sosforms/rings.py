@@ -9,12 +9,16 @@ Sums of products are reduced once, not once per product.  ``dot(xs, ys)``
 returns sum_i xs[i] * ys[i] for equal-length vectors, exactly the element
 that folding ``add`` over the ``mul`` of each pair gives (zero for empty
 vectors): Z and GF(p) sum the integer products and reduce mod p once, and a
-Gaussian extension takes four dots over its base.  The expansion's scatter
-loops (``sosforms.poly``) sum with ``lazy_mul`` and ``lazy_add``, which do
-not reduce mod p; ``reduce`` gives the element.  Q is plain ``Fraction``
-arithmetic: both verifiers scale a formula over Q or Q[i] into integers by
-the lcm of its denominators first (``SosFormula.expansion_defect``,
-``SosFormula.gram_defect``).
+Gaussian extension takes four dots over its base.  The search and
+``orthonormal_vectors`` sum with it.  The expansion (``sosforms.poly``) sums
+with ``lazy_mul`` and ``lazy_add``, which do not reduce mod p; ``reduce``
+gives the element.  Where several polys share a support it reads its dot
+products off packed integers instead: ``row_parts`` splits a row of
+elements into parts of ints or Fractions (real and imaginary parts over a
+Gaussian extension), and ``from_part_dots`` reads the integer dots of the
+parts back as elements.  Q is plain ``Fraction`` arithmetic: both verifiers
+scale a formula over Q or Q[i] into integers by the lcm of its denominators
+first (``SosFormula.expansion_defect``, ``SosFormula.gram_defect``).
 
 Characteristic 2 is rejected at construction: every identity handled here
 lives over a field (or domain) in which 2 is regular, and the matrix form of
@@ -103,6 +107,19 @@ class CoeffRing:
     lazy_mul = staticmethod(operator.mul)
     lazy_add = staticmethod(operator.add)
 
+    def row_parts(self, row) -> tuple:
+        """The parts of a sequence of elements, as sequences of ints or
+        Fractions: the row itself here, its real and imaginary parts in a
+        Gaussian extension."""
+        return (row,)
+
+    def from_part_dots(self, dots, scale: int) -> list:
+        """The elements sum_k x_k * y_k, one per vector y, from exact integer
+        dot products of the parts: ``dots[a][b]`` lists sum_k X_k Y_k over
+        part a of D x and part b of each D y, with scale = D^2 (D = 1 in Z
+        and GF(p))."""
+        return dots[0][0]
+
     def reduce(self, a):
         """The element that a result of lazy_mul and lazy_add stands for."""
         return a
@@ -159,6 +176,9 @@ class RationalField(CoeffRing):
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {value!r}") from None
         raise ValueError(f"cannot coerce {value!r} into Q")
+
+    def from_part_dots(self, dots, scale: int) -> list:
+        return [Fraction(v, scale) for v in dots[0][0]]
 
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -229,6 +249,11 @@ class PrimeField(CoeffRing):
     def reduce(self, a):
         return a % self.p
 
+    def from_part_dots(self, dots, scale: int) -> list:
+        # reduced now, so the residues stay in Python's cached small ints
+        p = self.p
+        return [v % p for v in dots[0][0]]
+
     def characteristic(self) -> int:
         return self.p
 
@@ -296,6 +321,16 @@ class GaussianExt(CoeffRing):
     # Pairs have no unreduced form: the lazy operations are the reduced ones.
     lazy_mul = mul
     lazy_add = add
+
+    def row_parts(self, row) -> tuple:
+        return [c[0] for c in row], [c[1] for c in row]
+
+    def from_part_dots(self, dots, scale: int) -> list:
+        # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i, part by part
+        (rr, ri), (ir, ii) = dots
+        re = self.base.from_part_dots([[list(map(operator.sub, rr, ii))]], scale)
+        im = self.base.from_part_dots([[list(map(operator.add, ri, ir))]], scale)
+        return list(zip(re, im))
 
     def characteristic(self) -> int:
         return self.base.characteristic()

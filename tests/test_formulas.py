@@ -24,9 +24,9 @@ from sosforms.formulas import (
     rho,
 )
 from sosforms.hopf import bound_table, hopf_admissible
-from sosforms.poly import SparsePoly, poly_sum, sum_of_squares
+from sosforms.poly import SparsePoly, poly_sum
 from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext, ring_to_json
-from test_poly import dense_eight, householder_dense
+from test_poly import dense_eight, dense_tensor, dot_sum_of_squares, householder_dense
 
 
 def gauss():
@@ -61,7 +61,7 @@ def test_defect_scaled_identity():
 
 def test_gauss_with_flipped_sign_fails():
     f = gauss()
-    tensor = [list(map(list, slice_k)) for slice_k in f.tensor]
+    tensor = [list(map(list, slice_k)) for slice_k in dense_tensor(f)]
     tensor[0][1][1] = 1  # break z1 = x1y1 - x2y2
     broken = SosFormula(2, 2, 2, ZZ, tensor)
     assert not broken.verify_by_expansion()
@@ -144,7 +144,7 @@ def naive_gram_defect(f):
     summed over all n rows, zeros included, scanned in (a, b, j, k) order:
     the first that differs from 2 delta_ab delta_jk, or None."""
     ring = f.ring
-    T = f.tensor
+    T = dense_tensor(f)
     zero, two = ring.zero(), ring.coerce(2)
     for a in range(f.r):
         for b in range(a, f.r):
@@ -205,8 +205,8 @@ def corrupted_hurwitz_radon(draw):
     i = draw(st.integers(0, f.r - 1))
     k = draw(st.integers(0, f.n - 1))
     j = draw(st.integers(0, f.s - 1))
-    old = f.tensor[k][i][j]
-    tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
+    old = tensor[k][i][j]
     tensor[k][i][j] = draw(st.sampled_from([v for v in (-1, 0, 1, 2) if v != old]))
     return SosFormula(f.r, f.s, f.n, ring, tensor)
 
@@ -242,12 +242,13 @@ def test_expansion_hurwitz_equivalence_on_random_tensors(data):
 
 
 def oracle_expansion_defect(f):
-    """The former composition: the squares, then (sum x_i^2)(sum y_j^2) as its
-    own product, negated and added in a separate sum."""
+    """The former composition: the squares by the former per-pair ring.dot
+    loop, then (sum x_i^2)(sum y_j^2) as its own product, negated and added
+    in a separate sum."""
     ring = f.ring
     xs = poly_sum((SparsePoly.variable(ring, i, 2) for i in range(f.r)), ring)
     ys = poly_sum((SparsePoly.variable(ring, f.r + j, 2) for j in range(f.s)), ring)
-    return sum_of_squares(f.z_polys(), ring) - xs * ys
+    return dot_sum_of_squares(f.z_polys(), ring) - xs * ys
 
 
 def assert_defect_matches_oracle(f):
@@ -283,7 +284,7 @@ DENSE_RINGS = [PrimeField(5), PrimeField(7), QQ, gaussian_ext(QQ), gaussian_ext(
 def test_gram_defect_is_none_on_dense_formulas(kind, ring):
     f = dense_eight(kind, ring)
     zero = ring.zero()
-    assert all(c != zero for slice_k in f.tensor for row in slice_k for c in row)
+    assert all(c != zero for slice_k in dense_tensor(f) for row in slice_k for c in row)
     assert f.gram_defect() is None is naive_gram_defect(f)
 
 
@@ -291,7 +292,7 @@ def test_gram_defect_is_none_on_dense_formulas(kind, ring):
 @pytest.mark.parametrize("kind", ["hurwitz-radon", "degen"])
 def test_expansion_defect_matches_oracle_on_dense_formulas(kind, ring):
     f = dense_eight(kind, ring)
-    tensor = [[list(row) for row in sl] for sl in f.tensor]
+    tensor = [[list(row) for row in sl] for sl in dense_tensor(f)]
     tensor[3][7][2] = ring.add(tensor[3][7][2], ring.one())
     tensor[0][0][0] = ring.zero()  # and an entry removed
     corrupted = SosFormula(8, 8, 8, ring, tensor)
@@ -343,7 +344,7 @@ def test_gram_defect_matches_oracle_on_corrupted_dense_formulas(data):
     """Dense formulas sum eight products into every Gram entry."""
     ring = data.draw(st.sampled_from(DENSE_RINGS), label="ring")
     f = dense_eight(data.draw(st.sampled_from(["hurwitz-radon", "degen"])), ring)
-    tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
     entry = st.tuples(*[st.integers(0, 7)] * 3)
     for k, i, j in data.draw(st.lists(entry, min_size=1, max_size=4, unique=True), label="entries"):
         delta = ring.coerce(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]), label="delta"))
@@ -359,7 +360,7 @@ def test_gram_defect_examples():
     assert zero_b2.gram_defect() == (1, 1, 0, 0)
     # Gauss with z1 = x1y1 + x2y2: B_1 = I and B_2 = [[0, 1], [1, 0]], so the
     # cross Gram matrix is 2 * B_2, which first fails at (j, k) = (0, 1)
-    broken = [list(map(list, slice_k)) for slice_k in gauss().tensor]
+    broken = [list(map(list, slice_k)) for slice_k in dense_tensor(gauss())]
     broken[0][1][1] = 1
     assert SosFormula(2, 2, 2, ZZ, broken).gram_defect() == (0, 1, 0, 1)
 
@@ -414,7 +415,7 @@ def test_gram_defect_matches_scatter_oracle_on_hurwitz_radon(n):
     assert f.gram_defect() is None is scatter_gram_defect(f)
     # an entry of B_0 and two of the last matrix moved by 1, which changes a column's norm
     for k, i, j in ((0, 0, 0), (n // 2, f.r - 1, 0), (n - 1, f.r - 1, n - 1)):
-        tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+        tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
         tensor[k][i][j] += 1
         g = SosFormula(f.r, f.s, f.n, ZZ, tensor)
         assert g.gram_defect() == scatter_gram_defect(g) is not None
@@ -424,7 +425,7 @@ def rotate_gaussian(f):
     """f with each pair z_2k, z_2k+1 turned by [[5/4, 3i/4], [-3i/4, 5/4]],
     which is orthogonal since (5/4)^2 + (3i/4)^2 = 1: the identity still
     holds, and the entries get imaginary parts."""
-    ring, T = f.ring, f.tensor
+    ring, T = f.ring, dense_tensor(f)
     a, b = ring.coerce(Fraction(5, 4)), ring.coerce((0, Fraction(3, 4)))
     tensor = [[list(row) for row in slice_k] for slice_k in T]
     for k in range(0, f.n - 1, 2):
@@ -447,11 +448,11 @@ def dense_sixteen(ring):
 def test_gram_defect_matches_scatter_oracle_on_dense_hurwitz_radon_16(ring):
     f = dense_sixteen(ring)
     zero = ring.zero()
-    assert all(c != zero for slice_k in f.tensor for row in slice_k for c in row)
+    assert all(c != zero for slice_k in dense_tensor(f) for row in slice_k for c in row)
     assert f.gram_defect() is None is scatter_gram_defect(f)
     # one entry of B_0, of B_4 and of the last matrix B_8 moved
     for k, i, j in ((0, 0, 0), (7, 4, 11), (15, 8, 15)):
-        tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+        tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
         tensor[k][i][j] = ring.add(tensor[k][i][j], ring.one())
         g = SosFormula(f.r, f.s, f.n, ring, tensor)
         assert g.gram_defect() == scatter_gram_defect(g) is not None
@@ -467,12 +468,13 @@ RATIONAL_ENTRIES += [(QQ, [1, -1, 2, -3]), (QI, [1, (0, 1), (2, -1), (0, -3)])]
 
 
 def fraction_expansion_defect(f):
-    """The expansion in the formula's own ring, unscaled: over Q and Q[i]
-    every product and sum is one of Fractions."""
+    """The expansion in the formula's own ring, unscaled, by the former
+    per-pair ring.dot loop: over Q and Q[i] every product and sum is one of
+    Fractions."""
     ring, r = f.ring, f.r
     xs = SparsePoly(ring, {((i, 2),): 1 for i in range(r)})
     ys = SparsePoly(ring, {((r + j, 2),): 1 for j in range(f.s)})
-    return sum_of_squares(f.z_polys(), ring, minus=(xs, ys))
+    return dot_sum_of_squares(f.z_polys(), ring, minus=(xs, ys))
 
 
 def assert_integer_expansion_matches(f):
@@ -506,7 +508,7 @@ def corrupted_rational_formulas(draw):
         f = rotate_gaussian(f) if ring == QI else f
     else:
         f = construct_hurwitz_radon(draw(st.integers(1, 16))).change_ring(ring)
-    tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
     entry = st.tuples(st.integers(0, f.n - 1), st.integers(0, f.r - 1), st.integers(0, f.s - 1))
     for k, i, j in draw(st.lists(entry, max_size=3, unique=True), label="entries"):
         tensor[k][i][j] = draw(st.sampled_from([0, *nonzero]))
@@ -591,7 +593,7 @@ def test_substitution_soundness_over_gf():
         # z_k = sum_{i,j} T[k][i][j] x_i y_j, read off the tensor directly
         zs = [
             sum(c * xs[i] * ys[j] for i, row in enumerate(slice_k) for j, c in enumerate(row))
-            for slice_k in f.tensor
+            for slice_k in dense_tensor(f)
         ]
         lhs = sum(v * v for v in xs) * sum(v * v for v in ys) % 5
         assert lhs == sum(v * v for v in zs) % 5
@@ -607,7 +609,7 @@ def dense_coerced(ring, raw):
 
 def dense_z_poly(f, k):
     """z_k read off the dense tensor, scanning every entry."""
-    zero, T = f.ring.zero(), f.tensor
+    zero, T = f.ring.zero(), dense_tensor(f)
     return SparsePoly(f.ring, {
         ((i, 1), (f.r + j, 1)): T[k][i][j]
         for i in range(f.r) for j in range(f.s) if T[k][i][j] != zero
@@ -643,7 +645,7 @@ def test_stored_nonzeros_match_dense_oracles(case, data):
     f = SosFormula(r, s, n, ring, raw)
     T = dense_coerced(ring, raw)
     zero = ring.zero()
-    assert f.tensor == T
+    assert dense_tensor(f) == T
     assert f.nonzeros == tuple(
         tuple((i, j, c) for i, row in enumerate(sl) for j, c in enumerate(row) if c != zero) for sl in T
     )
@@ -657,13 +659,13 @@ def test_stored_nonzeros_match_dense_oracles(case, data):
     data_dict = f.to_json_dict()
     assert data_dict["tensor"] == [[[ring.element_to_json(c) for c in row] for row in sl] for sl in T]
     again = SosFormula.from_json(f.to_json())
-    assert again == f and again.tensor == T and again.nonzeros == f.nonzeros
+    assert again == f and dense_tensor(again) == T and again.nonzeros == f.nonzeros
     # restriction: the leading r2 x s2 block of every slice
     r2, s2 = data.draw(st.integers(1, r), label="r2"), data.draw(st.integers(1, s), label="s2")
     block = [[[T[k][i][j] for j in range(s2)] for i in range(r2)] for k in range(n)]
     restricted = f.restrict(r2, s2)
     assert restricted == SosFormula(r2, s2, n, ring, block)
-    assert restricted.tensor == dense_coerced(ring, block)
+    assert dense_tensor(restricted) == dense_coerced(ring, block)
     # change of ring: every dense entry coerced into the target, which may raise
     targets = [gaussian_ext(ZZ), gaussian_ext(QQ)]
     if not isinstance(zero, tuple):
@@ -676,7 +678,7 @@ def test_stored_nonzeros_match_dense_oracles(case, data):
             f.change_ring(target)
     else:
         changed = f.change_ring(target)
-        assert changed == oracle and changed.tensor == oracle.tensor
+        assert changed == oracle and dense_tensor(changed) == dense_tensor(oracle)
         assert all(c != target.zero() for entries in changed.nonzeros for _, _, c in entries)
 
 
@@ -687,14 +689,17 @@ def test_change_ring_drops_entries_that_become_zero():
 
 
 def test_bound_table_never_builds_the_dense_tensor(monkeypatch):
+    """A formula has no dense view but its JSON form, which lists every
+    entry; the bound table never writes it."""
     def refuse(self):
         raise AssertionError("the dense tensor was built")
 
-    monkeypatch.setattr(SosFormula, "tensor", property(refuse))
+    assert not hasattr(SosFormula, "tensor")
+    monkeypatch.setattr(SosFormula, "to_json_dict", refuse)
     entries = bound_table(4, 64)
     assert len(entries) == 4 * 64
     with pytest.raises(AssertionError, match="dense tensor"):
-        construct_trivial(1, 1).tensor
+        construct_trivial(1, 1).to_json()
 
 
 # -- round trips ------------------------------------------------------------------
@@ -710,7 +715,7 @@ def test_json_round_trip_bit_exact():
 def dense_to_json(f):
     """The former writer: every entry of the dense tensor, zeros included."""
     ring = f.ring
-    tensor = [[[ring.element_to_json(c) for c in row] for row in slice_k] for slice_k in f.tensor]
+    tensor = [[[ring.element_to_json(c) for c in row] for row in slice_k] for slice_k in dense_tensor(f)]
     data = {"r": f.r, "s": f.s, "n": f.n, "field": ring_to_json(ring), "tensor": tensor}
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -724,7 +729,6 @@ def test_to_json_writes_each_nonzero_once_without_the_dense_tensor(monkeypatch):
         construct_hurwitz_radon(12).change_ring(GaussianExt(PrimeField(7))),
     ]
     expected = [dense_to_json(f) for f in formulas]
-    monkeypatch.setattr(SosFormula, "tensor", property(lambda self: pytest.fail("dense tensor built")))
     for f, text in zip(formulas, expected):
         ring_class, calls = type(f.ring), []
         to_json = ring_class.element_to_json
@@ -783,7 +787,7 @@ def test_hurwitz_radon_small_types():
 
 def test_hurwitz_radon_entries_are_signs():
     f = construct_hurwitz_radon(16)
-    entries = {c for slice_k in f.tensor for row in slice_k for c in row}
+    entries = {c for slice_k in dense_tensor(f) for row in slice_k for c in row}
     assert entries <= {-1, 0, 1}
 
 
@@ -944,8 +948,8 @@ def test_non_integer_dimensions_are_rejected(bad):
 def test_gauss_tensor_read_as_matrices():
     # B_i[m] = T[m][i]: Gauss's formula is B_1 = I and B_2 = J
     f = gauss()
-    b1 = [list(slice_m[0]) for slice_m in f.tensor]
-    b2 = [list(slice_m[1]) for slice_m in f.tensor]
+    b1 = [list(slice_m[0]) for slice_m in dense_tensor(f)]
+    b2 = [list(slice_m[1]) for slice_m in dense_tensor(f)]
     assert b1 == [[1, 0], [0, 1]]
     assert b2 == [[0, -1], [1, 0]]
     assert f.gram_defect() is None

@@ -318,10 +318,10 @@ def test_bound_table_checks_every_restriction(monkeypatch):
         f = real(n)
         if n != 4:
             return f
-        tensor = [[list(row) for row in slice_k] for slice_k in f.tensor]
-        k = next(k for k in range(n) if tensor[k][2][3])
-        tensor[k][2][3] = -tensor[k][2][3]
-        return SosFormula(f.r, f.s, f.n, f.ring, tensor)
+        nonzeros = tuple(
+            tuple((i, j, -c if (i, j) == (2, 3) else c) for i, j, c in entries) for entries in f.nonzeros
+        )
+        return SosFormula._of_nonzeros(f.r, f.s, f.n, f.ring, nonzeros)
 
     monkeypatch.setattr(sosforms.hopf, "construct_hurwitz_radon", corrupted)
     assert len(bound_table(4, 3)) == 12

@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sosforms.poly
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
-from sosforms.poly import SparsePoly, _text_order, hyperbolic_coordinate_change, poly_sum, sum_of_squares
+from sosforms.poly import (
+    SparsePoly,
+    _add_products,
+    _check_ring,
+    _packing,
+    _survivors,
+    _text_order,
+    hyperbolic_coordinate_change,
+    poly_sum,
+    sum_of_squares,
+)
 from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
 
 
@@ -163,14 +174,96 @@ def oracle_sum_of_squares(polys, ring):
     return oracle_sum([SparsePoly(ring, oracle_mul_terms(ring, p.terms, p.terms)) for p in polys], ring)
 
 
+def dot_sum_of_squares(polys, ring, minus=None):
+    """The former sum_of_squares, kept as the oracle of the packed column
+    kernel where the left fold is too slow: per group of polys with one
+    support, the packed product of each pair of support terms once, with
+    its coefficient summed over the group's rows by one ``ring.dot`` (by
+    ``ring.lazy_mul`` for a group of one poly)."""
+    groups = {}
+    for p in polys:
+        _check_ring(ring, p.ring)
+        groups.setdefault(tuple(p.terms), []).append(list(p.terms.values()))
+    minus = minus or ()
+    for p in minus:
+        _check_ring(ring, p.ring)
+    pack, unpack = _packing([*groups, *(p.terms for p in minus)])
+    add = ring.lazy_add
+    terms = {}
+    get = terms.get
+    squares = []
+    for support, rows in groups.items():
+        if len(rows) == 1:
+            cols, dot = rows[0], ring.lazy_mul
+        else:
+            cols, dot = list(zip(*rows)), ring.dot
+        items = [(pack(m), col) for m, col in zip(support, cols)]
+        for a, (k1, col) in enumerate(items):
+            for k2, col2 in items[a + 1 :]:
+                k = k1 + k2
+                c = dot(col, col2)
+                prev = get(k)
+                terms[k] = c if prev is None else add(prev, c)
+        squares += [(k + k, dot(col, col)) for k, col in items]
+    for k, c in terms.items():
+        terms[k] = add(c, c)
+    for k, c in squares:
+        prev = get(k)
+        terms[k] = c if prev is None else add(prev, c)
+    if minus:
+        left, right = minus
+        _add_products(ring, terms, pack, ((m, ring.neg(c)) for m, c in left.terms.items()), right.terms)
+    return _survivors(ring, terms, unpack)
+
+
+# The rings of the packed column kernel's tests: ORACLE_RINGS, an 11-bit
+# prime, and Gaussian extensions of GF(7) and Q.
+GROUP_RINGS = ORACLE_RINGS + [PrimeField(1259), gaussian_ext(PrimeField(7)), gaussian_ext(QQ)]
+
+
+def wide_parts(ring, negative=False):
+    """Parts of coefficients of ``ring`` (the ring itself, or the base of a
+    Gaussian extension): ints up to +-2^130, and over Q fractions whose
+    numerators and denominators reach 2^130; all < 0 when ``negative``."""
+    base = ring.base if isinstance(ring, GaussianExt) else ring
+    ints = st.one_of(st.integers(-3, 3), st.integers(-(2**130), 2**130))
+    if negative:
+        ints = ints.map(lambda v: -abs(v) or -1)
+    if base == QQ:
+        return st.builds(Fraction, ints, st.one_of(st.integers(1, 3), st.integers(1, 2**130)))
+    return ints
+
+
+def group_column(data, ring, height):
+    """``height`` coefficients for one support term: free, the same in every
+    row, all negative (in every part), or over a Gaussian ring purely real
+    or purely imaginary, so that a part's column is all zero."""
+    gaussian = isinstance(ring, GaussianExt)
+    modes = ["free", "constant", "negative"] + (["real", "imaginary"] if gaussian else [])
+    mode = data.draw(st.sampled_from(modes))
+    part = wide_parts(ring, negative=mode == "negative")
+    if gaussian:
+        zero = st.just(0)
+        element = st.tuples(zero if mode == "imaginary" else part, zero if mode == "real" else part)
+    else:
+        element = part
+    if mode == "constant":
+        return [ring.coerce(data.draw(element))] * height
+    return [ring.coerce(v) for v in data.draw(st.lists(element, min_size=height, max_size=height))]
+
+
 def shared_support_group(data, ring, support):
-    """Polys whose term maps list ``support`` in that order, with random
-    coefficients (a zero drops its monomial, so that poly leaves the group),
-    plus copies with some signs flipped, whose cross terms cancel, and, where
-    the ring has a square root of -1, i times a poly, whose square cancels."""
-    row = st.lists(coefficients(ring), min_size=len(support), max_size=len(support))
-    coeffs = data.draw(st.lists(row, min_size=1, max_size=4))
-    group = [SparsePoly(ring, dict(zip(support, cs))) for cs in coeffs]
+    """Polys whose term maps list ``support`` in that order: up to 40 rows,
+    copies of up to four distinct ones whose columns ``group_column`` draws
+    (a zero coefficient drops its monomial, so that poly leaves the group),
+    plus copies with some signs flipped, whose cross terms cancel, and,
+    where the ring has a square root of -1, i times a poly, whose square
+    cancels."""
+    distinct = data.draw(st.integers(1, 4))
+    columns = [group_column(data, ring, distinct) for _ in support]
+    coeffs = [[column[k] for column in columns] for k in range(distinct)]
+    rows = data.draw(st.lists(st.sampled_from(range(distinct)), min_size=1, max_size=40))
+    group = [SparsePoly(ring, dict(zip(support, coeffs[k]))) for k in rows]
     for cs in data.draw(st.lists(st.sampled_from(coeffs), max_size=2)):
         signs = data.draw(st.lists(st.booleans(), min_size=len(cs), max_size=len(cs)))
         flipped = {m: ring.neg(c) if flip else c for m, c, flip in zip(support, cs, signs)}
@@ -181,21 +274,22 @@ def shared_support_group(data, ring, support):
     return group
 
 
-supports = st.lists(monomials, min_size=1, max_size=6, unique=True)
+supports = st.lists(monomials, max_size=6, unique=True)  # the empty support included
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sum_of_squares_matches_oracle_on_shared_supports(data):
-    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    ring = data.draw(st.sampled_from(GROUP_RINGS))
     group = shared_support_group(data, ring, data.draw(supports))
     assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+    assert sum_of_squares(group, ring) == dot_sum_of_squares(group, ring)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sum_of_squares_matches_oracle_on_mixed_supports(data):
-    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    ring = data.draw(st.sampled_from(GROUP_RINGS))
     group = [
         p for support in data.draw(st.lists(supports, max_size=3))
         for p in shared_support_group(data, ring, support)
@@ -210,7 +304,7 @@ def test_sum_of_squares_matches_oracle_on_mixed_supports(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sum_of_squares_of_one_monomial_set_in_two_orders(data):
-    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    ring = data.draw(st.sampled_from(GROUP_RINGS))
     support = data.draw(supports)
     other = data.draw(st.permutations(support))
     group = shared_support_group(data, ring, support) + shared_support_group(data, ring, other)
@@ -269,12 +363,25 @@ def test_sum_of_squares_over_mixed_rings_raises():
         sum_of_squares([var(gf3, 0), var(gf5, 0)], gf3)
 
 
+def dense_tensor(f):
+    """The dense tensor T[k][i][j] of ``f`` as nested tuples, built from its
+    nonzeros."""
+    zero = f.ring.zero()
+    dense = []
+    for entries in f.nonzeros:
+        rows = [[zero] * f.s for _ in range(f.r)]
+        for i, j, c in entries:
+            rows[i][j] = c
+        dense.append(tuple(map(tuple, rows)))
+    return tuple(dense)
+
+
 def householder_dense(f, ring, v):
     """f with z -> H z for the reflection H = I - 2 v v^T / <v, v>, over ring."""
     n = f.n
     scale = Fraction(2, sum(a * a for a in v))
     h = [[int(k == l) - scale * v[k] * v[l] for l in range(n)] for k in range(n)]
-    T = f.tensor
+    T = dense_tensor(f)
     tensor = [
         [[sum(h[k][l] * T[l][i][j] for l in range(n)) for j in range(f.s)] for i in range(f.r)]
         for k in range(n)
@@ -299,7 +406,7 @@ def test_expansion_defect_of_dense_formulas_matches_oracle(kind, ring):
     f = dense_eight(kind, ring)
     assert len({tuple(z.terms) for z in f.z_polys()}) == 1
     assert all(len(z.terms) == 64 for z in f.z_polys())
-    tensor = [[list(row) for row in sl] for sl in f.tensor]
+    tensor = [[list(row) for row in sl] for sl in dense_tensor(f)]
     tensor[3][7][2] = ring.add(tensor[3][7][2], ring.one())
     corrupted = SosFormula(8, 8, 8, ring, tensor)
     xs = oracle_sum([SparsePoly.variable(ring, i, 2) for i in range(8)], ring)
@@ -314,24 +421,74 @@ def test_expansion_defect_of_dense_formulas_matches_oracle(kind, ring):
     assert not corrupted.expansion_defect().is_zero
 
 
-def test_sum_of_squares_forms_each_product_of_a_shared_support_once(monkeypatch):
+def counting_packed_products(monkeypatch):
+    """Wrap ``sosforms.poly._pack`` so that every product of a packed column
+    with another is counted; return the list of counts."""
+    pack, calls = sosforms.poly._pack, []
+
+    class Counted(int):
+        def __mul__(self, other):
+            calls.append(1)
+            return int(self) * other
+
+    monkeypatch.setattr(sosforms.poly, "_pack", lambda *args: tuple(map(Counted, pack(*args))))
+    return calls
+
+
+@pytest.mark.parametrize("ring, parts", [(PrimeField(5), 1), (gaussian_ext(PrimeField(7)), 2)])
+def test_sum_of_squares_forms_each_product_of_a_shared_support_once(monkeypatch, ring, parts):
     """Dense HR(8): eight z_k share one 64-term support, so sum_of_squares
     forms each of the 64 * 63 / 2 = 2,016 pair products and 64 squares of
-    support terms once, with one ring.dot over the eight coefficient rows;
-    squaring each z_k alone forms them 8 times, one coefficient product each."""
-    f = dense_eight("hurwitz-radon", PrimeField(5))
+    support terms once, and reads each coefficient off one integer product
+    of two packed columns of eight coefficients (four over a Gaussian ring,
+    one per pair of parts), with no ring.dot and no ring product; squaring
+    each z_k alone forms them 8 times, one ring product each."""
+    f = dense_eight("hurwitz-radon", ring)
     zs = f.z_polys()
-    dots, products = [], []
-    dot, lazy_mul = PrimeField.dot, PrimeField.lazy_mul
-    monkeypatch.setattr(PrimeField, "dot", lambda self, xs, ys: dots.append(len(xs)) or dot(self, xs, ys))
-    monkeypatch.setattr(PrimeField, "lazy_mul", staticmethod(lambda a, b: products.append(1) or lazy_mul(a, b)))
-    total = sum_of_squares(zs, f.ring)
-    assert len(dots) == 2_016 + 64 and set(dots) == {8}
+    products = counting_packed_products(monkeypatch)
+    ring_products = []
+    dot, lazy_mul = ring.dot, ring.lazy_mul
+    counted = lambda fn: staticmethod(lambda a, b: ring_products.append(1) or fn(a, b))
+    monkeypatch.setattr(type(ring), "dot", counted(dot))
+    monkeypatch.setattr(type(ring), "lazy_mul", counted(lazy_mul))
+    total = sum_of_squares(zs, ring)
+    assert len(products) == parts * parts * (2_016 + 64)
+    assert not ring_products
+    products.clear()
+    assert poly_sum([z * z for z in zs], ring) == total
     assert not products
-    dots.clear()
-    assert poly_sum([z * z for z in zs], f.ring) == total
-    assert not dots
-    assert len(products) == 8 * (2_016 + 64)
+    assert len(ring_products) == 8 * (2_016 + 64)
+
+
+# (ring, coefficient): every coefficient of LANE_BOUND_ROWS rows of three terms
+# is the largest lift, so lane n - 1 of a packed product reaches n * top^2,
+# the bound that the lane width is chosen from; over Z every entry is shifted
+# by M = 2^130 first, so the top lift 2^131 comes from -2^130 and 2^130
+LANE_BOUND_ROWS = 40
+LANE_BOUND_GROUPS = [
+    (PrimeField(1259), [1258, 1258, 1258]),
+    (ZZ, [2**130, 2**130, -(2**130)]),
+    (gaussian_ext(PrimeField(7)), [(6, 6), (6, 6), (6, 6)]),
+]
+
+
+def lane_bound_group(ring, coeffs):
+    support = [((0, 1),), ((1, 1),), ((0, 1), (1, 1))]
+    return [SparsePoly(ring, dict(zip(support, coeffs)))] * LANE_BOUND_ROWS
+
+
+@pytest.mark.parametrize("ring, coeffs", LANE_BOUND_GROUPS)
+def test_sum_of_squares_with_a_lane_at_its_bound(ring, coeffs):
+    group = lane_bound_group(ring, coeffs)
+    assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+
+
+@pytest.mark.parametrize("ring, coeffs", LANE_BOUND_GROUPS)
+def test_a_lane_one_bit_short_is_caught(monkeypatch, ring, coeffs):
+    group = lane_bound_group(ring, coeffs)
+    lane_width = sosforms.poly._lane_width
+    monkeypatch.setattr(sosforms.poly, "_lane_width", lambda rows, top: lane_width(rows, top) - 1)
+    assert sum_of_squares(group, ring) != oracle_sum_of_squares(group, ring)
 
 
 # -- packed monomials: field widths that differ from call to call -----------------

@@ -25,6 +25,7 @@ from sosforms.search import (
     hopf_consistency_sweep,
     search,
 )
+from test_poly import dense_tensor
 
 # the package's `search` attribute is the function, not this module
 search_module = importlib.import_module("sosforms.search")
@@ -109,7 +110,7 @@ def oracle_search(problem: SearchProblem):
             extend(pinned, 0)
     except Stop:
         stop_reason = "max_solutions"
-    solutions.sort(key=lambda f: f.tensor)
+    solutions.sort(key=dense_tensor)
     return solutions, stop_reason, nodes
 
 
@@ -119,7 +120,7 @@ def assert_matches_oracle(r, s, n, p, **opts):
     formulas, stop_reason, nodes = oracle_search(problem)
     cell = (r, s, n, p, opts)
     assert (result.stop_reason, result.nodes) == (stop_reason, nodes), cell
-    assert [f.tensor for f in result.formulas] == [f.tensor for f in formulas], cell
+    assert [dense_tensor(f) for f in result.formulas] == [dense_tensor(f) for f in formulas], cell
 
 
 # every (r, s, n) with r, s <= 3 and n <= 5 over GF(3), n <= 4 over GF(5)
@@ -177,7 +178,7 @@ def test_emitted_formulas_verify_by_expansion():
         result = run(*cell, **opts)
         assert result.exhausted, cell
         for f in result.formulas:
-            assert f.verify_by_expansion(), (cell, f.tensor)
+            assert f.verify_by_expansion(), (cell, dense_tensor(f))
         checked += len(result.formulas)
     assert checked > 1000
 
@@ -199,12 +200,12 @@ def test_partition_budget_changes_no_result(monkeypatch, budget):
     expected = {}
     for cell, opts in cells:
         result = run(*cell, **opts)
-        expected[cell] = (result.stop_reason, result.nodes, [f.tensor for f in result.formulas])
+        expected[cell] = (result.stop_reason, result.nodes, [dense_tensor(f) for f in result.formulas])
     monkeypatch.setattr(search_module, "_Space", Recorded)
     monkeypatch.setattr(search_module, "PARTITION_BUDGET", budget)
     for cell, opts in cells:
         result = run(*cell, **opts)
-        assert (result.stop_reason, result.nodes, [f.tensor for f in result.formulas]) == expected[cell], cell
+        assert (result.stop_reason, result.nodes, [dense_tensor(f) for f in result.formulas]) == expected[cell], cell
     for memo in memos:
         # the charge is the kept partitions' size, and the last one kept is
         # the only one charged at or past the budget
@@ -385,14 +386,14 @@ def test_scalar_case_without_canonicalization():
     result = run(1, 1, 1, 3, canonical_first_matrix=False)
     assert result.exhausted
     # z = c*xy with c^2 = 1, i.e. c in {1, 2}
-    scalars = sorted(f.tensor[0][0][0] for f in result.formulas)
+    scalars = sorted(dense_tensor(f)[0][0][0] for f in result.formulas)
     assert scalars == [1, 2]
 
 
 def test_scalar_case_canonical():
     result = run(1, 1, 1, 3)
     assert result.exhausted
-    assert [f.tensor[0][0][0] for f in result.formulas] == [1]
+    assert [dense_tensor(f)[0][0][0] for f in result.formulas] == [1]
 
 
 def test_two_two_two_contains_gauss_image():
@@ -477,7 +478,7 @@ def test_results_sorted_by_tensor_over_gf13():
     # entries 10, 11, 12 make numeric order differ from the order of the JSON text
     result = run(2, 2, 2, 13)
     assert result.exhausted
-    tensors = [f.tensor for f in result.formulas]
+    tensors = [dense_tensor(f) for f in result.formulas]
     assert len(tensors) > 1
     assert tensors == sorted(tensors)
     keys = [f.to_json() for f in result.formulas]
@@ -488,10 +489,10 @@ def test_signed_monomial_restriction():
     result = run(2, 2, 2, 3, signed_monomial_only=True)
     assert result.exhausted and result.found
     for f in result.formulas:
-        entries = {c for slice_k in f.tensor for row in slice_k for c in row}
+        entries = {c for slice_k in dense_tensor(f) for row in slice_k for c in row}
         assert entries <= {0, 1, 2}  # residues of {-1, 0, 1} mod 3
         for f_idx in range(2):
-            for slice_m in f.tensor:  # row m of B_i is T[m][i]
+            for slice_m in dense_tensor(f):  # row m of B_i is T[m][i]
                 assert sum(1 for c in slice_m[f_idx] if c) == 1
 
 
