@@ -183,17 +183,17 @@ def cmd_sweep(args):
     return not report.violations, payload, report.to_csv()
 
 
-# name, command, help, integer positionals, --format choices (none: no --format)
-_COMMANDS = (
-    ("verify", cmd_verify, "verify a formula JSON file", "", "text json"),
-    ("hopf", cmd_hopf, "test the Hopf condition for (r, s, n)", "r s n", "text json"),
-    ("bounds", cmd_bounds, "lower/upper bound table for r * s", "rmax smax", "text json csv"),
-    ("ring-power", cmd_ring_power, "normal form of a^m in the ring of DQ_n", "n m", "text json"),
-    ("motivic", cmd_motivic, "Hopf verdict via the ring engine", "r s n", "text json"),
-    ("chow", cmd_chow, "Chow ring of Q_m, or Gysin tables (chow gysin N)", "", "text json csv"),
-    ("search", cmd_search, "backtracking search over GF(p)", "r s n p", ""),
-    ("sweep", cmd_sweep, "existence vs Hopf consistency sweep", "rmax smax nmax p", "text json csv"),
-)
+# name: command, help, integer positionals, --format choices (none: no --format)
+_COMMANDS = {
+    "verify": (cmd_verify, "verify a formula JSON file", "", "text json"),
+    "hopf": (cmd_hopf, "test the Hopf condition for (r, s, n)", "r s n", "text json"),
+    "bounds": (cmd_bounds, "lower/upper bound table for r * s", "rmax smax", "text json csv"),
+    "ring-power": (cmd_ring_power, "normal form of a^m in the ring of DQ_n", "n m", "text json"),
+    "motivic": (cmd_motivic, "Hopf verdict via the ring engine", "r s n", "text json"),
+    "chow": (cmd_chow, "Chow ring of Q_m, or Gysin tables (chow gysin N)", "", "text json csv"),
+    "search": (cmd_search, "backtracking search over GF(p)", "r s n p", ""),
+    "sweep": (cmd_sweep, "existence vs Hopf consistency sweep", "rmax smax nmax p", "text json csv"),
+}
 # each command's other arguments, added after its integer positionals
 _EXTRA_ARGS = {
     "verify": [("path", {})],
@@ -213,32 +213,46 @@ _EXTRA_ARGS = {
 }
 
 
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, positionals, formats = _COMMANDS[name]
+    for dest in positionals.split():
+        p.add_argument(dest, type=int)
+    for flag, options in _EXTRA_ARGS.get(name, ()):
+        p.add_argument(flag, **options)
+    if formats:
+        p.add_argument("--format", choices=formats.split(), default="text")
+    p.set_defaults(func=func, format="text")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser("sosforms", description="Workbench for sums-of-squares composition formulas.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, positionals, formats in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for dest in positionals.split():
-            p.add_argument(dest, type=int)
-        for flag, options in _EXTRA_ARGS.get(name, ()):
-            p.add_argument(flag, **options)
-        if formats:
-            p.add_argument("--format", choices=formats.split(), default="text")
-        p.set_defaults(func=func, format="text")
+    for name, (_, help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built on the first call, not at import, and
-    reused for every later call in the process.  Parsing leaves it unchanged,
-    and argparse looks up sys.stdout and sys.stderr only when it prints."""
-    return build_parser()
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, equal to its subparser in the tree: built on the
+    first call for that name, not at import, and reused in the process."""
+    return _add_arguments(argparse.ArgumentParser(f"sosforms {name}"), name)
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse with the command's own parser.  Build the whole tree only for a top-level option,
+    an unknown or missing command, or leftover arguments, which it reports in its own usage."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

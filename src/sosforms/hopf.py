@@ -21,12 +21,10 @@ from collections import namedtuple
 from .formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound
 from .rings import ValueTuple, require_ints
 
-# bound_table Gram-checks a restriction of a sparse HR(n) for every cell, so its time
-# grows with the cells and their n.  Measured 2026-10-20 in-process, import included,
-# Python 3.11.7, shared 2-core Xeon: `bounds 17 17` 0.09 s and 16 MB peak RSS,
-# `bounds 1 256` 0.16 s and 23 MB, `bounds 17 256` (the largest table allowed) 16 s
-# and 28 MB; with the cap at 512, `bounds 1 512` took 0.6 s and 50 MB, but
-# `bounds 17 512` 95 s and 58 MB.
+# bound_table builds and Gram-checks each distinct HR(n) once.  Measured 2026-10-20 in-process,
+# import included, Python 3.11.7, shared 2-core Xeon: `bounds 17 17` 0.05-0.09 s and 17 MB peak
+# RSS, `bounds 1 256` 0.2-0.3 s and 24 MB, `bounds 17 256` (the largest table allowed) 0.3-0.45 s
+# and 25 MB; with the cap at 512, `bounds 1 512` 1.5 s and `bounds 17 512` 1.7 s, both 54 MB.
 MAX_TABLE_UPPER = 256
 
 # hopf_lower_bound refuses a result r o s above this cap.  Since r o s never
@@ -111,14 +109,16 @@ class BoundEntry(ValueTuple, namedtuple("BoundEntry", "r s hopf_lower construct_
 
 def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
     """For each (r, s) up to (rmax, smax): the Hopf lower bound on the
-    composition range, the upper bound realized by restricting a
-    Hurwitz-Radon formula, and whether they meet.
+    composition range, the upper bound n realized by restricting the
+    Hurwitz-Radon formula HR(n), and whether they meet.
 
-    Each upper bound is actually realized: the restricted formula is built
-    and checked by the packed Gram check (SosFormula.gram_defect), which the
-    tests cross-check against expansion.  Raises ValueError, before any work,
-    when the largest upper bound exceeds MAX_TABLE_UPPER.
-    """
+    Each distinct HR(n), of type [rho(n), n, n], is a leaf, built once and
+    checked when it is built by the packed Gram check (gram_defect, which the
+    tests cross-check against expansion).  A cell only asserts that [r, s]
+    fits inside its leaf, and no restriction is built: setting the trailing
+    variables to zero in an identity leaves an identity, and the Gram blocks
+    of the restriction are sub-blocks of the leaf's.  Raises ValueError,
+    before any work, when the largest upper bound exceeds MAX_TABLE_UPPER."""
     require_ints("rmax, smax", rmax, smax)
     largest = hurwitz_radon_upper_bound(rmax, smax)
     if largest > MAX_TABLE_UPPER:
@@ -126,18 +126,19 @@ def bound_table(rmax: int, smax: int) -> list[BoundEntry]:
             f"bound table up to ({rmax}, {smax}) needs a Hurwitz-Radon formula of size "
             f"{largest} > {MAX_TABLE_UPPER}"
         )
-    hr_cache: dict[int, SosFormula] = {}
+    leaves: dict[int, SosFormula] = {}
     entries = []
     for r in range(1, rmax + 1):
         for s in range(1, smax + 1):
             lower = hopf_lower_bound(r, s)
             upper = hurwitz_radon_upper_bound(r, s)
-            if upper not in hr_cache:
-                hr_cache[upper] = construct_hurwitz_radon(upper)
-            if hr_cache[upper].restrict(r, s).gram_defect() is not None:
-                raise AssertionError(
-                    f"restricted Hurwitz-Radon formula [{r},{s},{upper}] failed to verify"
-                )
+            leaf = leaves.get(upper)
+            if leaf is None:
+                leaf = leaves[upper] = construct_hurwitz_radon(upper)
+                if leaf.gram_defect() is not None:
+                    raise AssertionError(f"Hurwitz-Radon formula [{leaf.r},{leaf.s},{upper}] failed to verify")
+            if not (r <= leaf.r and s <= leaf.s):
+                raise AssertionError(f"[{r},{s},{upper}] does not fit inside its leaf [{leaf.r},{leaf.s},{upper}]")
             entries.append(BoundEntry(r, s, lower, upper, lower == upper))
     return entries
 

@@ -468,12 +468,12 @@ def test_every_format_gives_one_exit_code_and_stderr(tmp_path, capsys, argv, cod
         assert all(out for _, out, _ in runs.values())
 
 
-# -- the parser is built once per process and reused ------------------------------------
+# -- each command's parser is built once per process and reused ------------------------
 
 
 @pytest.fixture
 def fresh_cache():
-    accessor = cli._parser  # a test may patch the name; clear the real cache
+    accessor = cli._command_parser  # a test may patch the name; clear the real cache
     accessor.cache_clear()
     yield
     accessor.cache_clear()
@@ -530,10 +530,24 @@ def _call_sequence(tmp_path):
         ["sweep", "2", "2", "2", "3", "--budget", "-1"],
         ["sweep", "2", "2", "2", "3"],
         ["hopf", "3", "3", "3"],
+        # leftover arguments, which the top-level parser reports (as it does
+        # `search ... --format json` above)
+        ["hopf", "3", "3", "3", "4"],
+        ["bounds", "2", "2", "--bogus", "--format", "json"],
+        ["chow", "gysin", "3", "--exhaustive"],
+        # a top-level option before the command, `--`, and an unknown command
+        ["-h", "hopf"],
+        ["--format", "json", "hopf", "3", "3", "3"],
+        ["--", "hopf", "3", "3", "3"],
+        ["hopf", "--", "3", "3", "3"],
+        ["Hopf", "3", "3", "3"],
+        ["ring-power", "--help"],
+        ["hopf", "3", "3", "3"],
     ]
 
 
-def test_reused_parser_matches_a_fresh_one_call_by_call(tmp_path, capsys, monkeypatch, fresh_cache):
+def test_command_parsers_match_a_fresh_tree_call_by_call(tmp_path, capsys, monkeypatch, fresh_cache):
+    # the reference parses every call through a whole new tree of parsers
     def session():
         results = []
         for argv in sequence:
@@ -544,32 +558,49 @@ def test_reused_parser_matches_a_fresh_one_call_by_call(tmp_path, capsys, monkey
 
     sequence = _call_sequence(tmp_path)
     reused = session()
-    monkeypatch.setattr(cli, "_parser", build_parser)  # a new tree for every call
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
     fresh = session()
     for got, expected in zip(reused, fresh):
         assert got == expected
     assert {code for _, code, _, _ in reused} == {0, 1, 2}
     helps = [out for argv, _, out, _ in reused if "--help" in argv or "-h" in argv]
-    assert len(helps) == 3 and all(out.startswith("usage: sosforms") for out in helps)
+    assert len(helps) == 5 and all(out.startswith("usage: sosforms") for out in helps)
+    leftovers = [err for _, _, _, err in reused if "unrecognized arguments" in err]
+    assert len(leftovers) == 4 and all(err.startswith("usage: sosforms [-h]") for err in leftovers)
 
 
-def test_fifty_calls_build_the_parser_once(capsys, monkeypatch, fresh_cache):
+def test_command_parser_is_its_subparser_in_the_tree():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name, tree_parser in sub.choices.items():
+        own = cli._command_parser(name)
+        assert own.prog == tree_parser.prog == f"sosforms {name}"
+        assert own.format_help() == tree_parser.format_help()
+        assert own._defaults == tree_parser._defaults
+
+
+def test_fifty_calls_build_each_command_parser_once(capsys, monkeypatch, fresh_cache):
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(1)
+        built.append(kwargs.get("prog", args[0] if args else None))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    build_parser()
-    per_build = len(built)
-    assert per_build > 1  # the top-level parser and one per subcommand
-    built.clear()
     for k in range(50):
         main(["hopf", str(k % 7 + 1), "3", "4"] if k % 2 else ["chow", "gysin", str(k % 5 + 1)])
     capsys.readouterr()
-    assert len(built) == per_build
+    assert sorted(built) == ["sosforms chow", "sosforms hopf"]
+    # an error the command's parser finds itself builds nothing more
+    assert main(["hopf", "x", "3", "4"]) == 2
+    capsys.readouterr()
+    assert len(built) == 2
+    # leftover arguments go through the whole tree: one parser per command
+    # and the top-level one
+    assert main(["hopf", "3", "3", "4", "5"]) == 2
+    capsys.readouterr()
+    assert len(built) == 2 + len(cli._COMMANDS) + 1
 
 
 def test_importing_the_cli_builds_no_parser():

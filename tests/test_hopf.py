@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sosforms.hopf
-from sosforms.formulas import SosFormula, hurwitz_radon_upper_bound, rho
+from sosforms.formulas import SosFormula, construct_hurwitz_radon, hurwitz_radon_upper_bound, rho
 from sosforms.hopf import (
     _LOWER_BOUND_CAP,
     MAX_TABLE_UPPER,
@@ -309,9 +309,10 @@ def test_bound_table_rejects_an_oversized_upper_bound(monkeypatch):
 
 
 def test_bound_table_checks_every_restriction(monkeypatch):
-    # flip one sign of HR(4) in the entry at x_3 y_4: the restrictions to
-    # r <= 2 or s <= 3 drop it and still verify, and the first cell in table
-    # order that keeps it, [3, 4, 4], must fail
+    # flip one sign of HR(4) in the entry at x_3 y_4: the leaf [4, 4, 4] is
+    # checked when it is built, so every table that needs HR(4) fails there,
+    # naming the leaf, although the cells of bound_table(4, 3) restrict it
+    # to s <= 3 and drop the flipped entry
     real = sosforms.hopf.construct_hurwitz_radon
 
     def corrupted(n):
@@ -324,9 +325,59 @@ def test_bound_table_checks_every_restriction(monkeypatch):
         return SosFormula._of_nonzeros(f.r, f.s, f.n, f.ring, nonzeros)
 
     monkeypatch.setattr(sosforms.hopf, "construct_hurwitz_radon", corrupted)
-    assert len(bound_table(4, 3)) == 12
-    with pytest.raises(AssertionError, match=r"\[3,4,4\] failed to verify"):
+    assert len(bound_table(2, 2)) == 4  # needs no HR(4)
+    for rmax, smax in ((4, 3), (4, 4), (2, 3)):
+        with pytest.raises(AssertionError, match=r"Hurwitz-Radon formula \[4,4,4\] failed to verify"):
+            bound_table(rmax, smax)
+
+
+def test_bound_table_checks_each_leaf_once_and_builds_no_restriction(monkeypatch):
+    checked = []
+    gram_defect = SosFormula.gram_defect
+
+    def counting(self):
+        checked.append(self.type_triple)
+        return gram_defect(self)
+
+    def refuse(self, r2, s2):
+        raise AssertionError("a restriction was built")
+
+    monkeypatch.setattr(SosFormula, "gram_defect", counting)
+    monkeypatch.setattr(SosFormula, "restrict", refuse)
+    entries = bound_table(8, 8)
+    assert len(entries) == 64
+    assert checked == [(rho(n), n, n) for n in range(1, 9)]
+    checked.clear()
+    bound_table(17, 32)
+    uppers = sorted({hurwitz_radon_upper_bound(r, s) for r in range(1, 18) for s in range(1, 33)})
+    assert sorted(checked, key=lambda t: t[2]) == [(rho(n), n, n) for n in uppers]
+
+
+def test_bound_table_refuses_a_leaf_too_small_for_its_cell(monkeypatch):
+    # a leaf that verifies but is smaller than [rho(n), n, n] cannot realize
+    # every cell that its n bounds
+    real = sosforms.hopf.construct_hurwitz_radon
+
+    def shrunk(n):
+        f = real(n)
+        return f.restrict(f.r - 1, f.s) if n == 4 else f
+
+    monkeypatch.setattr(sosforms.hopf, "construct_hurwitz_radon", shrunk)
+    assert len(bound_table(3, 4)) == 12  # HR(4) restricted to r = 3 still holds every cell
+    with pytest.raises(AssertionError, match=r"\[4,1,4\] does not fit inside its leaf \[3,4,4\]"):
         bound_table(4, 4)
+
+
+@pytest.mark.parametrize("rmax, smax", [(8, 8), (17, 32)])
+def test_every_restriction_of_the_bound_table_passes_both_verifiers(rmax, smax):
+    # the per-cell check that the leaf check replaced, kept as its oracle
+    leaves = {}
+    for e in bound_table(rmax, smax):
+        leaf = leaves.setdefault(e.construct_upper, construct_hurwitz_radon(e.construct_upper))
+        f = leaf.restrict(e.r, e.s)
+        assert f.type_triple == (e.r, e.s, e.construct_upper)
+        assert f.gram_defect() is None
+        assert f.expansion_defect().is_zero
 
 
 def test_input_validation():

@@ -337,6 +337,74 @@ def test_the_sweep_builds_each_power_once(monkeypatch, rmax, smax, nmax):
     assert set(calls) <= {(DQRingSpec(rmax - 1), DQRingSpec(smax - 1))}
 
 
+def _restrict_flat(x: TensorClass, left: DQRingSpec, right: DQRingSpec) -> TensorClass:
+    """Image of x in the smaller rings (left, right), each key renormalized
+    against their relations: the oracle of the sweep's degree read-off.
+    With rho = 0 a product of basis terms a^e b^j keeps the degree e + 2j or
+    dies, so the terms of degree > m form an ideal and this is a ring map.
+    With rho formal an even ring may keep its size but change eps
+    (a*b^k = 0 or rho*b^k), and then it is not multiplicative, so a
+    rho-formal class is refused with ValueError, as is a larger ring.  The
+    keys of x are those of a normal form, with e <= 1 in each factor, so
+    renormalizing never meets a^2 = tau*b: it keeps a key with unit 1 or
+    drops it, and each coefficient is carried over as it is."""
+    big_left, big_right = x.ring
+    if big_left.rho or left.rho or right.rho or left.n > big_left.n or right.n > big_right.n:
+        raise ValueError("restriction is a ring map only to smaller rings with rho = 0")
+    reduce = TensorClass._new((left, right), {})._reduce
+    terms: dict = {}
+    for key, coeff in x.terms.items():
+        for basis_key, _ in reduce(key):
+            algebra.accumulate(terms, basis_key, coeff)
+    return TensorClass._new((left, right), terms)
+
+
+def _sweep_powers(rmax, smax, nmax):
+    """(a1 + a2)^n for 0 <= n <= nmax in the sweep's largest ring, each
+    multiplied out (no stop at the first zero)."""
+    top = (DQRingSpec(rmax - 1), DQRingSpec(smax - 1))
+    x = TensorClass.a_left(*top) + TensorClass.a_right(*top)
+    powers = [TensorClass.one(*top)]
+    for _ in range(nmax):
+        powers.append(powers[-1] * x)
+    return powers
+
+
+def _sweep_cells(rmax, smax, nmax):
+    return [(r, s, n) for r in range(1, rmax + 1) for s in range(1, smax + 1) for n in range(max(r, s), nmax + 1)]
+
+
+@pytest.mark.parametrize("rmax, smax, nmax", [(16, 16, 32), (12, 5, 20), (5, 12, 20)])
+def test_the_sweep_reads_each_verdict_off_the_degrees_as_the_restriction_does(monkeypatch, rmax, smax, nmax):
+    # each cell's verdict, read off the degree pairs of the terms of P_n,
+    # equals whether the image of P_n in the cell's ring is zero, computed
+    # for every n by restriction (so without the reuse of an earlier zero)
+    monkeypatch.setattr(motivic, "hopf_admissible", lambda r, s, n: not hopf_admissible(r, s, n))
+    reported = motivic_binomial_mismatches(rmax, smax, nmax)
+    assert [row[:3] for row in reported] == _sweep_cells(rmax, smax, nmax)
+    powers = _sweep_powers(rmax, smax, nmax)
+    restricted = [_restrict_flat(powers[n], *_pair(r, s)).is_zero for r, s, n in _sweep_cells(rmax, smax, nmax)]
+    assert [row[3] for row in reported] == restricted
+    assert set(restricted) == {True, False}
+
+
+@pytest.mark.parametrize("rmax, smax, nmax", [(16, 16, 32), (12, 5, 20), (5, 12, 7), (3, 3, 2)])
+def test_the_sweep_reads_no_power_of_a_cell_past_its_first_zero(monkeypatch, rmax, smax, nmax):
+    # the image of P_n in a cell's ring is zero from n = r o s on; a cell
+    # scans the degree pairs of P_n (one call of any) only up to there
+    scans = []
+    monkeypatch.setattr(motivic, "any", lambda pairs: scans.append(1) or any(pairs), raising=False)
+    assert motivic_binomial_mismatches(rmax, smax, nmax) == []
+    expected = sum(
+        max(0, min(nmax, hopf_lower_bound(r, s)) - max(r, s) + 1)
+        for r in range(1, rmax + 1)
+        for s in range(1, smax + 1)
+    )
+    assert len(scans) == expected
+    if (rmax, smax, nmax) == (16, 16, 32):
+        assert expected == 693
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_restriction_of_tensor_classes_is_a_ring_map(data):
@@ -346,28 +414,22 @@ def test_restriction_of_tensor_classes_is_a_ring_map(data):
     x, y = data.draw(tensor_classes(*big)), data.draw(tensor_classes(*big))
 
     def restrict(w):
-        return motivic._restrict_flat(w, *small)
+        return _restrict_flat(w, *small)
 
     assert restrict(x * y) == restrict(x) * restrict(y)
     assert restrict(x + y) == restrict(x) + restrict(y)
-    assert motivic._restrict_flat(x, *big) == x
+    assert _restrict_flat(x, *big) == x
 
 
 @pytest.mark.parametrize("rmax, smax, nmax", [(16, 16, 32), (12, 5, 20)])
 def test_restriction_keeps_every_unit_one_on_the_sweeps(rmax, smax, nmax):
     # _restrict_flat carries each coefficient over unmultiplied: every key of
     # the sweep's powers renormalizes in every cell's ring with unit 1
-    top = (DQRingSpec(rmax - 1), DQRingSpec(smax - 1))
-    x = TensorClass.a_left(*top) + TensorClass.a_right(*top)
-    powers = [TensorClass.one(*top)]
-    for _ in range(nmax):
-        powers.append(powers[-1] * x)
+    powers = _sweep_powers(rmax, smax, nmax)
     units = []
-    for r in range(1, rmax + 1):
-        for s in range(1, smax + 1):
-            reduce = TensorClass._new((DQRingSpec(r - 1), DQRingSpec(s - 1)), {})._reduce
-            for n in range(max(r, s), nmax + 1):
-                units += [unit for key in powers[n].terms for _, unit in reduce(key)]
+    for r, s, n in _sweep_cells(rmax, smax, nmax):
+        reduce = TensorClass._new(_pair(r, s), {})._reduce
+        units += [unit for key in powers[n].terms for _, unit in reduce(key)]
     assert units and all(unit is M2_ONE for unit in units)
 
 
@@ -379,7 +441,7 @@ def test_restriction_of_tensor_classes_refuses_rho_and_larger_rings():
         (TensorClass.a_left(flat, DQRingSpec(3)), (flat, flat)),
     ):
         with pytest.raises(ValueError, match="only to smaller rings with rho = 0"):
-            motivic._restrict_flat(x, *target)
+            _restrict_flat(x, *target)
 
 
 def test_engines_agree_spot_triples():
