@@ -53,9 +53,10 @@ def cmd_verify(args):
             "sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2) (indices from 0)",
             file=sys.stderr,
         )
-    by_hurwitz = formula.verify_by_hurwitz()
+    witness = formula.gram_defect()
+    by_hurwitz = witness is None
     if not by_hurwitz:
-        a, b, j, k = formula.gram_defect()
+        a, b, j, k = witness
         print(
             f"Gram defect at (a, b, j, k) = ({a}, {b}, {j}, {k}): entry (j, k) of "
             "B_a^T B_b + B_b^T B_a is not 2 delta_ab delta_jk (indices from 0)",

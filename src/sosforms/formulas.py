@@ -24,9 +24,9 @@ Hurwitz-Radon function rho and the upper bound on r * s that the family gives.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from fractions import Fraction
 from math import lcm
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
@@ -34,7 +34,6 @@ from .rings import (
     CoeffRing,
     GaussianExt,
     IntegerRing,
-    RationalField,
     ZZ,
     gaussian_ext,
     require_ints,
@@ -109,32 +108,11 @@ class SosFormula:
 
         The whole difference is gathered in the one packed map of
         ``sum_of_squares``, so only its nonzero terms are ever unpacked:
-        none for a formula that holds.  Over Z, GF(p) and their Gaussian
-        extensions it is expanded as it stands.  Over Q and Q[i] each entry
-        (each part of it) is first scaled by the lcm D of the denominators
-        into Z or Z[i], where sum_k (D z_k)^2 - D^2 (sum x_i^2)(sum y_j^2) is
-        expanded in integers; each surviving coefficient v gives v / D^2."""
-        ring, r, nonzeros = self.ring, self.r, self.nonzeros
-        gaussian = isinstance(ring, GaussianExt)
-        work, scale = ring, 1
-        if isinstance(ring.base if gaussian else ring, RationalField):
-            parts = {v for entries in nonzeros for _, _, c in entries for v in (c if gaussian else (c,))}
-            scale = lcm(*{v.denominator for v in parts})
-            lift = {v: v.numerator * (scale // v.denominator) for v in parts}
-            work = gaussian_ext(ZZ) if gaussian else ZZ
-            nonzeros = [
-                [(i, j, (lift[c[0]], lift[c[1]]) if gaussian else lift[c]) for i, j, c in entries]
-                for entries in nonzeros
-            ]
-        zs = [SparsePoly._new(work, {((i, 1), (r + j, 1)): c for i, j, c in entries}) for entries in nonzeros]
-        square, one = work.coerce(scale * scale), work.one()
-        xs = SparsePoly._new(work, {((i, 2),): square for i in range(r)})
-        ys = SparsePoly._new(work, {((r + j, 2),): one for j in range(self.s)})
-        defect = sum_of_squares(zs, work, minus=(xs, ys))
-        if work is ring:
-            return defect
-        inverse = ring.coerce(Fraction(1, scale * scale))
-        return SparsePoly._new(ring, {m: ring.mul(ring.coerce(v), inverse) for m, v in defect.terms.items()})
+        none for a formula that holds."""
+        ring, r, one = self.ring, self.r, self.ring.one()
+        xs = SparsePoly._new(ring, {((i, 2),): one for i in range(r)})
+        ys = SparsePoly._new(ring, {((r + j, 2),): one for j in range(self.s)})
+        return sum_of_squares(self.z_polys(), ring, minus=(xs, ys))
 
     def verify_by_expansion(self) -> bool:
         return self.expansion_defect().is_zero
@@ -444,7 +422,8 @@ def orthonormal_vectors(f: SosFormula):
     """
     if f.r < 2:
         raise ValueError("need r >= 2")
-    ring, dot = f.ring, f.ring.dot
+    ring = f.ring
+    dot = lambda a, b: functools.reduce(ring.add, map(ring.mul, a, b), ring.zero())
     u, v = [ring.zero()] * f.n, [ring.zero()] * f.n
     for k, entries in enumerate(f.nonzeros):
         for i, j, c in entries:

@@ -17,20 +17,29 @@ sum_k z_k^2 = (sum_i x_i^2)(sum_j y_j^2) is checked by one map whose terms
 all cancel.  Only the monomials whose coefficients survive are unpacked back
 into tuples.  A packing is built per call and not kept.
 
+Every product is formed in Z or Z[i].  ``_lift`` makes the coefficients of
+a multiplication's inputs ints, or (re, im) pairs of ints over a Gaussian
+extension: over Z and GF(p) they already are, and over Q and Q[i] each part
+is multiplied by the lcm D of all the inputs' denominators.  Sums of products
+are then never reduced on the way, and each nonzero sum v is read back once,
+part by part: as v mod p over GF(p), v / D^2 over Q, and v itself over Z.
+
 Coefficients are packed too where polys share a support: ``sum_of_squares``
-lifts each coefficient column of such a group to integers >= 0 and packs it
-into one int (Kronecker substitution), so the dot product of two columns is
-one lane of one integer product.
+shifts each lifted coefficient column of such a group to integers >= 0 and
+packs it into one int (Kronecker substitution), so the dot product of two
+columns is one lane of one integer product.
 
 Values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from fractions import Fraction
 from math import lcm
 
-from .rings import CoeffRing, IntegerRing, gaussian_ext, require_ints
+from .rings import CoeffRing, GaussianExt, IntegerRing, PrimeField, RationalField, gaussian_ext, require_ints
 
 # Monomial: tuple of (var, exp) pairs, sorted by var, all exps > 0.
 Monomial = tuple
@@ -166,13 +175,13 @@ class SparsePoly:
     def __mul__(self, other):
         if other is self:
             return sum_of_squares((self,), self.ring)
-        other = self._coerce_operand(other)
         ring = self.ring
-        _check_ring(ring, other.ring)
-        pack, unpack = _packing((self.terms, other.terms))
+        pairs, read, (left, right) = _lift(ring, (self, self._coerce_operand(other)))
+        add, mul, _ = _ARITHMETIC[pairs]
+        pack, unpack = _packing((left, right))
         terms: dict = {}
-        _add_products(ring, terms, pack, self.terms.items(), other.terms)
-        return _survivors(ring, terms, unpack)
+        _add_products(terms, pack, left.items(), right, add, mul)
+        return _survivors(ring, terms, unpack, pairs, read)
 
     __rmul__ = __mul__
 
@@ -244,11 +253,43 @@ def _check_ring(ring: CoeffRing, other: CoeffRing):
         raise ValueError(f"ring mismatch: {ring!r} vs {other!r}")
 
 
-def _add_products(ring: CoeffRing, terms: dict, pack: Callable, left: Iterable, right: Mapping) -> None:
+# (add, mul, neg) of lifted coefficients: ints, or (re, im) pairs of ints, with
+# (x + yi)(u + vi) = (xu - yv) + (xv + yu)i
+_ARITHMETIC = {
+    False: (operator.add, operator.mul, operator.neg),
+    True: (
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+        lambda a: (-a[0], -a[1]),
+    ),
+}
+
+
+def _lift(ring: CoeffRing, polys) -> tuple[bool, Callable, list]:
+    """(pairs, read, maps): the term maps of ``polys``, all over ``ring``,
+    with each coefficient an int, or a (re, im) pair of ints when ``pairs``,
+    and ``read``, which maps one part of a sum of their products to the base
+    ring.  Over Q and Q[i] each part is multiplied by the lcm D of every
+    denominator in ``polys``, so ``read`` divides by D^2."""
+    pairs = isinstance(ring, GaussianExt)
+    base = ring.base if pairs else ring
+    for p in polys:
+        _check_ring(ring, p.ring)
+    maps = [p.terms for p in polys]
+    if not isinstance(base, RationalField):  # ints already: read v mod p, or v itself
+        return pairs, base.p.__rmod__ if isinstance(base, PrimeField) else int, maps
+    parts = {v for terms in maps for c in terms.values() for v in (c if pairs else (c,))}
+    scale = lcm(*{v.denominator for v in parts})
+    lift = {v: v.numerator * (scale // v.denominator) for v in parts}
+    maps = [{m: (lift[c[0]], lift[c[1]]) if pairs else lift[c] for m, c in terms.items()} for terms in maps]
+    square = scale * scale
+    return pairs, lambda v: Fraction(v, square), maps
+
+
+def _add_products(terms: dict, pack: Callable, left: Iterable, right: Mapping, add: Callable, mul: Callable) -> None:
     """Add the product of every (monomial, coefficient) pair of ``left`` with
     every term of ``right`` into ``terms``, a map from packed monomials to
-    lazy sums, with the ring's lazy operations."""
-    add, mul = ring.lazy_add, ring.lazy_mul
+    sums, with ``add`` and ``mul``."""
     get = terms.get
     rights = [(pack(m), c) for m, c in right.items()]
     for m1, c1 in left:
@@ -260,15 +301,19 @@ def _add_products(ring: CoeffRing, terms: dict, pack: Callable, left: Iterable, 
             terms[k] = c if prev is None else add(prev, c)
 
 
-def _survivors(ring: CoeffRing, terms: dict, unpack: Callable) -> SparsePoly:
-    """The poly of a map from packed monomials to lazy sums: each sum is
-    reduced once, and only the monomials of nonzero ones are unpacked."""
-    reduce, zero = ring.reduce, ring.zero()
+def _survivors(ring: CoeffRing, terms: dict, unpack: Callable, pairs: bool, read: Callable) -> SparsePoly:
+    """The poly of a map from packed monomials to sums of lifted products:
+    each nonzero sum (each part of a nonzero pair) is read back once, and
+    only the monomials of nonzero elements are unpacked."""
     out = {}
-    for k, c in terms.items():
-        c = reduce(c)
-        if c != zero:
-            out[unpack(k)] = c
+    if pairs:
+        for k, (re, im) in terms.items():
+            if (re or im) and any(c := (read(re), read(im))):
+                out[unpack(k)] = c
+    else:
+        for k, v in terms.items():
+            if v and (c := read(v)):
+                out[unpack(k)] = c
     return SparsePoly._new(ring, out)
 
 
@@ -292,63 +337,61 @@ def _lane_width(rows: int, top: int) -> int:
     return (rows * top * top).bit_length()
 
 
-def _pack(column, lift: dict, width: int) -> tuple[int, int]:
-    """The lifts of ``column`` in lanes of ``width`` bits, forward,
-    sum_k lift[c_k] 2^(W k), and reversed, sum_k lift[c_k] 2^(W (n-1-k))."""
+def _pack(column, shift: int, width: int) -> tuple[int, int]:
+    """The entries of ``column`` plus ``shift`` in lanes of ``width`` bits,
+    forward, sum_k (c_k + M) 2^(W k), and reversed,
+    sum_k (c_k + M) 2^(W (n-1-k))."""
     forward = reverse = 0
     for c in column:
-        reverse = reverse << width | lift[c]
+        reverse = reverse << width | c + shift
     for c in reversed(column):
-        forward = forward << width | lift[c]
+        forward = forward << width | c + shift
     return forward, reverse
 
 
-def _column_products(ring: CoeffRing, rows: list) -> Iterator[list]:
-    """For each column u of ``rows``, the coefficient rows of a group of
-    polys with one support, the list of sum_k rows[k][u] * rows[k][v] over
-    v = u, u + 1, ... as ring elements.
+def _column_products(rows: list, pairs: bool) -> Iterator[list]:
+    """For each column u of ``rows``, the lifted coefficient rows of a group
+    of polys with one support, the list of sum_k rows[k][u] * rows[k][v] over
+    v = u, u + 1, ..., as ints, or as (re, im) pairs of ints when ``pairs``.
 
-    ``ring.row_parts`` splits each row into parts of ints or Fractions: one,
-    or the real and imaginary parts over a Gaussian extension.  Each part is
-    lifted to an integer >= 0: times the lcm D of the group's denominators,
-    plus M = max(0, -min).  Part a of column u is packed as
-    P_u = sum_k c_ku 2^(W k) and reversed as Q_u = sum_k c_ku 2^(W (n-1-k)),
-    W from ``_lane_width``, so lane n - 1 of P_u * Q_v is sum_k c_ku c_kv,
-    exact because no lane reaches 2^W: one integer product per pair of
-    columns and pair of parts.  The shift comes back off as
-    M (S_u + S_v) + n M^2, with S the unshifted column sums, and
-    ``ring.from_part_dots`` reads the integer dots, in units of 1 / D^2, as
-    elements."""
+    A row of pairs is split into its real and imaginary parts.  Every part
+    is shifted to integers >= 0 by M = max(0, -min).  Part a of column u is
+    packed as P_u = sum_k c_ku 2^(W k) and reversed as
+    Q_u = sum_k c_ku 2^(W (n-1-k)), W from ``_lane_width``, so lane n - 1 of
+    P_u * Q_v is sum_k c_ku c_kv, exact because no lane reaches 2^W: one
+    integer product per pair of columns and pair of parts.  The shift comes
+    back off as M (S_u + S_v) + n M^2, with S the unshifted column sums, and
+    the dots of the parts combine as (x + yi)(u + vi) = (xu - yv) + (xv + yu)i."""
     n = len(rows)
-    parts = [ring.row_parts(row) for row in rows]  # parts[k][a] is part a of row k
+    parts = [([c[0] for c in row], [c[1] for c in row]) if pairs else (row,) for row in rows]
     values = {v for row in parts for part in row for v in part}
-    scale = lcm(*{v.denominator for v in values})
-    ints = {v: v.numerator * (scale // v.denominator) for v in values}
-    shift = max(0, -min(ints.values(), default=0))
-    lift = {v: x + shift for v, x in ints.items()}
-    width = _lane_width(n, max(lift.values(), default=0))
+    shift = max(0, -min(values, default=0))
+    width = _lane_width(n, max(values, default=0) + shift)
     at, mask = width * (n - 1), (1 << width) - 1
     packed = []  # per part: the columns packed forward (P) and reversed (Q), and their sums S
     for part_rows in zip(*parts):
         forward, reverse, sums = [], [], []
         for column in zip(*part_rows):  # one column tuple at a time: only the packed ints stay
-            p, q = _pack(column, lift, width)
+            p, q = _pack(column, shift, width)
             forward.append(p)
             reverse.append(q)
-            sums.append(sum(map(ints.__getitem__, column)) if shift else 0)
+            sums.append(sum(column) if shift else 0)
         packed.append((forward, reverse, sums))
     offset = n * shift * shift
     for u in range(len(packed[0][0])):
-        dots = []  # dots[a][b]: part a of column u against part b of columns u, u + 1, ...
+        dots = []  # part a of column u against part b of columns u, u + 1, ..., for (a, b) in order
         for p, _, s in packed:
-            pu, su, row = p[u], s[u], []
+            pu, su = p[u], s[u]
             for _, q, t in packed:
                 lanes = [pu * qv >> at & mask for qv in q[u:]]
                 if shift:
                     lanes = [x - shift * (su + tv) - offset for x, tv in zip(lanes, t[u:])]
-                row.append(lanes)
-            dots.append(row)
-        yield ring.from_part_dots(dots, scale * scale)
+                dots.append(lanes)
+        if pairs:
+            rr, ri, ir, ii = dots
+            yield [(a - d, b + c) for a, b, c, d in zip(rr, ri, ir, ii)]
+        else:
+            yield dots[0]
 
 
 def sum_of_squares(
@@ -360,33 +403,32 @@ def sum_of_squares(
     Polys with the same support, in the same insertion order, are squared
     together: the packed product of each unordered pair of support terms is
     formed once for the group, and its coefficient is the dot product of the
-    two terms' coefficient columns over the group's rows.  A group of one
-    poly multiplies its coefficients with ``ring.lazy_mul``; a larger group
+    two terms' coefficient columns over the group's rows.  Every coefficient
+    is lifted first (``_lift``), so all of this is integer arithmetic.  A
+    group of one poly multiplies its coefficients directly; a larger group
     reads each dot off one integer product of Kronecker-packed columns per
     pair of terms (``_column_products``; four over a Gaussian extension, one
     per pair of parts).  Every group adds into one map keyed by packed
-    monomial, gathered with the ring's lazy operations: the cross sums are
-    doubled once, the squares of the terms are added on top, then the
-    negated products of ``minus``, and each coefficient is reduced once.
-    Only nonzero coefficients are unpacked, so a difference that cancels
-    unpacks nothing.  Nothing is kept between calls.
+    monomial: the cross sums are doubled once, the squares of the terms are
+    added on top, then the negated products of ``minus``, and each sum is
+    read back once.  Only nonzero coefficients are unpacked, so a difference
+    that cancels unpacks nothing.  Nothing is kept between calls.
     """
-    groups: dict = {}
-    for p in polys:
-        _check_ring(ring, p.ring)
-        groups.setdefault(tuple(p.terms), []).append(list(p.terms.values()))
     minus = minus or ()
-    for p in minus:
-        _check_ring(ring, p.ring)
-    pack, unpack = _packing([*groups, *(p.terms for p in minus)])
-    add = ring.lazy_add
+    pairs, read, maps = _lift(ring, [*polys, *minus])
+    add, mul, neg = _ARITHMETIC[pairs]
+    squared = len(maps) - len(minus)
+    groups: dict = {}
+    for lifted in maps[:squared]:
+        groups.setdefault(tuple(lifted), []).append(list(lifted.values()))
+    pack, unpack = _packing([*groups, *maps[squared:]])
     terms: dict = {}
     get = terms.get
     squares = []
     for support, rows in groups.items():
         keys = [pack(m) for m in support]
         if len(rows) == 1:  # one poly: multiply its coefficients directly
-            items, mul = list(zip(keys, rows[0])), ring.lazy_mul
+            items = list(zip(keys, rows[0]))
             for a, (k1, c1) in enumerate(items):
                 for k2, c2 in items[a + 1 :]:
                     k = k1 + k2
@@ -396,7 +438,7 @@ def sum_of_squares(
             squares += [(k + k, mul(c, c)) for k, c in items]
             continue
         # dots[v - u] is the dot of columns u and v: the square first, then the cross sums
-        for k1, dots in zip(keys, _column_products(ring, rows)):
+        for k1, dots in zip(keys, _column_products(rows, pairs)):
             squares.append((k1 + k1, dots[0]))
             for k2, c in zip(keys[len(keys) - len(dots) + 1 :], dots[1:]):
                 k = k1 + k2
@@ -408,9 +450,9 @@ def sum_of_squares(
         prev = get(k)
         terms[k] = c if prev is None else add(prev, c)
     if minus:
-        left, right = minus
-        _add_products(ring, terms, pack, ((m, ring.neg(c)) for m, c in left.terms.items()), right.terms)
-    return _survivors(ring, terms, unpack)
+        left, right = maps[squared:]
+        _add_products(terms, pack, ((m, neg(c)) for m, c in left.items()), right, add, mul)
+    return _survivors(ring, terms, unpack, pairs, read)
 
 
 def hyperbolic_coordinate_change(n: int, ring: CoeffRing | None = None) -> bool:

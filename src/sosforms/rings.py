@@ -5,20 +5,10 @@ A ring object owns the arithmetic; elements are lightweight Python values
 is exact -- no floats anywhere.  Ring objects are immutable and compare by
 structure, so they can be shared freely between threads.
 
-Sums of products are reduced once, not once per product.  ``dot(xs, ys)``
-returns sum_i xs[i] * ys[i] for equal-length vectors, exactly the element
-that folding ``add`` over the ``mul`` of each pair gives (zero for empty
-vectors): Z and GF(p) sum the integer products and reduce mod p once, and a
-Gaussian extension takes four dots over its base.  The search and
-``orthonormal_vectors`` sum with it.  The expansion (``sosforms.poly``) sums
-with ``lazy_mul`` and ``lazy_add``, which do not reduce mod p; ``reduce``
-gives the element.  Where several polys share a support it reads its dot
-products off packed integers instead: ``row_parts`` splits a row of
-elements into parts of ints or Fractions (real and imaginary parts over a
-Gaussian extension), and ``from_part_dots`` reads the integer dots of the
-parts back as elements.  Q is plain ``Fraction`` arithmetic: both verifiers
-scale a formula over Q or Q[i] into integers by the lcm of its denominators
-first (``SosFormula.expansion_defect``, ``SosFormula.gram_defect``).
+The two verifiers do not sum products with these methods: the expansion
+(``sosforms.poly``) and the Gram check (``SosFormula.gram_defect``) each lift
+the coefficients to integers with a lift of their own, and read the integer
+sums back as elements.
 
 Characteristic 2 is rejected at construction: every identity handled here
 lives over a field (or domain) in which 2 is regular, and the matrix form of
@@ -27,7 +17,6 @@ the composition equations divides by 2.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 
@@ -75,7 +64,6 @@ class CoeffRing:
     """
 
     kind: str = "?"
-    _ZERO = 0  # the start of dot's sum: zero() without a coerce per call
 
     def zero(self):
         return self.coerce(0)
@@ -97,32 +85,6 @@ class CoeffRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i] over equal-length vectors, reduced once."""
-        return self.reduce(sum(map(operator.mul, xs, ys), self._ZERO))
-
-    # Unreduced arithmetic with Python's operators: exact in Z and Q, reduced
-    # mod p by reduce in GF(p).
-    lazy_mul = staticmethod(operator.mul)
-    lazy_add = staticmethod(operator.add)
-
-    def row_parts(self, row) -> tuple:
-        """The parts of a sequence of elements, as sequences of ints or
-        Fractions: the row itself here, its real and imaginary parts in a
-        Gaussian extension."""
-        return (row,)
-
-    def from_part_dots(self, dots, scale: int) -> list:
-        """The elements sum_k x_k * y_k, one per vector y, from exact integer
-        dot products of the parts: ``dots[a][b]`` lists sum_k X_k Y_k over
-        part a of D x and part b of each D y, with scale = D^2 (D = 1 in Z
-        and GF(p))."""
-        return dots[0][0]
-
-    def reduce(self, a):
-        """The element that a result of lazy_mul and lazy_add stands for."""
-        return a
 
     def characteristic(self) -> int:
         return 0
@@ -167,7 +129,6 @@ class RationalField(CoeffRing):
     """The rationals, backed by fractions.Fraction."""
 
     kind = "Q"
-    _ZERO = Fraction(0)
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
@@ -176,9 +137,6 @@ class RationalField(CoeffRing):
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {value!r}") from None
         raise ValueError(f"cannot coerce {value!r} into Q")
-
-    def from_part_dots(self, dots, scale: int) -> list:
-        return [Fraction(v, scale) for v in dots[0][0]]
 
     def element_to_json(self, a):
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -243,17 +201,6 @@ class PrimeField(CoeffRing):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def dot(self, xs, ys):  # the default with reduce inlined: search calls it per constraint
-        return sum(map(operator.mul, xs, ys)) % self.p
-
-    def reduce(self, a):
-        return a % self.p
-
-    def from_part_dots(self, dots, scale: int) -> list:
-        # reduced now, so the residues stay in Python's cached small ints
-        p = self.p
-        return [v % p for v in dots[0][0]]
-
     def characteristic(self) -> int:
         return self.p
 
@@ -308,29 +255,6 @@ class GaussianExt(CoeffRing):
         re = self.base.sub(self.base.mul(x, u), self.base.mul(y, v))
         im = self.base.add(self.base.mul(x, v), self.base.mul(y, u))
         return (re, im)
-
-    def dot(self, xs, ys):
-        base = self.base
-        xr, xi = [x[0] for x in xs], [x[1] for x in xs]
-        yr, yi = [y[0] for y in ys], [y[1] for y in ys]
-        return (
-            base.sub(base.dot(xr, yr), base.dot(xi, yi)),
-            base.add(base.dot(xr, yi), base.dot(xi, yr)),
-        )
-
-    # Pairs have no unreduced form: the lazy operations are the reduced ones.
-    lazy_mul = mul
-    lazy_add = add
-
-    def row_parts(self, row) -> tuple:
-        return [c[0] for c in row], [c[1] for c in row]
-
-    def from_part_dots(self, dots, scale: int) -> list:
-        # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i, part by part
-        (rr, ri), (ir, ii) = dots
-        re = self.base.from_part_dots([[list(map(operator.sub, rr, ii))]], scale)
-        im = self.base.from_part_dots([[list(map(operator.add, ri, ir))]], scale)
-        return list(zip(re, im))
 
     def characteristic(self) -> int:
         return self.base.characteristic()

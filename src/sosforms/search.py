@@ -176,8 +176,7 @@ def _partition(coord, candidates, u, field: PrimeField, everything: int) -> dict
         # the first, more than one dot product per candidate: large p, few
         # candidates.
         groups: dict[int, int] = {}
-        dot = field.dot
-        for k, t in enumerate([dot(u, v) for v in candidates]):
+        for k, t in enumerate([sum(map(operator.mul, u, v)) % p for v in candidates]):
             groups[t] = groups.get(t, 0) | 1 << k
         return groups
     # Refine one nonzero coordinate of u at a time.
@@ -284,7 +283,7 @@ def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResul
         for j in range(pinned, mi):
             if not bits:
                 break
-            bits &= partitions[j][l].get(-dot(matrices[j][c], u) % p, 0)
+            bits &= partitions[j][l].get(-sum(map(operator.mul, matrices[j][c], u)) % p, 0)
         return bits
 
     def emit():
@@ -343,7 +342,6 @@ def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResul
         if space is None:  # a build cut by the deadline stores nothing
             space = spaces[key] = _Space(*key, deadline)
         candidates, coord, everything, partitions_of = space.candidates, space.coord, space.everything, space.of
-        dot = space.field.dot
         if pinned:
             # B_1 = [I_s; 0]: column c is e_c, whose partition is coord[c]
             matrices.append([tuple(int(row == c) for row in range(n)) for c in range(s)])

@@ -1,11 +1,15 @@
 """CLI surface: subcommands, exit codes, machine formats."""
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,9 @@ from sosforms import cli
 from sosforms.chow import MAX_TABLE_DIM
 from sosforms.cli import build_parser, main
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
+from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
+from test_formulas import rotate_gaussian
+from test_poly import householder_dense
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,15 +122,11 @@ def test_verify_expands_a_failed_formula_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "broken_hr8.json"
     path.write_text(json.dumps(data))
     calls = []
-    original = SosFormula.expansion_defect
-
-    def counted(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(SosFormula, "expansion_defect", counted)
+    for name in ("expansion_defect", "gram_defect"):
+        original = getattr(SosFormula, name)
+        monkeypatch.setattr(SosFormula, name, lambda self, f=original, name=name: calls.append(name) or f(self))
     assert main(["verify", str(path)]) == 1
-    assert len(calls) == 1
+    assert calls == ["expansion_defect", "gram_defect"]  # each verifier runs once
     assert "NOT verified [8,8,8] over Z" in capsys.readouterr().out
 
 
@@ -638,3 +641,103 @@ def test_importing_the_cli_loads_no_heavy_stdlib_module():
     loaded = set(proc.stdout.split())
     assert "sosforms.cli" in loaded
     assert not loaded & {"dataclasses", "typing", "inspect", "importlib.resources"}
+
+
+# -- byte identity: stdout, stderr and exit code of fixed invocations -----------------------
+
+
+# name: ring, the formula, whether it is turned (``householder_dense`` by (1, ..., 1, 2),
+# then ``rotate_gaussian`` over a Gaussian ring), and the entry (k, i, j) that the
+# corrupted copy moves by the amount given
+DIGEST_FORMULAS = {
+    "Z": (ZZ, lambda: construct_hurwitz_radon(8), False, (5, 3, 2), 1),
+    "Q": (QQ, lambda: construct_hurwitz_radon(8), True, (3, 7, 2), Fraction(1, 3)),
+    "GF5": (PrimeField(5), lambda: construct_classical("eight"), True, (0, 0, 0), 1),
+    "Qi": (gaussian_ext(QQ), lambda: construct_classical("four"), True, (2, 1, 3), (0, Fraction(1, 2))),
+    "GF7i": (gaussian_ext(PrimeField(7)), lambda: construct_hurwitz_radon(8), True, (7, 0, 7), (1, 1)),
+}
+DIGEST_CASES = [
+    "bounds 8 8 --format json", "bounds 12 12 --format csv", "bounds 5 5",
+    "sweep 3 3 4 3", "sweep 2 3 4 3 --format json", "search 3 3 4 5 --format json", "search 3 3 4 5",
+    "ring-power 9 7 --rho formal --epsilon rho --format json", "ring-power 8 9 --rho formal --epsilon rho",
+    "ring-power 8 9", "motivic 5 5 8 --format json", "motivic 3 5 6", "hopf 3 5 6",
+    "chow 6 --format json", "chow gysin 5",
+] + [
+    f"verify {name}{state}.json{fmt}" for name in DIGEST_FORMULAS for state in ("", "-bad") for fmt in ("", " --format json")
+]
+# sha256 of repr((exit code, stdout, stderr)) per case, recorded before the expansion's
+# integer lift moved into sosforms.poly; a change meant to alter an output re-records it
+CLI_DIGESTS = {
+    "bounds 8 8 --format json": "65670eea0f749c33206bd4f908e87037257b7dbbe889df486dba2b808cce7809",
+    "bounds 12 12 --format csv": "69ce68816833258bcdea25955fb210e7245391cdb56cad7a4cca2e9fd4288fa2",
+    "bounds 5 5": "e0581f2576824d3f81f7b708644f072fb90094f6e28eb7c384356bc25091c93e",
+    "sweep 3 3 4 3": "b65e963e65bdd59ea5ed3c8c2b74b1a88f53c17dffd231670c597c2e4ac26011",
+    "sweep 2 3 4 3 --format json": "24764df6f4f09f620d0d41aabc0adaf4b98af25f787ab9ea38300387b0ac39dc",
+    "search 3 3 4 5 --format json": "64e3b1dbd278292cb817ff1e4d1ae73e5bbc0c5d0977bcc189507fb6db73c33b",
+    "search 3 3 4 5": "0939520bbfb0550a268ac3bf9bcbc65a7c472705866227f8290e11a17afada8b",
+    "ring-power 9 7 --rho formal --epsilon rho --format json": "0bfa56e4b08a15c62f3c7544c56b77c3a5379737c2d676aa33711f86df15fad4",
+    "ring-power 8 9 --rho formal --epsilon rho": "fca12ff9ef0a2b21e269b74aaf6c4d0aec0cc82d3b1141a17079e58341e02e76",
+    "ring-power 8 9": "fba11fb4aed7201bf3600ca6dd7a92642a7270690d6984326ea91e32063d3122",
+    "motivic 5 5 8 --format json": "100df09fc7598f537817802fc0c0567d4f669f34ad87ae47a9968271311eef5a",
+    "motivic 3 5 6": "87223838505625ddd09557edc6e8f39b8b4e0a00a1d22f07125ba4af69a4ea26",
+    "hopf 3 5 6": "4b3d7f44b0870824655205af929f63e976ade0d24d7cb56c6efd96f59243a8c8",
+    "chow 6 --format json": "678b184e51743e8ff52b3722e5c146dc4517e22ab0102351c54a5697308ea581",
+    "chow gysin 5": "4b16d4ab14ed020f9fcc5f00b9e722250d7658b961b7fa39d24065895e33259b",
+    "verify Z.json": "422e9448e301426ad38907408b7c3f92c581f388df3010c676be1994e63aa194",
+    "verify Z.json --format json": "5eb4df489e78787c24538efbc7874f9d518bb9ff4980129d1aa6415edf1fd43a",
+    "verify Z-bad.json": "fe6b17493378ff0fd99a86b52c6655ee08659186bf7ae611000c348820756843",
+    "verify Z-bad.json --format json": "38fa8b7f765aa0b9496cabb66fc908d95228a0f5ddc3fdf22b4d26cce8c2797d",
+    "verify Q.json": "86a4f56989cef361c0605a6270acf2dec777cbe9317193b70ce1dbf217c259c9",
+    "verify Q.json --format json": "7ceda6c3f92ef1103e978b009117b215ebeb74b966d3e20589cc225f36a0e209",
+    "verify Q-bad.json": "475d5d36c4bbbfa27ddadd3cd762f2674ce9e810be756eb9e2c2bf59840e33e0",
+    "verify Q-bad.json --format json": "6271295b6fb1311b9d10762355ec4834f438fd1b926bc730871c3cc97ab9630f",
+    "verify GF5.json": "322900dba0a1f7b2a088317b2dcb02a408ecaff5c40c6e6c12e3fc4ed1b3384b",
+    "verify GF5.json --format json": "46eaea67f02323d9782a87d40a252070255176d1af64b65f68bc30fbe6cd5c8b",
+    "verify GF5-bad.json": "7693c9aee012c6cf36337328d295cef6daddeba46a22c61b1f086abc937731a2",
+    "verify GF5-bad.json --format json": "3460a3033c20ad5edb408d38fddf8d748cc50ad9e161f3e63202c216552aac9e",
+    "verify Qi.json": "7f04b0db9356d522b8faa150a81490c7fd762506a84c5f06bbcfe71f901dc481",
+    "verify Qi.json --format json": "2cdc36777e882519bdc97300d6a55345af8875c1ad7721077f51d4f3575f64fc",
+    "verify Qi-bad.json": "4bbdc3c8c15bf16c42be20e2774f79b91a336ed0caa844c32f0aac7602ea4a03",
+    "verify Qi-bad.json --format json": "cd15f379f700a0a09b70faf692acc06e0513553eaeef66b95360a26f484fd299",
+    "verify GF7i.json": "c5fb5798e9171df63e11123b93f8bbdac3a5a64aa0c2880674e858ec8da71eca",
+    "verify GF7i.json --format json": "fb29f9c33cb657c415c40b987ab9eb03c98cbdfeef59aa5b851009a06a2c4baf",
+    "verify GF7i-bad.json": "f412bb4f7c48ecb7437c2ce0c322ffc901e68ec516b1c89bfba21f4d6e248efb",
+    "verify GF7i-bad.json --format json": "c83855ddd72f107efc1a93249b9f9c3b0656874710c50d47b2d08605177f9061",
+}
+
+
+def digest_files(directory) -> None:
+    """Write the formula files that the verify cases read into ``directory``."""
+    for name, (ring, build, turn, (k, i, j), delta) in DIGEST_FORMULAS.items():
+        f = build()
+        if turn:
+            f = householder_dense(f, ring, (1,) * (f.n - 1) + (2,))
+            f = rotate_gaussian(f) if isinstance(ring, GaussianExt) else f
+        else:
+            f = f.change_ring(ring)
+        (directory / f"{name}.json").write_text(f.to_json())
+        data = f.to_json_dict()
+        entry = ring.element_from_json(data["tensor"][k][i][j])
+        data["tensor"][k][i][j] = ring.element_to_json(ring.add(entry, ring.coerce(delta)))
+        (directory / f"{name}-bad.json").write_text(json.dumps(data))
+
+
+def case_digest(case: str, directory) -> str:
+    argv = [str(directory / a) if a.endswith(".json") else a for a in case.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digest_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("digests")
+    digest_files(directory)
+    return directory
+
+
+@pytest.mark.parametrize("case", DIGEST_CASES)
+def test_cli_output_is_byte_identical(monkeypatch, digest_dir, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    assert case_digest(case, digest_dir) == CLI_DIGESTS[case]

@@ -27,6 +27,7 @@ from sosforms.hopf import bound_table, hopf_admissible
 from sosforms.poly import SparsePoly, poly_sum
 from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext, ring_to_json
 from test_poly import dense_eight, dense_tensor, dot_sum_of_squares, householder_dense
+from test_rings import unreduced_dot
 
 
 def gauss():
@@ -124,6 +125,7 @@ def test_the_two_verifiers_share_no_kernel(monkeypatch):
     monkeypatch.setattr(sosforms.poly, "sum_of_squares", refuse)
     monkeypatch.setattr(sosforms.formulas, "sum_of_squares", refuse)
     monkeypatch.setattr(sosforms.poly, "_packing", refuse)
+    monkeypatch.setattr(sosforms.poly, "_lift", refuse)
     assert all(f.gram_defect() is None for f in good)
     assert all(f.gram_defect() is not None for f in bad)
     with pytest.raises(AssertionError, match="other verifier"):
@@ -179,16 +181,6 @@ RINGS_AND_ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("ring", [ring for ring, _ in RINGS_AND_ENTRIES], ids=repr)
-def test_empty_dot_is_the_rings_own_zero(ring):
-    # dot sums from a stored zero, which must match zero() in value and type
-    def kinds(v):
-        return type(v), tuple(map(type, v)) if isinstance(v, tuple) else ()
-
-    got, zero = ring.dot([], []), ring.zero()
-    assert got == zero and kinds(got) == kinds(zero)
-
-
 @st.composite
 def sparse_formulas(draw):
     ring, nonzero = draw(st.sampled_from(RINGS_AND_ENTRIES))
@@ -242,8 +234,8 @@ def test_expansion_hurwitz_equivalence_on_random_tensors(data):
 
 
 def oracle_expansion_defect(f):
-    """The former composition: the squares by the former per-pair ring.dot
-    loop, then (sum x_i^2)(sum y_j^2) as its own product, negated and added
+    """The former composition: the squares by the former per-pair dot
+    product loop, then (sum x_i^2)(sum y_j^2) as its own product, negated and added
     in a separate sum."""
     ring = f.ring
     xs = poly_sum((SparsePoly.variable(ring, i, 2) for i in range(f.r)), ring)
@@ -371,12 +363,13 @@ def test_gram_defect_examples():
 def scatter_gram_defect(f):
     """The Gram check before rows were packed into integers, kept verbatim as
     the oracle wherever naive_gram_defect is too slow: for each pair a <= b,
-    the products of nonzeros sharing a row, summed with the ring's lazy
-    operations into the entries of G on and above its diagonal."""
+    the products of nonzeros sharing a row, scattered into the entries of G
+    on and above its diagonal, each entry's products summed once by
+    ``unreduced_dot``."""
     ring = f.ring
     if ring.characteristic() == 2:  # unreachable: such rings are rejected
         raise ValueError("matrix criterion needs characteristic != 2")
-    add, mul, reduce, s = ring.lazy_add, ring.lazy_mul, ring.reduce, f.s
+    s = f.s
     zero, two = ring.zero(), ring.coerce(2)
     # rows[i][m]: the (column, value) nonzeros of row m of B_i, i.e. of T[m][i]
     rows = [[[] for _ in range(f.n)] for _ in range(f.r)]
@@ -385,24 +378,25 @@ def scatter_gram_defect(f):
             rows[i][m].append((j, c))
     for a, rows_a in enumerate(rows):
         for b in range(a, len(rows)):
-            # upper[j * s + k], j <= k, is G[j][k] for j < k and P[j][j] = G[j][j] / 2
+            # upper[j * s + k], j <= k, holds the factors of G[j][k] for j < k and
+            # of P[j][j] = G[j][j] / 2
             upper = {}
-            get = upper.get
             for row_a, row_b in zip(rows_a, rows[b]):
                 for j, x in row_a:
                     for k, y in row_b:
-                        key = j * s + k if j <= k else k * s + j
-                        prev = get(key)
-                        upper[key] = mul(x, y) if prev is None else add(prev, mul(x, y))
+                        xs, ys = upper.setdefault(j * s + k if j <= k else k * s + j, ([], []))
+                        xs.append(x)
+                        ys.append(y)
             if a == b:
                 for j in range(s):
-                    upper.setdefault(j * s + j, zero)
+                    upper.setdefault(j * s + j, ([], []))
             diagonal = two if a == b else zero
+            entries = {key: ring.coerce(unreduced_dot(ring, xs, ys)) for key, (xs, ys) in upper.items()}
             # j = k exactly when s + 1 divides j * s + k, since 0 <= k - j < s
             bad = [
                 key
-                for key, g in upper.items()
-                if (reduce(add(g, g)) != diagonal if key % (s + 1) == 0 else reduce(g) != zero)
+                for key, g in entries.items()
+                if (ring.add(g, g) != diagonal if key % (s + 1) == 0 else g != zero)
             ]
             if bad:
                 return (a, b, *divmod(min(bad), s))
@@ -469,8 +463,8 @@ RATIONAL_ENTRIES += [(QQ, [1, -1, 2, -3]), (QI, [1, (0, 1), (2, -1), (0, -3)])]
 
 def fraction_expansion_defect(f):
     """The expansion in the formula's own ring, unscaled, by the former
-    per-pair ring.dot loop: over Q and Q[i] every product and sum is one of
-    Fractions."""
+    per-pair dot product loop: over Q and Q[i] every product and sum is one
+    of Fractions."""
     ring, r = f.ring, f.r
     xs = SparsePoly(ring, {((i, 2),): 1 for i in range(r)})
     ys = SparsePoly(ring, {((r + j, 2),): 1 for j in range(f.s)})

@@ -10,16 +10,15 @@ import sosforms.poly
 from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz_radon
 from sosforms.poly import (
     SparsePoly,
-    _add_products,
     _check_ring,
     _packing,
-    _survivors,
     _text_order,
     hyperbolic_coordinate_change,
     poly_sum,
     sum_of_squares,
 )
-from sosforms.rings import GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
+from sosforms.rings import CoeffRing, GaussianExt, PrimeField, QQ, ZZ, gaussian_ext
+from test_rings import unreduced_dot
 
 
 def var(ring, v):
@@ -77,12 +76,17 @@ def oracle_sum(polys, ring):
     return SparsePoly(ring, terms)
 
 
-ORACLE_RINGS = [ZZ, QQ, PrimeField(3), PrimeField(13), gaussian_ext(ZZ)]
+ORACLE_RINGS = [ZZ, QQ, PrimeField(3), PrimeField(13), gaussian_ext(ZZ), gaussian_ext(QQ)]
 
 
-def coefficients(ring):
+def coefficients(ring, far=False):
+    """Small coefficients; over Q and Q[i] with denominators up to 3, or
+    with ``far`` only 5 and 7, which no other draw has."""
     if isinstance(ring, GaussianExt):
-        return st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(ring.coerce)
+        part = coefficients(ring.base, far) if ring.base == QQ else st.integers(-2, 2)
+        return st.tuples(part, part).map(ring.coerce)
+    if ring == QQ and far:
+        return st.builds(Fraction, st.integers(-3, 3), st.sampled_from([5, 7])).map(ring.coerce)
     if ring == QQ:
         return st.fractions(min_value=-2, max_value=2, max_denominator=3).map(ring.coerce)
     return st.integers(-3, 3).map(ring.coerce)
@@ -95,8 +99,8 @@ monomials = st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=3).ma
 )
 
 
-def polys(ring, max_terms=6):
-    return st.dictionaries(monomials, coefficients(ring), max_size=max_terms).map(
+def polys(ring, max_terms=6, far=False):
+    return st.dictionaries(monomials, coefficients(ring, far), max_size=max_terms).map(
         lambda terms: SparsePoly(ring, terms)
     )
 
@@ -178,8 +182,11 @@ def dot_sum_of_squares(polys, ring, minus=None):
     """The former sum_of_squares, kept as the oracle of the packed column
     kernel where the left fold is too slow: per group of polys with one
     support, the packed product of each pair of support terms once, with
-    its coefficient summed over the group's rows by one ``ring.dot`` (by
-    ``ring.lazy_mul`` for a group of one poly)."""
+    its coefficient the dot product of the two terms' columns over the
+    group's rows.  Each packed monomial gathers the factors of its cross
+    products, which count twice, apart from those of its squares and of the
+    negated products of ``minus``; each of the two sums is formed once by
+    ``unreduced_dot`` and coerced."""
     groups = {}
     for p in polys:
         _check_ring(ring, p.ring)
@@ -188,60 +195,64 @@ def dot_sum_of_squares(polys, ring, minus=None):
     for p in minus:
         _check_ring(ring, p.ring)
     pack, unpack = _packing([*groups, *(p.terms for p in minus)])
-    add = ring.lazy_add
-    terms = {}
-    get = terms.get
-    squares = []
+    cross, rest = {}, {}  # packed monomial -> (left factors, right factors)
+
+    def gather(into, k, xs, ys):
+        left, right = into.setdefault(k, ([], []))
+        left += xs
+        right += ys
+
     for support, rows in groups.items():
-        if len(rows) == 1:
-            cols, dot = rows[0], ring.lazy_mul
-        else:
-            cols, dot = list(zip(*rows)), ring.dot
-        items = [(pack(m), col) for m, col in zip(support, cols)]
+        items = [(pack(m), col) for m, col in zip(support, zip(*rows))]
         for a, (k1, col) in enumerate(items):
             for k2, col2 in items[a + 1 :]:
-                k = k1 + k2
-                c = dot(col, col2)
-                prev = get(k)
-                terms[k] = c if prev is None else add(prev, c)
-        squares += [(k + k, dot(col, col)) for k, col in items]
-    for k, c in terms.items():
-        terms[k] = add(c, c)
-    for k, c in squares:
-        prev = get(k)
-        terms[k] = c if prev is None else add(prev, c)
+                gather(cross, k1 + k2, col, col2)
+            gather(rest, k1 + k1, col, col)
     if minus:
         left, right = minus
-        _add_products(ring, terms, pack, ((m, ring.neg(c)) for m, c in left.terms.items()), right.terms)
-    return _survivors(ring, terms, unpack)
+        for m1, c1 in left.terms.items():
+            for m2, c2 in right.terms.items():
+                gather(rest, pack(m1) + pack(m2), [ring.neg(c1)], [c2])
+
+    def total(k):
+        twice, once = (ring.coerce(unreduced_dot(ring, *sums.get(k, ([], [])))) for sums in (cross, rest))
+        return ring.add(ring.add(twice, twice), once)
+
+    zero = ring.zero()
+    totals = {k: total(k) for k in {**cross, **rest}}
+    return SparsePoly._new(ring, {unpack(k): c for k, c in totals.items() if c != zero})
 
 
 # The rings of the packed column kernel's tests: ORACLE_RINGS, an 11-bit
-# prime, and Gaussian extensions of GF(7) and Q.
-GROUP_RINGS = ORACLE_RINGS + [PrimeField(1259), gaussian_ext(PrimeField(7)), gaussian_ext(QQ)]
+# prime, and a Gaussian extension of GF(7).
+GROUP_RINGS = ORACLE_RINGS + [PrimeField(1259), gaussian_ext(PrimeField(7))]
 
 
-def wide_parts(ring, negative=False):
+def wide_parts(ring, negative=False, integral=False):
     """Parts of coefficients of ``ring`` (the ring itself, or the base of a
     Gaussian extension): ints up to +-2^130, and over Q fractions whose
-    numerators and denominators reach 2^130; all < 0 when ``negative``."""
+    numerators and denominators reach 2^130, or with ``integral`` Fractions
+    with denominator 1; all < 0 when ``negative``."""
     base = ring.base if isinstance(ring, GaussianExt) else ring
     ints = st.one_of(st.integers(-3, 3), st.integers(-(2**130), 2**130))
     if negative:
         ints = ints.map(lambda v: -abs(v) or -1)
     if base == QQ:
-        return st.builds(Fraction, ints, st.one_of(st.integers(1, 3), st.integers(1, 2**130)))
+        denominators = st.just(1) if integral else st.one_of(st.integers(1, 3), st.integers(1, 2**130))
+        return st.builds(Fraction, ints, denominators)
     return ints
 
 
-def group_column(data, ring, height):
+def group_column(data, ring, height, whole):
     """``height`` coefficients for one support term: free, the same in every
     row, all negative (in every part), or over a Gaussian ring purely real
-    or purely imaginary, so that a part's column is all zero."""
+    or purely imaginary, so that a part's column is all zero.  ``whole`` is
+    drawn once per group: "integral" keeps every part over Q an integer,
+    and "real" every coefficient over a Gaussian ring real."""
     gaussian = isinstance(ring, GaussianExt)
     modes = ["free", "constant", "negative"] + (["real", "imaginary"] if gaussian else [])
-    mode = data.draw(st.sampled_from(modes))
-    part = wide_parts(ring, negative=mode == "negative")
+    mode = "real" if whole == "real" else data.draw(st.sampled_from(modes))
+    part = wide_parts(ring, negative=mode == "negative", integral=whole == "integral")
     if gaussian:
         zero = st.just(0)
         element = st.tuples(zero if mode == "imaginary" else part, zero if mode == "real" else part)
@@ -257,10 +268,12 @@ def shared_support_group(data, ring, support):
     copies of up to four distinct ones whose columns ``group_column`` draws
     (a zero coefficient drops its monomial, so that poly leaves the group),
     plus copies with some signs flipped, whose cross terms cancel, and,
-    where the ring has a square root of -1, i times a poly, whose square
-    cancels."""
+    where the ring has a square root of -1 and the group need not stay
+    real, i times a poly, whose square cancels."""
+    gaussian, rational = isinstance(ring, GaussianExt), QQ in (ring, getattr(ring, "base", None))
+    whole = data.draw(st.sampled_from([None] + ["integral"] * rational + ["real"] * gaussian))
     distinct = data.draw(st.integers(1, 4))
-    columns = [group_column(data, ring, distinct) for _ in support]
+    columns = [group_column(data, ring, distinct, whole) for _ in support]
     coeffs = [[column[k] for column in columns] for k in range(distinct)]
     rows = data.draw(st.lists(st.sampled_from(range(distinct)), min_size=1, max_size=40))
     group = [SparsePoly(ring, dict(zip(support, coeffs[k]))) for k in rows]
@@ -269,7 +282,7 @@ def shared_support_group(data, ring, support):
         flipped = {m: ring.neg(c) if flip else c for m, c, flip in zip(support, cs, signs)}
         group.append(SparsePoly(ring, flipped))
     i_elt = ring.sqrt_minus_one()
-    if i_elt is not None and data.draw(st.booleans()):
+    if i_elt is not None and whole != "real" and data.draw(st.booleans()):
         group.append(SparsePoly(ring, {m: ring.mul(i_elt, c) for m, c in group[0].terms.items()}))
     return group
 
@@ -327,12 +340,14 @@ def test_sum_of_squares_small_cases():
 @given(st.data())
 def test_sum_of_squares_minus_a_product_matches_oracle(data):
     """The subtracted product may use variables that no square has (ids up to
-    10^6, exponents up to 2^40), and may cancel the squares term by term."""
+    10^6, exponents up to 2^40), may cancel the squares term by term, and
+    over Q and Q[i] may have denominators that no square has."""
     ring = data.draw(st.sampled_from(ORACLE_RINGS))
     monos = wide_monomials(data)
     wide_polys = st.dictionaries(monos, coefficients(ring), max_size=5).map(lambda t: SparsePoly(ring, t))
     group = data.draw(st.lists(st.one_of(polys(ring), wide_polys), max_size=4))
-    left, right = data.draw(st.one_of(polys(ring), wide_polys)), data.draw(st.one_of(polys(ring), wide_polys))
+    left = data.draw(st.one_of(polys(ring), wide_polys, polys(ring, far=True)))
+    right = data.draw(st.one_of(polys(ring), wide_polys, polys(ring, far=True)))
     for minus in ((left, right), (left, left), (right, SparsePoly.zero(ring))):
         product = SparsePoly(ring, oracle_mul_terms(ring, *(p.terms for p in minus)))
         oracle = oracle_sum([oracle_sum_of_squares(group, ring), -product], ring)
@@ -435,29 +450,40 @@ def counting_packed_products(monkeypatch):
     return calls
 
 
+def refuse_ring_methods(monkeypatch, ring):
+    """Make every method of the classes of ``ring``, and of its base over a
+    Gaussian extension, raise when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring method ran")
+
+    classes = {c for r in (ring, getattr(ring, "base", ring)) for c in type(r).__mro__ if issubclass(c, CoeffRing)}
+    for cls in classes:
+        for name, value in list(vars(cls).items()):
+            if callable(value) and (name == "__eq__" or not name.startswith("__")):
+                monkeypatch.setattr(cls, name, refuse)
+
+
 @pytest.mark.parametrize("ring, parts", [(PrimeField(5), 1), (gaussian_ext(PrimeField(7)), 2)])
 def test_sum_of_squares_forms_each_product_of_a_shared_support_once(monkeypatch, ring, parts):
     """Dense HR(8): eight z_k share one 64-term support, so sum_of_squares
     forms each of the 64 * 63 / 2 = 2,016 pair products and 64 squares of
     support terms once, and reads each coefficient off one integer product
     of two packed columns of eight coefficients (four over a Gaussian ring,
-    one per pair of parts), with no ring.dot and no ring product; squaring
-    each z_k alone forms them 8 times, one ring product each."""
+    one per pair of parts), in integers, with no method of the ring run;
+    squaring each z_k alone packs no column."""
     f = dense_eight("hurwitz-radon", ring)
     zs = f.z_polys()
     products = counting_packed_products(monkeypatch)
-    ring_products = []
-    dot, lazy_mul = ring.dot, ring.lazy_mul
-    counted = lambda fn: staticmethod(lambda a, b: ring_products.append(1) or fn(a, b))
-    monkeypatch.setattr(type(ring), "dot", counted(dot))
-    monkeypatch.setattr(type(ring), "lazy_mul", counted(lazy_mul))
-    total = sum_of_squares(zs, ring)
+    with monkeypatch.context() as m:
+        refuse_ring_methods(m, ring)
+        with pytest.raises(AssertionError, match="ring method"):
+            ring.zero()
+        total = sum_of_squares(zs, ring)
     assert len(products) == parts * parts * (2_016 + 64)
-    assert not ring_products
     products.clear()
     assert poly_sum([z * z for z in zs], ring) == total
     assert not products
-    assert len(ring_products) == 8 * (2_016 + 64)
 
 
 # (ring, coefficient): every coefficient of LANE_BOUND_ROWS rows of three terms
