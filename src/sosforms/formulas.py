@@ -14,6 +14,11 @@ Two independent verifiers read the nonzeros: direct expansion
 (``verify_by_expansion``), and the equivalent matrix equations
 B_a^T B_b + B_b^T B_a = 2 delta_{ab} I (``gram_defect``, ``verify_by_hurwitz``)
 on the r matrices B_i (n x s) whose rows are the tensor rows, B_i[k] = T[k][i].
+The Gram check forms the rows of G with one of two kernels, chosen from the
+count of nonzeros: per pair of matrices for a sparse formula, and for a dense
+one (a formula over GF(p) or Q after a change of z) from row m of all r
+matrices stacked into one integer, so that each nonzero costs one
+multiply-add for all pairs at once.
 
 Classical constructions included: the trivial [r, s, rs] formula, the
 2/4/8-square identities of the composition algebras C, H, O (loaded from a
@@ -128,14 +133,17 @@ class SosFormula:
         itself over Z, its balanced residue over GF(p), itself times the lcm D
         of the denominators over Q (the target becomes 2 D^2), and a Gaussian
         entry part by part into lanes 2k and 2k + 1, with a second row packed
-        times i.  Row j of G is the sum of x R[b][m] over the nonzeros
-        x = B_a[m][j] and of y R[a][m] over y = B_b[m][j]: nnz(B_a) + nnz(B_b)
-        integer multiply-adds per pair.  No lane of G - target exceeds
-        ``bound``, so over Z and Q a row holds exactly when it is 0.  Over
-        GF(p), w leaves room for row / p plus a bias of 2^(t-1) in the low t
-        bits of each lane: a row holds exactly when p divides it and that sum
-        has no other bit.  The first failing lane of the first failing row is
-        the witness, as G is symmetric; its digits before it are read exactly.
+        times i.  A lane of B_a^T B_b sums at most lanes * n products of two
+        lifts, so it lies within +-beta = lanes * n * (largest lift)^2, and no
+        lane of G - target exceeds ``bound`` = 2 beta + 2 D^2 < 2^w.  The rows
+        of G come from one of two kernels, chosen by the count of nonzeros
+        (see ``_BLOCK_DENSITY``): ``_pair_gram_rows`` for sparse formulas and
+        ``_block_gram_rows`` for dense ones.  Over Z and Q a row holds exactly
+        when it is 0.  Over GF(p), w leaves room for row / p plus a bias of
+        2^(t-1) in the low t bits of each lane: a row holds exactly when p
+        divides it and that sum has no other bit.  The first failing lane of
+        the first failing row is the witness, as G is symmetric; its digits
+        before it are read exactly.
         """
         ring, r, s, n = self.ring, self.r, self.s, self.n
         p, gaussian = ring.characteristic(), isinstance(ring, GaussianExt)
@@ -147,7 +155,8 @@ class SosFormula:
         else:
             scale = lcm(*{v.denominator for v in values})
             lift = {v: v.numerator * (scale // v.denominator) for v in values}
-        bound = 2 * lanes * n * max(map(abs, lift.values()), default=0) ** 2 + 2 * scale**2
+        beta = lanes * n * max(map(abs, lift.values()), default=0) ** 2
+        bound = 2 * beta + 2 * scale**2
         w = bound.bit_length()
         if p:
             t = (bound // p).bit_length() + 1
@@ -167,20 +176,18 @@ class SosFormula:
                     packed[i][m] += lift[c] << (w * j)
                     nz[i].append((j, m, lift[c]))
         minus_target = [-2 * scale**2 << (lanes * w * j) for j in range(s)]
-        for a, rows_a in enumerate(packed):
-            for b in range(a, r):
-                g, rows_b = minus_target[:] if a == b else [0] * s, packed[b]
-                for j, m, x in nz[a]:
-                    g[j] += x * rows_b[m]
-                for j, m, y in nz[b]:
-                    g[j] += y * rows_a[m]
-                for j, v in enumerate(g) if any(g) else ():
-                    if v and (not p or v % p or (v // p + bias) & outside):
-                        # the first balanced digit not divisible by p (over Z and Q: not 0)
-                        k, half, q = 0, 1 << (w - 1), p or 1 << w
-                        while v and (d := ((v + half) & (2 * half - 1)) - half) % q == 0:
-                            v, k = (v - d) >> w, k + 1
-                        return (a, b, j, k // lanes)
+        if sum(map(len, nz)) > _BLOCK_DENSITY * (r + 1) * s:
+            rows = _block_gram_rows(packed, nz, minus_target, w, lanes * s, beta)
+        else:
+            rows = _pair_gram_rows(packed, nz, minus_target)
+        for a, b, g in rows:
+            for j, v in enumerate(g) if any(g) else ():
+                if v and (not p or v % p or (v // p + bias) & outside):
+                    # the first balanced digit not divisible by p (over Z and Q: not 0)
+                    k, half, q = 0, 1 << (w - 1), p or 1 << w
+                    while v and (d := ((v + half) & (2 * half - 1)) - half) % q == 0:
+                        v, k = (v - d) >> w, k + 1
+                    return (a, b, j, k // lanes)
         return None
 
     def verify_by_hurwitz(self) -> bool:
@@ -251,6 +258,63 @@ class SosFormula:
 
     def __repr__(self):
         return f"SosFormula[{self.r},{self.s},{self.n}] over {self.ring!r}"
+
+
+# -- the two row kernels of the Gram check ------------------------------------------------
+#
+# Each yields (a, b, g) for a <= b in lexicographic order, g[j] being row j of
+# G_ab - target as one signed packed int.  For N nonzeros (two slots per
+# Gaussian entry) the pair kernel makes (r + 1) N multiply-adds, the block
+# kernel N plus r (r + 1) s block reads of about c multiply-adds each, so it
+# wins once N > c (r + 1) s.  On HR(8), HR(12) and HR(16) with 2 to n of their
+# z changed, over GF(5), GF(7), GF(13) and Q, the two broke even at
+# N / ((r + 1) s) from 1.6 to 2.2, and search results of types [3, 3, 4] and
+# [4, 4, 4] at 1.8 were still 1.3x slower by blocks (2-core Xeon, Python
+# 3.11.7): c = 2.  Signed-permutation formulas and search results have
+# N / ((r + 1) s) <= 1.8, formulas whose z was changed >= 3.1.
+_BLOCK_DENSITY = 2
+
+
+def _pair_gram_rows(packed, nz, minus_target):
+    """Row j of G_ab as the sum of x R[b][m] over the nonzeros x = B_a[m][j]
+    and of y R[a][m] over y = B_b[m][j]: nnz(B_a) + nnz(B_b) integer
+    multiply-adds per pair."""
+    s = len(minus_target)
+    for a, rows_a in enumerate(packed):
+        for b in range(a, len(packed)):
+            g, rows_b = minus_target[:] if a == b else [0] * s, packed[b]
+            for j, m, x in nz[a]:
+                g[j] += x * rows_b[m]
+            for j, m, y in nz[b]:
+                g[j] += y * rows_a[m]
+            yield a, b, g
+
+
+def _block_gram_rows(packed, nz, minus_target, w: int, lanes: int, beta: int):
+    """Slot m of every B_i stacked into one int R[m], B_i in block i of
+    ``lanes`` lanes of w bits, and U_a[j] = sum of x R[m] over the nonzeros
+    x = B_a[m][j]: block b of U_a[j] is row j of H_ab = B_a^T B_b, for every b
+    at once, so all the products cost one multiply-add per nonzero.  Every
+    lane of U starts at beta, so it lies in 0..2 beta < 2^w and a block comes
+    off by shift and mask with no borrow; row j of G_ab is block b of U_a[j]
+    plus block a of U_b[j], less beta twice in every lane."""
+    r, s, block = len(packed), len(minus_target), w * lanes
+    bias = beta * (((1 << block) - 1) // ((1 << w) - 1))  # beta in every lane of a block
+    stacked = [sum(row << (block * i) for i, row in enumerate(rows)) for rows in zip(*packed)]
+    start = bias * (((1 << (block * r)) - 1) // ((1 << block) - 1))
+    products = []  # products[a][j] is U_a[j]
+    for entries in nz:
+        u = [start] * s
+        for j, m, x in entries:
+            u[j] += x * stacked[m]
+        products.append(u)
+    mask, twice = (1 << block) - 1, 2 * bias
+    diagonal, cross = [t - twice for t in minus_target], [-twice] * s
+    for a, u_a in enumerate(products):
+        at = block * a
+        for b in range(a, r):
+            bt, offsets = block * b, diagonal if a == b else cross
+            yield a, b, [(x >> bt & mask) + (y >> at & mask) + o for x, y, o in zip(u_a, products[b], offsets)]
 
 
 # -- classical constructions ------------------------------------------------------

@@ -27,7 +27,10 @@ part by part: as v mod p over GF(p), v / D^2 over Q, and v itself over Z.
 Coefficients are packed too where polys share a support: ``sum_of_squares``
 shifts each lifted coefficient column of such a group to integers >= 0 and
 packs it into one int (Kronecker substitution), so the dot product of two
-columns is one lane of one integer product.
+columns is one lane of one integer product.  Polys whose supports differ by
+a few monomials (dense polys with coefficients that vanish by chance) are
+squared as one group over the union of their supports, with zeros for the
+missing coefficients, whenever that forms fewer products.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -394,6 +397,22 @@ def _column_products(rows: list, pairs: bool) -> Iterator[list]:
             yield dots[0]
 
 
+def _fill_rows(groups: list, union: set, zero) -> list:
+    """The coefficient rows of every (packed support, rows) group, each
+    spread over the packed monomials of ``union`` in order, with ``zero``
+    where its support has none."""
+    at = {k: u for u, k in enumerate(union)}
+    rows = []
+    for keys, group in groups:
+        places = [at[k] for k in keys]
+        for row in group:
+            full = [zero] * len(at)
+            for u, c in zip(places, row):
+                full[u] = c
+            rows.append(full)
+    return rows
+
+
 def sum_of_squares(
     polys: Iterable[SparsePoly], ring: CoeffRing, minus: tuple[SparsePoly, SparsePoly] | None = None
 ) -> SparsePoly:
@@ -403,7 +422,13 @@ def sum_of_squares(
     Polys with the same support, in the same insertion order, are squared
     together: the packed product of each unordered pair of support terms is
     formed once for the group, and its coefficient is the dot product of the
-    two terms' coefficient columns over the group's rows.  Every coefficient
+    two terms' coefficient columns over the group's rows.  Groups of t_g
+    terms whose union has U monomials become one group over the union when
+    that forms fewer products, U (U + 1) < sum_g t_g (t_g + 1), each row
+    filled with zeros, (0, 0) for pairs, where its support has no monomial.
+    A zero lies in the range that the shift M = max(0, -min) maps to
+    0..top, so the lane width W = bit_length(rows * top^2) still bounds
+    every dot of the filled columns.  Every coefficient
     is lifted first (``_lift``), so all of this is integer arithmetic.  A
     group of one poly multiplies its coefficients directly; a larger group
     reads each dot off one integer product of Kronecker-packed columns per
@@ -422,11 +447,19 @@ def sum_of_squares(
     for lifted in maps[:squared]:
         groups.setdefault(tuple(lifted), []).append(list(lifted.values()))
     pack, unpack = _packing([*groups, *maps[squared:]])
+    groups = [([pack(m) for m in support], rows) for support, rows in groups.items()]
+    if len(groups) > 1:  # the union's size is counted only until it is too large
+        per_support, union = sum(len(keys) * (len(keys) + 1) for keys, _ in groups), set()
+        for keys, _ in groups:
+            union.update(keys)
+            if len(union) * (len(union) + 1) >= per_support:
+                break
+        else:
+            groups = [(list(union), _fill_rows(groups, union, (0, 0) if pairs else 0))]
     terms: dict = {}
     get = terms.get
     squares = []
-    for support, rows in groups.items():
-        keys = [pack(m) for m in support]
+    for keys, rows in groups:
         if len(rows) == 1:  # one poly: multiply its coefficients directly
             items = list(zip(keys, rows[0]))
             for a, (k1, c1) in enumerate(items):

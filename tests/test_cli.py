@@ -358,6 +358,14 @@ def test_oversized_full_search_exits_two(capsys):
     assert "found=1" in capsys.readouterr().err
 
 
+
+def test_a_search_past_the_kept_formula_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules["sosforms.search"], "MAX_KEPT_FORMULAS", 100)
+    assert main(["search", "2", "2", "4", "3", "--no-canonical", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "100 formulas" in captured.err and "--max-solutions" in captured.err
+
 def test_bounds_json_round_trip(capsys):
     assert main(["bounds", "3", "3", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -655,6 +663,10 @@ DIGEST_FORMULAS = {
     "GF5": (PrimeField(5), lambda: construct_classical("eight"), True, (0, 0, 0), 1),
     "Qi": (gaussian_ext(QQ), lambda: construct_classical("four"), True, (2, 1, 3), (0, Fraction(1, 2))),
     "GF7i": (gaussian_ext(PrimeField(7)), lambda: construct_hurwitz_radon(8), True, (7, 0, 7), (1, 1)),
+    # dense: the Gram check reads blocks of stacked rows, and over GF(3) the z_k,
+    # split into eight supports by entries that vanish mod 3, are squared as one group
+    "GF3": (PrimeField(3), lambda: construct_hurwitz_radon(8), True, (6, 5, 7), 1),
+    "GF13": (PrimeField(13), lambda: construct_hurwitz_radon(8), True, (1, 7, 0), 5),
 }
 DIGEST_CASES = [
     "bounds 8 8 --format json", "bounds 12 12 --format csv", "bounds 5 5",
@@ -666,7 +678,9 @@ DIGEST_CASES = [
     f"verify {name}{state}.json{fmt}" for name in DIGEST_FORMULAS for state in ("", "-bad") for fmt in ("", " --format json")
 ]
 # sha256 of repr((exit code, stdout, stderr)) per case, recorded before the expansion's
-# integer lift moved into sosforms.poly; a change meant to alter an output re-records it
+# integer lift moved into sosforms.poly (the GF3 and GF13 cases: before the dense Gram
+# kernel and the squaring of split supports as one group); a change meant to alter an
+# output re-records it
 CLI_DIGESTS = {
     "bounds 8 8 --format json": "65670eea0f749c33206bd4f908e87037257b7dbbe889df486dba2b808cce7809",
     "bounds 12 12 --format csv": "69ce68816833258bcdea25955fb210e7245391cdb56cad7a4cca2e9fd4288fa2",
@@ -703,6 +717,14 @@ CLI_DIGESTS = {
     "verify GF7i.json --format json": "fb29f9c33cb657c415c40b987ab9eb03c98cbdfeef59aa5b851009a06a2c4baf",
     "verify GF7i-bad.json": "f412bb4f7c48ecb7437c2ce0c322ffc901e68ec516b1c89bfba21f4d6e248efb",
     "verify GF7i-bad.json --format json": "c83855ddd72f107efc1a93249b9f9c3b0656874710c50d47b2d08605177f9061",
+    "verify GF3.json": "8e948e334e7f96011600ec209b3bf06d8a57cd2bf49596d333558d47f54f4f7d",
+    "verify GF3.json --format json": "46eaea67f02323d9782a87d40a252070255176d1af64b65f68bc30fbe6cd5c8b",
+    "verify GF3-bad.json": "b0d5a28e614aba611706ac03654678f7334716dcbe80484c4178519777a21c35",
+    "verify GF3-bad.json --format json": "8e8722f1fc74fb9a9fb654f5249d1c572554ec1d3468dd05dfe2ff1fad658921",
+    "verify GF13.json": "cd229149eb53cbcf267ba16e85f213058d56d03ffba316036d57e72ffa08c5f0",
+    "verify GF13.json --format json": "46eaea67f02323d9782a87d40a252070255176d1af64b65f68bc30fbe6cd5c8b",
+    "verify GF13-bad.json": "d283fa84e28ea831d2a99bd845c34630a20f242fce45e9afb9dfcc79be36846c",
+    "verify GF13-bad.json --format json": "5f6d02f161480aac2805ce198498d02198d76d7b8d8c06a5f8934c4695f87ded",
 }
 
 

@@ -108,26 +108,42 @@ def test_classical_tables_load_from_a_zipped_package(tmp_path):
 
 def test_the_two_verifiers_share_no_kernel(monkeypatch):
     """Expansion and the Gram check cross-check each other, so each must
-    still decide with the other's kernel disabled."""
+    still decide with the other's kernel disabled: the dense formulas here
+    take the Gram check's block kernel, and dense HR(8) over GF(3) has its
+    split supports squared as one group."""
     import sosforms.formulas
     import sosforms.poly
 
     def refuse(*args, **kwargs):
         raise AssertionError("the other verifier's kernel was called")
 
+    def counted(module, name):
+        kernel, calls = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *args: calls.append(1) or kernel(*args))
+        return calls
+
     good = [construct_hurwitz_radon(16), construct_classical("eight")]
     good += [dense_sixteen(QQ), dense_sixteen(gaussian_ext(QQ))]  # expanded in integers
+    good += [dense_eight("hurwitz-radon", PrimeField(3)), dense_sixteen(PrimeField(5))]
     bad = [SosFormula._of_nonzeros(f.r, f.s, f.n, f.ring, (f.nonzeros[1],) + f.nonzeros[1:]) for f in good]
     with monkeypatch.context() as m:
         m.setattr(SosFormula, "gram_defect", refuse)
+        m.setattr(sosforms.formulas, "_pair_gram_rows", refuse)
+        m.setattr(sosforms.formulas, "_block_gram_rows", refuse)
+        fills = counted(sosforms.poly, "_fill_rows")
         assert all(f.verify_by_expansion() for f in good)
         assert not any(f.verify_by_expansion() for f in bad)
+        assert fills
+    blocks = counted(sosforms.formulas, "_block_gram_rows")
     monkeypatch.setattr(sosforms.poly, "sum_of_squares", refuse)
     monkeypatch.setattr(sosforms.formulas, "sum_of_squares", refuse)
     monkeypatch.setattr(sosforms.poly, "_packing", refuse)
     monkeypatch.setattr(sosforms.poly, "_lift", refuse)
+    monkeypatch.setattr(sosforms.poly, "_column_products", refuse)
+    monkeypatch.setattr(sosforms.poly, "_fill_rows", refuse)
     assert all(f.gram_defect() is None for f in good)
     assert all(f.gram_defect() is not None for f in bad)
+    assert len(blocks) == 2 * 4  # the four dense formulas, clean and bad
     with pytest.raises(AssertionError, match="other verifier"):
         good[0].expansion_defect()
 
@@ -159,6 +175,21 @@ def naive_gram_defect(f):
                     if acc != (two if a == b and j == k else zero):
                         return (a, b, j, k)
     return None
+
+
+# _BLOCK_DENSITY values that force each row kernel of the Gram check
+KERNEL_RULES = {"pair": float("inf"), "block": -1}
+
+
+def kernel_defects(f):
+    """f.gram_defect() with its rows formed by each kernel in turn: the pair
+    kernel, then the block kernel."""
+    defects = []
+    for density in KERNEL_RULES.values():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sosforms.formulas, "_BLOCK_DENSITY", density)
+            defects.append(f.gram_defect())
+    return defects
 
 
 # (ring, nonzero entries); zeros are drawn far more often than these.  The
@@ -206,14 +237,14 @@ def corrupted_hurwitz_radon(draw):
 @settings(max_examples=150, deadline=None)
 @given(sparse_formulas())
 def test_gram_defect_matches_oracle_on_sparse_tensors(f):
-    assert f.gram_defect() == naive_gram_defect(f)
+    assert kernel_defects(f) == [naive_gram_defect(f)] * 2
     assert f.verify_by_hurwitz() == f.verify_by_expansion() == (f.gram_defect() is None)
 
 
 @settings(max_examples=30, deadline=None)
 @given(corrupted_hurwitz_radon())
 def test_gram_defect_matches_oracle_on_corrupted_hurwitz_radon(f):
-    assert f.gram_defect() == naive_gram_defect(f)
+    assert kernel_defects(f) == [naive_gram_defect(f)] * 2
     assert f.verify_by_hurwitz() == f.verify_by_expansion()
 
 
@@ -277,7 +308,7 @@ def test_gram_defect_is_none_on_dense_formulas(kind, ring):
     f = dense_eight(kind, ring)
     zero = ring.zero()
     assert all(c != zero for slice_k in dense_tensor(f) for row in slice_k for c in row)
-    assert f.gram_defect() is None is naive_gram_defect(f)
+    assert kernel_defects(f) == [None, None] and naive_gram_defect(f) is None
 
 
 @pytest.mark.parametrize("ring", DENSE_RINGS)
@@ -342,19 +373,19 @@ def test_gram_defect_matches_oracle_on_corrupted_dense_formulas(data):
         delta = ring.coerce(data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]), label="delta"))
         tensor[k][i][j] = ring.add(tensor[k][i][j], delta)
     g = SosFormula(8, 8, 8, ring, tensor)
-    assert g.gram_defect() == naive_gram_defect(g) is not None
+    assert kernel_defects(g) == [naive_gram_defect(g)] * 2 and g.gram_defect() is not None
 
 
 def test_gram_defect_examples():
-    assert construct_hurwitz_radon(16).gram_defect() is None
+    assert kernel_defects(construct_hurwitz_radon(16)) == [None, None]
     # B_1 = I and B_2 = 0: B_2^T B_2 fails on its first diagonal entry
     zero_b2 = SosFormula(2, 2, 2, ZZ, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
-    assert zero_b2.gram_defect() == (1, 1, 0, 0)
+    assert kernel_defects(zero_b2) == [(1, 1, 0, 0)] * 2
     # Gauss with z1 = x1y1 + x2y2: B_1 = I and B_2 = [[0, 1], [1, 0]], so the
     # cross Gram matrix is 2 * B_2, which first fails at (j, k) = (0, 1)
     broken = [list(map(list, slice_k)) for slice_k in dense_tensor(gauss())]
     broken[0][1][1] = 1
-    assert SosFormula(2, 2, 2, ZZ, broken).gram_defect() == (0, 1, 0, 1)
+    assert kernel_defects(SosFormula(2, 2, 2, ZZ, broken)) == [(0, 1, 0, 1)] * 2
 
 
 # -- the packed Gram kernel against the former scatter loop ----------------------------
@@ -406,13 +437,13 @@ def scatter_gram_defect(f):
 @pytest.mark.parametrize("n", range(1, 65))
 def test_gram_defect_matches_scatter_oracle_on_hurwitz_radon(n):
     f = construct_hurwitz_radon(n)
-    assert f.gram_defect() is None is scatter_gram_defect(f)
+    assert kernel_defects(f) == [None, None] and scatter_gram_defect(f) is None
     # an entry of B_0 and two of the last matrix moved by 1, which changes a column's norm
     for k, i, j in ((0, 0, 0), (n // 2, f.r - 1, 0), (n - 1, f.r - 1, n - 1)):
         tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
         tensor[k][i][j] += 1
         g = SosFormula(f.r, f.s, f.n, ZZ, tensor)
-        assert g.gram_defect() == scatter_gram_defect(g) is not None
+        assert kernel_defects(g) == [scatter_gram_defect(g)] * 2 and g.gram_defect() is not None
 
 
 def rotate_gaussian(f):
@@ -443,13 +474,13 @@ def test_gram_defect_matches_scatter_oracle_on_dense_hurwitz_radon_16(ring):
     f = dense_sixteen(ring)
     zero = ring.zero()
     assert all(c != zero for slice_k in dense_tensor(f) for row in slice_k for c in row)
-    assert f.gram_defect() is None is scatter_gram_defect(f)
+    assert kernel_defects(f) == [None, None] and scatter_gram_defect(f) is None
     # one entry of B_0, of B_4 and of the last matrix B_8 moved
     for k, i, j in ((0, 0, 0), (7, 4, 11), (15, 8, 15)):
         tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
         tensor[k][i][j] = ring.add(tensor[k][i][j], ring.one())
         g = SosFormula(f.r, f.s, f.n, ring, tensor)
-        assert g.gram_defect() == scatter_gram_defect(g) is not None
+        assert kernel_defects(g) == [scatter_gram_defect(g)] * 2 and g.gram_defect() is not None
 
 
 # -- the expansion over Q and Q[i], done in integers, against the Fraction one ------------
@@ -532,6 +563,149 @@ def test_integer_expansion_edge_cases(ring):
     assert halves.expansion_defect().terms == {((0, 2), (1, 2)): ring.coerce(Fraction(-3, 4))}
 
 
+# -- the two row kernels of the Gram check -------------------------------------------------
+
+
+def kernel_rows(f):
+    """The rows (a, b, g) that each kernel forms for f, called directly on the
+    packed rows, nonzeros, targets, block width and bias that gram_defect
+    builds: (pair kernel's, block kernel's)."""
+    captured = []
+
+    def capture(*args):
+        captured.append(args)
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sosforms.formulas, "_BLOCK_DENSITY", KERNEL_RULES["block"])
+        m.setattr(sosforms.formulas, "_block_gram_rows", capture)
+        f.gram_defect()
+    (args,) = captured
+    packed, nz, minus_target = args[:3]
+    pair = list(sosforms.formulas._pair_gram_rows(packed, nz, minus_target))
+    return pair, list(sosforms.formulas._block_gram_rows(*args))
+
+
+@st.composite
+def kernel_cases(draw):
+    """HR(n), n <= 8, over a ring of RINGS_AND_ENTRIES, on both sides of the
+    kernel rule: over a field whose reflection by (1, ..., 1) on the first
+    t coordinates of z exists, so reflected; then some entries set to the
+    ring's entries at random; and often the last column of the last matrix
+    moved by -1, which puts a negative defect in the top lane of the last
+    block of the stacked rows."""
+    ring, nonzero = draw(st.sampled_from(RINGS_AND_ENTRIES))
+    f = construct_hurwitz_radon(draw(st.integers(1, 8)))
+    t = draw(st.integers(0, f.n))
+    p = ring.characteristic()
+    if ring not in (ZZ, gaussian_ext(ZZ)) and t and t % (p or t + 1):
+        f = householder_dense(f, ring, (1,) * t + (0,) * (f.n - t))
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f.change_ring(ring))]
+    places = st.tuples(st.integers(0, f.n - 1), st.integers(0, f.r - 1), st.integers(0, f.s - 1))
+    for k, i, j in draw(st.lists(places, max_size=f.r * f.s * f.n // 2)):
+        tensor[k][i][j] = ring.coerce(draw(st.sampled_from(nonzero)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, f.n - 1))
+        tensor[k][-1][-1] = ring.sub(tensor[k][-1][-1], ring.one())
+    return SosFormula(f.r, f.s, f.n, ring, tensor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_the_two_gram_kernels_form_the_same_rows(f):
+    pair, block = kernel_rows(f)
+    assert pair == block
+    assert [(a, b) for a, b, _ in block] == [(a, b) for a in range(f.r) for b in range(a, f.r)]
+    assert kernel_defects(f) == [naive_gram_defect(f)] * 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(5), QQ, gaussian_ext(ZZ), gaussian_ext(PrimeField(7))])
+def test_a_defect_in_the_top_lane_of_the_last_block(ring):
+    """HR(8) with the last column of B_7 moved by -1 in row 3: B_0 = I, so
+    G_07 = B_7 + B_7^T first fails at (j, k) = (3, 7), a lane of -1 or of
+    -1 plus a sign at the top of block 7 of the stacked row U_0[3]."""
+    f = construct_hurwitz_radon(8).change_ring(ring)
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
+    tensor[3][7][7] = ring.sub(tensor[3][7][7], ring.one())
+    g = SosFormula(8, 8, 8, ring, tensor)
+    assert kernel_defects(g) == [naive_gram_defect(g)] * 2
+    assert g.gram_defect()[:3] == (0, 7, 3)
+
+
+def test_the_kernel_rule_reads_the_count_of_nonzeros(monkeypatch):
+    """Dense HR(16) over GF(5) and Q takes the block kernel; HR(32) and the
+    densest formula of a search take the pair kernel, as does an [1, 1, n]
+    formula with n = 2 (r + 1) s nonzeros, one more than which takes the block
+    kernel."""
+    from sosforms.search import SearchProblem, search
+
+    emits = search(SearchProblem(3, 3, 4, 5)).formulas
+    densest = max(emits, key=lambda f: sum(map(len, f.nonzeros)))
+    runs = []
+    for name in ("_pair_gram_rows", "_block_gram_rows"):
+        kernel = getattr(sosforms.formulas, name)
+        monkeypatch.setattr(sosforms.formulas, name, lambda *args, k=kernel, n=name: runs.append(n) or k(*args))
+
+    def kernel_of(f):
+        runs.clear()
+        f.gram_defect()
+        return runs
+
+    assert kernel_of(dense_sixteen(PrimeField(5))) == kernel_of(dense_sixteen(QQ)) == ["_block_gram_rows"]
+    assert kernel_of(construct_hurwitz_radon(32)) == kernel_of(densest) == ["_pair_gram_rows"]
+    assert kernel_of(SosFormula(1, 1, 4, ZZ, [[[1]]] * 4)) == ["_pair_gram_rows"]
+    assert kernel_of(SosFormula(1, 1, 5, ZZ, [[[1]]] * 5)) == ["_block_gram_rows"]
+
+
+# -- split supports squared as one group ----------------------------------------------------
+
+
+def with_zeros(f, places):
+    """f with the entries at ``places`` (k, i, j) set to zero."""
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
+    for k, i, j in places:
+        tensor[k][i][j] = 0
+    return SosFormula(f.r, f.s, f.n, f.ring, tensor)
+
+
+@pytest.mark.parametrize("ring", [PrimeField(3), PrimeField(13), QI, gaussian_ext(PrimeField(3))])
+def test_split_supports_squared_as_one_group_match_the_dot_oracle(ring, monkeypatch):
+    """Dense HR(8), over a Gaussian ring also rotated, with entries zeroed by
+    chance (over GF(3), 8 of the 64 of each z_k) or on purpose, clean and
+    moved by one: the terms, their text and the witness are those of the
+    former per-support squaring."""
+    import sosforms.poly
+
+    fills, fill = [], sosforms.poly._fill_rows
+    monkeypatch.setattr(sosforms.poly, "_fill_rows", lambda *args: fills.append(1) or fill(*args))
+    f = householder_dense(construct_hurwitz_radon(8), ring, (1,) * 7 + (2,))
+    f = rotate_gaussian(f) if isinstance(ring, GaussianExt) else f
+    for places in ((), ((0, 0, 0),), ((0, 0, 0), (3, 7, 2), (5, 2, 6))):
+        g = with_zeros(f, places)
+        split = len({tuple(z.terms) for z in g.z_polys()}) > 1
+        tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(g)]
+        tensor[6][1][4] = ring.add(tensor[6][1][4], ring.one())
+        for h in (g, SosFormula(8, 8, 8, ring, tensor)):
+            fills.clear()
+            assert_defect_matches_oracle(h)
+            assert repr(h.expansion_defect()) == repr(oracle_expansion_defect(h))
+            assert bool(fills) == split
+
+
+def test_dense_hurwitz_radon_8_over_gf3_is_squared_as_one_group(monkeypatch):
+    import sosforms.poly
+
+    groups, products = [], sosforms.poly._column_products
+    monkeypatch.setattr(sosforms.poly, "_column_products", lambda rows, pairs: groups.append(rows) or products(rows, pairs))
+    f = dense_eight("hurwitz-radon", PrimeField(3))
+    assert len({tuple(z.terms) for z in f.z_polys()}) == 8
+    assert f.expansion_defect().is_zero
+    assert [(len(rows), len(rows[0])) for rows in groups] == [(8, 64)]
+    groups.clear()
+    assert construct_hurwitz_radon(32).expansion_defect().is_zero
+    assert not groups  # 32 supports of 10 terms: each z_k squared alone
+
+
 # -- lanes at their edges ----------------------------------------------------------------
 
 # rings in which 2 is invertible, so that entries of 1/2 exist
@@ -544,13 +718,13 @@ def test_gram_defect_reads_a_defect_of_minus_one_in_the_top_lane(ring):
     is (2, 0, -1): the defect is -1 in the top lane and 0 below it."""
     h = Fraction(1, 2)
     f = SosFormula(1, 3, 4, ring, [[[1, 0, -h]], [[0, 0, h]], [[0, 0, h]], [[0, 1, h]]])
-    assert f.gram_defect() == (0, 0, 0, 2) == naive_gram_defect(f)
+    assert kernel_defects(f) == [(0, 0, 0, 2)] * 2 and naive_gram_defect(f) == (0, 0, 0, 2)
 
 
 def test_gram_defect_reads_a_defect_of_minus_one_in_the_top_lane_over_z():
     """(B_0, B_1) = (I, -E_02): row 0 of B_0^T B_1 + B_1^T B_0 is (0, 0, -1)."""
     f = SosFormula(2, 3, 3, ZZ, [[[1, 0, 0], [0, 0, -1]], [[0, 1, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0]]])
-    assert f.gram_defect() == (0, 1, 0, 2) == naive_gram_defect(f)
+    assert kernel_defects(f) == [(0, 1, 0, 2)] * 2 and naive_gram_defect(f) == (0, 1, 0, 2)
 
 
 @pytest.mark.parametrize("ring", HALVES)
@@ -559,7 +733,7 @@ def test_gram_defect_reads_a_defect_of_minus_one_in_lane_0(ring):
     less than its target, and every other entry of G holds."""
     h = Fraction(1, 2)
     f = SosFormula(1, 3, 4, ring, [[[h, 0, 0]], [[h, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]])
-    assert f.gram_defect() == (0, 0, 0, 0) == naive_gram_defect(f)
+    assert kernel_defects(f) == [(0, 0, 0, 0)] * 2 and naive_gram_defect(f) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("ring, top", [
@@ -571,10 +745,18 @@ def test_gram_defect_at_the_lane_bound(ring, top, n):
     """Column 0 of B_0 holds n entries of the largest lift, so lane 0 of row 0
     nears the bound that the lane width is chosen from; column 1 is zero, e_0
     or a copy of column 0.  Over GF(p) the largest lift is (p - 1) / 2, which
-    is -1/2, so column 0 has norm 1 when n = 4 (and n = 1, 7, 10 over GF(3))."""
+    is -1/2, so column 0 has norm 1 when n = 4 (and n = 1, 7, 10 over GF(3)).
+    With column 1 of B_0 the negated column 0, the top lane of row 0 of
+    B_0^T B_0 is -beta, the least a lane of the block kernel's first block
+    can hold before it borrows from the second."""
     for column in ([0] * n, [1] + [0] * (n - 1), [top] * n):
         f = SosFormula(1, 2, n, ring, [[[top, c]] for c in column])
-        assert f.gram_defect() == naive_gram_defect(f)
+        assert kernel_defects(f) == [naive_gram_defect(f)] * 2
+    negated = ring.neg(ring.coerce(top))
+    f = SosFormula(2, 2, n, ring, [[[top, negated], [top, top]]] * n)
+    pair, block = kernel_rows(f)
+    assert pair == block
+    assert kernel_defects(f) == [naive_gram_defect(f)] * 2
 
 
 def test_substitution_soundness_over_gf():

@@ -336,6 +336,27 @@ def test_sum_of_squares_small_cases():
     assert sum_of_squares([u, u * zi.sqrt_minus_one()], zi).is_zero
 
 
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(3), gaussian_ext(QQ)])
+def test_split_supports_are_squared_as_one_group_only_when_that_forms_fewer_products(ring, monkeypatch):
+    """Supports of sizes t_g over a union of U monomials form one group
+    exactly when U (U + 1) < sum_g t_g (t_g + 1): not {x0 x1, x0 x2}
+    (12 = 6 + 6), but {x0 x1 x2, x0 x1 x3} (20 < 12 + 12); the missing
+    entries are zeros, (0, 0) over a Gaussian ring."""
+    fills, fill = [], sosforms.poly._fill_rows
+    monkeypatch.setattr(sosforms.poly, "_fill_rows", lambda *args: fills.append(args) or fill(*args))
+    c = ring.coerce((2, -1)) if isinstance(ring, GaussianExt) else ring.coerce(2)
+    x = [SparsePoly.variable(ring, v) for v in range(4)]
+    for group, united in (
+        ([x[0], x[1]], False),
+        ([x[0] + x[1], x[0] + c * x[2]], False),
+        ([x[0] + x[1] + x[2], c * x[0] - x[1] + x[3], x[0] + x[1] + x[2]], True),
+    ):
+        fills.clear()
+        assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
+        assert bool(fills) == united
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_sum_of_squares_minus_a_product_matches_oracle(data):

@@ -590,6 +590,19 @@ def test_full_search_size_limit():
     assert result.found and result.formulas[0].verify_by_expansion()
 
 
+
+def test_a_search_past_the_kept_formula_cap_raises(monkeypatch):
+    """The unpinned (2, 2, 4, 3) search has 1,440 formulas: a cap below that
+    rejects it, while the cap itself and a smaller max_solutions do not."""
+    problem = SearchProblem(2, 2, 4, 3, SearchOptions(canonical_first_matrix=False))
+    monkeypatch.setattr(search_module, "MAX_KEPT_FORMULAS", 1439)
+    with pytest.raises(ValueError, match="more than 1439 formulas.*--max-solutions.*canonical frame"):
+        search(problem)
+    capped = SearchProblem(2, 2, 4, 3, SearchOptions(canonical_first_matrix=False, max_solutions=1439))
+    assert search(capped).stop_reason == "max_solutions"
+    monkeypatch.setattr(search_module, "MAX_KEPT_FORMULAS", 1440)
+    assert len(search(problem).formulas) == 1440
+
 def test_sweep_desk_scale():
     report = hopf_consistency_sweep(3, 3, 4, 3)
     assert len(report.cells) == 3 * 3 * 4
