@@ -106,7 +106,9 @@ class SosFormula:
         return SparsePoly._new(self.ring, {((i, 1), (r + j, 1)): c for i, j, c in self.nonzeros[k]})
 
     def z_polys(self) -> list[SparsePoly]:
-        return [self.z_poly(k) for k in range(self.n)]
+        ys = [(self.r + j, 1) for j in range(self.s)]
+        monos = [[((i, 1), y) for y in ys] for i in range(self.r)]  # one tuple per x_i y_j for every z_k
+        return [SparsePoly._new(self.ring, {monos[i][j]: c for i, j, c in entries}) for entries in self.nonzeros]
 
     def expansion_defect(self) -> SparsePoly:
         """sum_k z_k^2 - (sum_i x_i^2)(sum_j y_j^2), exactly.

@@ -25,10 +25,12 @@ are then never reduced on the way, and each nonzero sum v is read back once,
 part by part: as v mod p over GF(p), v / D^2 over Q, and v itself over Z.
 
 Coefficients are packed too where polys share a support: ``sum_of_squares``
-shifts each lifted coefficient column of such a group to integers >= 0 and
-packs it into one int (Kronecker substitution), so the dot product of two
-columns is one lane of one integer product.  Polys whose supports differ by
-a few monomials (dense polys with coefficients that vanish by chance) are
+packs each lifted coefficient row of such a group into one int of W-bit
+lanes (Kronecker substitution), and one multiply-add per coefficient puts
+the dots of a column with all columns, doubled, in the lanes of one int.
+They lie within +-2 parts n top^2 < 2^(W-1); biased by 2^(W-1) and XORed
+back, they are read in C as signed ints of W = 8 to 64 bits, and past that
+by shift and mask.  Polys whose supports differ by a few monomials are
 squared as one group over the union of their supports, with zeros for the
 missing coefficients, whenever that forms fewer products.
 
@@ -38,6 +40,7 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import lcm
@@ -333,68 +336,70 @@ def poly_sum(polys: Iterable[SparsePoly], ring: CoeffRing) -> SparsePoly:
     return SparsePoly._new(ring, {m: c for m, c in terms.items() if c != zero})
 
 
-def _lane_width(rows: int, top: int) -> int:
-    """Bits per lane for packed columns of ``rows`` entries in 0..top: no lane
-    of the product of two such columns, a sum of at most ``rows`` products
-    of two entries, reaches 2^W."""
-    return (rows * top * top).bit_length()
+# signed C formats by lane width, sized as memoryview casts them (importing
+# struct would slow every command); none on a big-endian machine
+_FORMATS = {8 * memoryview(bytes(8)).cast(f).itemsize: f for f in "bhilq"} if sys.byteorder == "little" else {}
 
 
-def _pack(column, shift: int, width: int) -> tuple[int, int]:
-    """The entries of ``column`` plus ``shift`` in lanes of ``width`` bits,
-    forward, sum_k (c_k + M) 2^(W k), and reversed,
-    sum_k (c_k + M) 2^(W (n-1-k))."""
-    forward = reverse = 0
-    for c in column:
-        reverse = reverse << width | c + shift
-    for c in reversed(column):
-        forward = forward << width | c + shift
-    return forward, reverse
+def _lane_width(bound: int) -> int:
+    """Bits per lane for lanes within +-``bound``: the narrowest width W of
+    ``_FORMATS`` with bound < 2^(W-1), or past them bit_length(bound) + 1."""
+    for width in sorted(_FORMATS):
+        if bound < 1 << (width - 1):
+            return width
+    return bound.bit_length() + 1
 
 
-def _column_products(rows: list, pairs: bool) -> Iterator[list]:
+def _row_dots(rows: list, pairs: bool) -> Iterator:
     """For each column u of ``rows``, the lifted coefficient rows of a group
-    of polys with one support, the list of sum_k rows[k][u] * rows[k][v] over
-    v = u, u + 1, ..., as ints, or as (re, im) pairs of ints when ``pairs``.
+    of polys with one support, its dots with the columns v = u, u + 1, ...:
+    the square sum_k rows[k][u]^2, then each sum_k rows[k][u] rows[k][v]
+    doubled: an iterable of ints, or of (re, im) pairs when ``pairs``.
 
-    A row of pairs is split into its real and imaginary parts.  Every part
-    is shifted to integers >= 0 by M = max(0, -min).  Part a of column u is
-    packed as P_u = sum_k c_ku 2^(W k) and reversed as
-    Q_u = sum_k c_ku 2^(W (n-1-k)), W from ``_lane_width``, so lane n - 1 of
-    P_u * Q_v is sum_k c_ku c_kv, exact because no lane reaches 2^W: one
-    integer product per pair of columns and pair of parts.  The shift comes
-    back off as M (S_u + S_v) + n M^2, with S the unshifted column sums, and
-    the dots of the parts combine as (x + yi)(u + vi) = (xu - yv) + (xv + yu)i."""
-    n = len(rows)
-    parts = [([c[0] for c in row], [c[1] for c in row]) if pairs else (row,) for row in rows]
-    values = {v for row in parts for part in row for v in part}
-    shift = max(0, -min(values, default=0))
-    width = _lane_width(n, max(values, default=0) + shift)
-    at, mask = width * (n - 1), (1 << width) - 1
-    packed = []  # per part: the columns packed forward (P) and reversed (Q), and their sums S
-    for part_rows in zip(*parts):
-        forward, reverse, sums = [], [], []
-        for column in zip(*part_rows):  # one column tuple at a time: only the packed ints stay
-            p, q = _pack(column, shift, width)
-            forward.append(p)
-            reverse.append(q)
-            sums.append(sum(column) if shift else 0)
-        packed.append((forward, reverse, sums))
-    offset = n * shift * shift
-    for u in range(len(packed[0][0])):
-        dots = []  # part a of column u against part b of columns u, u + 1, ..., for (a, b) in order
-        for p, _, s in packed:
-            pu, su = p[u], s[u]
-            for _, q, t in packed:
-                lanes = [pu * qv >> at & mask for qv in q[u:]]
-                if shift:
-                    lanes = [x - shift * (su + tv) - offset for x, tv in zip(lanes, t[u:])]
-                dots.append(lanes)
-        if pairs:
-            rr, ri, ir, ii = dots
-            yield [(a - d, b + c) for a, b, c, d in zip(rr, ri, ir, ii)]
-        else:
-            yield dots[0]
+    Each part of row k is packed once as 2 R_k, R_k = sum_v c_kv 2^(W v), so
+    2 D_u = sum_k c_ku 2 R_k over the nonzero c_ku holds twice the dot of
+    columns u and v in lane v; over a Gaussian ring re = sum_k (x_ku 2 Rx_k
+    - y_ku 2 Ry_k) and im = sum_k (x_ku 2 Ry_k + y_ku 2 Rx_k).  Every lane
+    lies within +-2 parts n top^2 < 2^(W-1), W from ``_lane_width``: with
+    2^(W-1) added to each none borrows, and XORed back they are two's
+    complement, read in C by a memoryview cast where W is a C width and by
+    shift and mask past that.  Lane u, the square, is halved."""
+    size = len(rows[0])
+    parts = [([c[0] for c in row], [c[1] for c in row]) for row in rows] if pairs else [rows]
+    top = max((max(max(part), -min(part)) for row in parts for part in row if part), default=0)
+    width = _lane_width(2 * (1 + pairs) * len(rows) * top * top)
+    bias = ((1 << (width * size)) - 1) // ((1 << width) - 1) << (width - 1)  # 2^(W-1) in every lane
+    fmt, nbytes, mask, half = _FORMATS.get(width), width * size // 8, (1 << width) - 1, 1 << (width - 1)
+    if fmt:
+        read = lambda x, u: memoryview((x ^ bias).to_bytes(nbytes, "little")).cast(fmt)[u:].tolist()
+    else:
+        read = lambda x, u: [(x >> at & mask) - half for at in range(width * u, width * size, width)]
+    shifts = range(1, width * size, width)  # 2 R_k = sum_v c_kv 2^(W v + 1)
+    if pairs:
+        packed = [(sum(map(operator.lshift, xs, shifts)), sum(map(operator.lshift, ys, shifts))) for xs, ys in parts]
+        for u, column in enumerate(zip(*rows)):
+            re = im = bias
+            for (x, y), (rx, ry) in zip(column, packed):
+                if x:
+                    re += x * rx
+                    im += x * ry
+                if y:
+                    re -= y * ry
+                    im += y * rx
+            re, im = read(re, u), read(im, u)
+            re[0] >>= 1
+            im[0] >>= 1
+            yield zip(re, im)
+    else:
+        packed = [sum(map(operator.lshift, row, shifts)) for row in rows]
+        for u, column in enumerate(zip(*rows)):
+            x = bias
+            for c, r in zip(column, packed):
+                if c:
+                    x += c * r
+            lanes = read(x, u)
+            lanes[0] >>= 1
+            yield lanes
 
 
 def _fill_rows(groups: list, union: set, zero) -> list:
@@ -426,16 +431,13 @@ def sum_of_squares(
     terms whose union has U monomials become one group over the union when
     that forms fewer products, U (U + 1) < sum_g t_g (t_g + 1), each row
     filled with zeros, (0, 0) for pairs, where its support has no monomial.
-    A zero lies in the range that the shift M = max(0, -min) maps to
-    0..top, so the lane width W = bit_length(rows * top^2) still bounds
-    every dot of the filled columns.  Every coefficient
-    is lifted first (``_lift``), so all of this is integer arithmetic.  A
-    group of one poly multiplies its coefficients directly; a larger group
-    reads each dot off one integer product of Kronecker-packed columns per
-    pair of terms (``_column_products``; four over a Gaussian extension, one
-    per pair of parts).  Every group adds into one map keyed by packed
-    monomial: the cross sums are doubled once, the squares of the terms are
-    added on top, then the negated products of ``minus``, and each sum is
+    Every coefficient is lifted first (``_lift``), so all of this is integer
+    arithmetic.  A group of one poly multiplies its coefficients directly; a
+    larger group reads its dots off W-bit lanes (``_row_dots``): within
+    +-2 parts n top^2 < 2^(W-1), biased by 2^(W-1) so that none borrows, and
+    XORed with the bias to two's complement for a memoryview cast.  Every
+    group adds its squares and doubled cross sums into one map keyed by
+    packed monomial, then the negated products of ``minus``, and each sum is
     read back once.  Only nonzero coefficients are unpacked, so a difference
     that cancels unpacks nothing.  Nothing is kept between calls.
     """
@@ -458,30 +460,25 @@ def sum_of_squares(
             groups = [(list(union), _fill_rows(groups, union, (0, 0) if pairs else 0))]
     terms: dict = {}
     get = terms.get
-    squares = []
     for keys, rows in groups:
         if len(rows) == 1:  # one poly: multiply its coefficients directly
             items = list(zip(keys, rows[0]))
             for a, (k1, c1) in enumerate(items):
+                k, c = k1 + k1, mul(c1, c1)
+                prev = get(k)
+                terms[k] = c if prev is None else add(prev, c)
+                twice = add(c1, c1)
                 for k2, c2 in items[a + 1 :]:
                     k = k1 + k2
-                    c = mul(c1, c2)
+                    c = mul(twice, c2)
                     prev = get(k)
                     terms[k] = c if prev is None else add(prev, c)
-            squares += [(k + k, mul(c, c)) for k, c in items]
             continue
-        # dots[v - u] is the dot of columns u and v: the square first, then the cross sums
-        for k1, dots in zip(keys, _column_products(rows, pairs)):
-            squares.append((k1 + k1, dots[0]))
-            for k2, c in zip(keys[len(keys) - len(dots) + 1 :], dots[1:]):
+        for u, (k1, dots) in enumerate(zip(keys, _row_dots(rows, pairs))):
+            for k2, c in zip(keys[u:], dots):  # the square, then the doubled cross sums
                 k = k1 + k2
                 prev = get(k)
                 terms[k] = c if prev is None else add(prev, c)
-    for k, c in terms.items():  # in place: no second map of every monomial
-        terms[k] = add(c, c)
-    for k, c in squares:
-        prev = get(k)
-        terms[k] = c if prev is None else add(prev, c)
     if minus:
         left, right = maps[squared:]
         _add_products(terms, pack, ((m, neg(c)) for m, c in left.items()), right, add, mul)

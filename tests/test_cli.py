@@ -667,7 +667,25 @@ DIGEST_FORMULAS = {
     # split into eight supports by entries that vanish mod 3, are squared as one group
     "GF3": (PrimeField(3), lambda: construct_hurwitz_radon(8), True, (6, 5, 7), 1),
     "GF13": (PrimeField(13), lambda: construct_hurwitz_radon(8), True, (1, 7, 0), 5),
+    # the largest formula of the benchmark's dense workload: nine matrices, one
+    # group of 144 columns whose dots the expansion reads in 16-bit lanes
+    "GF5-16": (PrimeField(5), lambda: construct_hurwitz_radon(16), True, (7, 4, 11), 1),
+    # entries up to about 2^39, whose dots pass 64 bits: the wide lane reader
+    "Z40": (ZZ, lambda: scaled_dense_eight(), False, (0, 0, 0), 1),
 }
+def scaled_dense_eight():
+    """HR(8) turned over Q by (1, ..., 1, 2), whose entries have the
+    denominator 11, times 11 * 2^36: an integer formula that fails the
+    identity by the square of that factor."""
+    f = householder_dense(construct_hurwitz_radon(8), QQ, (1,) * 7 + (2,))
+    scale = 11 * 2**36
+    tensor = [[[0] * 8 for _ in range(8)] for _ in range(8)]
+    for k, entries in enumerate(f.nonzeros):
+        for i, j, c in entries:
+            tensor[k][i][j] = int(c * scale)
+    return SosFormula(8, 8, 8, ZZ, tensor)
+
+
 DIGEST_CASES = [
     "bounds 8 8 --format json", "bounds 12 12 --format csv", "bounds 5 5",
     "sweep 3 3 4 3", "sweep 2 3 4 3 --format json", "search 3 3 4 5 --format json", "search 3 3 4 5",
@@ -679,8 +697,9 @@ DIGEST_CASES = [
 ]
 # sha256 of repr((exit code, stdout, stderr)) per case, recorded before the expansion's
 # integer lift moved into sosforms.poly (the GF3 and GF13 cases: before the dense Gram
-# kernel and the squaring of split supports as one group); a change meant to alter an
-# output re-records it
+# kernel and the squaring of split supports as one group; the GF5-16 and Z40 cases:
+# before the expansion's dots came from one multiply-add per coefficient); a change
+# meant to alter an output re-records it
 CLI_DIGESTS = {
     "bounds 8 8 --format json": "65670eea0f749c33206bd4f908e87037257b7dbbe889df486dba2b808cce7809",
     "bounds 12 12 --format csv": "69ce68816833258bcdea25955fb210e7245391cdb56cad7a4cca2e9fd4288fa2",
@@ -725,6 +744,14 @@ CLI_DIGESTS = {
     "verify GF13.json --format json": "46eaea67f02323d9782a87d40a252070255176d1af64b65f68bc30fbe6cd5c8b",
     "verify GF13-bad.json": "d283fa84e28ea831d2a99bd845c34630a20f242fce45e9afb9dfcc79be36846c",
     "verify GF13-bad.json --format json": "5f6d02f161480aac2805ce198498d02198d76d7b8d8c06a5f8934c4695f87ded",
+    "verify GF5-16.json": "2d8947084282a99c941af18d2e3399f0e23f230961c04ed0a5dba6c82852af63",
+    "verify GF5-16.json --format json": "79aaaab4dccc55cefb586fc9e4bbcbec28fbfbfc6e0f9216b976cb59b61f2bcd",
+    "verify GF5-16-bad.json": "71e868cfb8069619d85c6ca2a215ae0349e0af14da7612a8c654d0ec1580c877",
+    "verify GF5-16-bad.json --format json": "51577552676e9e20dee0e5398e06756a1f84294ad5060df8008d5e1a94c9b7e3",
+    "verify Z40.json": "6b51482f59f05b84a18172b8bf5dbba35e4f6e23a424ccba46fda89804530268",
+    "verify Z40.json --format json": "7555dde167c351c8c6ac1050985236afe9307ceabb3971f42ac1ec4700641a58",
+    "verify Z40-bad.json": "9f12835e0c488c469b5d7d5e1e37a2c60bfa66009ddd3f83720e33b1989192aa",
+    "verify Z40-bad.json --format json": "344745fdcf93ca7ac8ad5bdf6709297f8a0041dd76629e306d53702404bdc111",
 }
 
 

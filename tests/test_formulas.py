@@ -109,8 +109,9 @@ def test_classical_tables_load_from_a_zipped_package(tmp_path):
 def test_the_two_verifiers_share_no_kernel(monkeypatch):
     """Expansion and the Gram check cross-check each other, so each must
     still decide with the other's kernel disabled: the dense formulas here
-    take the Gram check's block kernel, and dense HR(8) over GF(3) has its
-    split supports squared as one group."""
+    take the Gram check's block kernel, the expansion's row kernel squares
+    their shared supports, and dense HR(8) over GF(3) has its split supports
+    squared as one group."""
     import sosforms.formulas
     import sosforms.poly
 
@@ -130,16 +131,16 @@ def test_the_two_verifiers_share_no_kernel(monkeypatch):
         m.setattr(SosFormula, "gram_defect", refuse)
         m.setattr(sosforms.formulas, "_pair_gram_rows", refuse)
         m.setattr(sosforms.formulas, "_block_gram_rows", refuse)
-        fills = counted(sosforms.poly, "_fill_rows")
+        fills, dots = counted(sosforms.poly, "_fill_rows"), counted(sosforms.poly, "_row_dots")
         assert all(f.verify_by_expansion() for f in good)
         assert not any(f.verify_by_expansion() for f in bad)
-        assert fills
+        assert fills and dots
     blocks = counted(sosforms.formulas, "_block_gram_rows")
     monkeypatch.setattr(sosforms.poly, "sum_of_squares", refuse)
     monkeypatch.setattr(sosforms.formulas, "sum_of_squares", refuse)
     monkeypatch.setattr(sosforms.poly, "_packing", refuse)
     monkeypatch.setattr(sosforms.poly, "_lift", refuse)
-    monkeypatch.setattr(sosforms.poly, "_column_products", refuse)
+    monkeypatch.setattr(sosforms.poly, "_row_dots", refuse)
     monkeypatch.setattr(sosforms.poly, "_fill_rows", refuse)
     assert all(f.gram_defect() is None for f in good)
     assert all(f.gram_defect() is not None for f in bad)
@@ -695,8 +696,8 @@ def test_split_supports_squared_as_one_group_match_the_dot_oracle(ring, monkeypa
 def test_dense_hurwitz_radon_8_over_gf3_is_squared_as_one_group(monkeypatch):
     import sosforms.poly
 
-    groups, products = [], sosforms.poly._column_products
-    monkeypatch.setattr(sosforms.poly, "_column_products", lambda rows, pairs: groups.append(rows) or products(rows, pairs))
+    groups, row_dots = [], sosforms.poly._row_dots
+    monkeypatch.setattr(sosforms.poly, "_row_dots", lambda rows, pairs: groups.append(rows) or row_dots(rows, pairs))
     f = dense_eight("hurwitz-radon", PrimeField(3))
     assert len({tuple(z.terms) for z in f.z_polys()}) == 8
     assert f.expansion_defect().is_zero

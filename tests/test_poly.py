@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic and the coordinate change."""
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from sosforms.formulas import SosFormula, construct_classical, construct_hurwitz
 from sosforms.poly import (
     SparsePoly,
     _check_ring,
+    _lift,
     _packing,
+    _row_dots,
     _text_order,
     hyperbolic_coordinate_change,
     poly_sum,
@@ -179,7 +182,7 @@ def oracle_sum_of_squares(polys, ring):
 
 
 def dot_sum_of_squares(polys, ring, minus=None):
-    """The former sum_of_squares, kept as the oracle of the packed column
+    """The former sum_of_squares, kept as the oracle of the packed row
     kernel where the left fold is too slow: per group of polys with one
     support, the packed product of each pair of support terms once, with
     its coefficient the dot product of the two terms' columns over the
@@ -223,7 +226,7 @@ def dot_sum_of_squares(polys, ring, minus=None):
     return SparsePoly._new(ring, {unpack(k): c for k, c in totals.items() if c != zero})
 
 
-# The rings of the packed column kernel's tests: ORACLE_RINGS, an 11-bit
+# The rings of the packed row kernel's tests: ORACLE_RINGS, an 11-bit
 # prime, and a Gaussian extension of GF(7).
 GROUP_RINGS = ORACLE_RINGS + [PrimeField(1259), gaussian_ext(PrimeField(7))]
 
@@ -457,17 +460,21 @@ def test_expansion_defect_of_dense_formulas_matches_oracle(kind, ring):
     assert not corrupted.expansion_defect().is_zero
 
 
-def counting_packed_products(monkeypatch):
-    """Wrap ``sosforms.poly._pack`` so that every product of a packed column
-    with another is counted; return the list of counts."""
-    pack, calls = sosforms.poly._pack, []
+def counting_multiply_adds(monkeypatch):
+    """Wrap ``sosforms.poly._row_dots`` so that each product of a lifted
+    coefficient with a packed row is counted; return the list of counts."""
+    row_dots, calls = sosforms.poly._row_dots, []
 
     class Counted(int):
         def __mul__(self, other):
             calls.append(1)
             return int(self) * other
 
-    monkeypatch.setattr(sosforms.poly, "_pack", lambda *args: tuple(map(Counted, pack(*args))))
+    def counted(rows, pairs):
+        wrap = (lambda c: (Counted(c[0]), Counted(c[1]))) if pairs else Counted
+        return row_dots([[wrap(c) for c in row] for row in rows], pairs)
+
+    monkeypatch.setattr(sosforms.poly, "_row_dots", counted)
     return calls
 
 
@@ -485,37 +492,41 @@ def refuse_ring_methods(monkeypatch, ring):
                 monkeypatch.setattr(cls, name, refuse)
 
 
-@pytest.mark.parametrize("ring, parts", [(PrimeField(5), 1), (gaussian_ext(PrimeField(7)), 2)])
-def test_sum_of_squares_forms_each_product_of_a_shared_support_once(monkeypatch, ring, parts):
+@pytest.mark.parametrize("ring, per_part", [(PrimeField(5), 1), (gaussian_ext(PrimeField(7)), 2)])
+def test_sum_of_squares_forms_each_product_of_a_shared_support_once(monkeypatch, ring, per_part):
     """Dense HR(8): eight z_k share one 64-term support, so sum_of_squares
-    forms each of the 64 * 63 / 2 = 2,016 pair products and 64 squares of
-    support terms once, and reads each coefficient off one integer product
-    of two packed columns of eight coefficients (four over a Gaussian ring,
-    one per pair of parts), in integers, with no method of the ring run;
-    squaring each z_k alone packs no column."""
+    forms all 2,080 dots of its columns with one multiply-add per
+    coefficient and per sum it feeds: 8 * 64 over GF(5), twice that over
+    GF(7)[i], one into re and one into im (these entries are real, so no
+    imaginary part is multiplied).  It runs in integers, with no method of
+    the ring run; squaring each z_k alone multiplies no packed row."""
     f = dense_eight("hurwitz-radon", ring)
     zs = f.z_polys()
-    products = counting_packed_products(monkeypatch)
+    products = counting_multiply_adds(monkeypatch)
     with monkeypatch.context() as m:
         refuse_ring_methods(m, ring)
         with pytest.raises(AssertionError, match="ring method"):
             ring.zero()
         total = sum_of_squares(zs, ring)
-    assert len(products) == parts * parts * (2_016 + 64)
+    assert len(products) == per_part * 8 * 64
     products.clear()
     assert poly_sum([z * z for z in zs], ring) == total
     assert not products
 
 
 # (ring, coefficient): every coefficient of LANE_BOUND_ROWS rows of three terms
-# is the largest lift, so lane n - 1 of a packed product reaches n * top^2,
-# the bound that the lane width is chosen from; over Z every entry is shifted
-# by M = 2^130 first, so the top lift 2^131 comes from -2^130 and 2^130
+# is the largest lift, so a lane of twice a dot reaches 2 parts n top^2, the
+# bound that the lane width is chosen from: the cross lanes over GF(1259),
+# those of the imaginary parts over GF(7)[i] and GF(19)[i], and over Z, where
+# the lifts +-2^130 take the wide reader, the lanes of both signs.  Over
+# GF(19)[i] the bound 51,840 needs 32-bit lanes, and half of it, the bound
+# of one part, would fit in 16
 LANE_BOUND_ROWS = 40
 LANE_BOUND_GROUPS = [
     (PrimeField(1259), [1258, 1258, 1258]),
     (ZZ, [2**130, 2**130, -(2**130)]),
     (gaussian_ext(PrimeField(7)), [(6, 6), (6, 6), (6, 6)]),
+    (gaussian_ext(PrimeField(19)), [(18, 18), (18, 18), (18, 18)]),
 ]
 
 
@@ -530,12 +541,172 @@ def test_sum_of_squares_with_a_lane_at_its_bound(ring, coeffs):
     assert sum_of_squares(group, ring) == oracle_sum_of_squares(group, ring)
 
 
+def reads_wrong(compute, oracle) -> bool:
+    """Whether ``compute()`` differs from ``oracle`` or overflows: a carry out
+    of the top lane leaves more bytes than the C reader converts."""
+    try:
+        return compute() != oracle
+    except OverflowError:
+        return True
+
+
+def one_step_narrower(width):
+    """The C format width below ``width``, or one bit less past them."""
+    narrower = [w for w in sorted(sosforms.poly._FORMATS) if w < width]
+    return narrower[-1] if width in sosforms.poly._FORMATS else width - 1
+
+
 @pytest.mark.parametrize("ring, coeffs", LANE_BOUND_GROUPS)
 def test_a_lane_one_bit_short_is_caught(monkeypatch, ring, coeffs):
+    """One width step narrower, over GF(1259) and GF(19)[i] 16 bits for 32
+    and over GF(7)[i] 8 for 16, and the wide reader over Z one bit short,
+    each give a wrong sum."""
     group = lane_bound_group(ring, coeffs)
     lane_width = sosforms.poly._lane_width
-    monkeypatch.setattr(sosforms.poly, "_lane_width", lambda rows, top: lane_width(rows, top) - 1)
-    assert sum_of_squares(group, ring) != oracle_sum_of_squares(group, ring)
+    monkeypatch.setattr(sosforms.poly, "_lane_width", lambda bound: one_step_narrower(lane_width(bound)))
+    assert reads_wrong(lambda: sum_of_squares(group, ring), oracle_sum_of_squares(group, ring))
+
+
+# -- the former packed column kernel, kept as the oracle of _row_dots ---------------------
+
+
+def _lane_width(rows: int, top: int) -> int:
+    """Bits per lane for packed columns of ``rows`` entries in 0..top: no lane
+    of the product of two such columns, a sum of at most ``rows`` products
+    of two entries, reaches 2^W."""
+    return (rows * top * top).bit_length()
+
+
+def _pack(column, shift: int, width: int) -> tuple[int, int]:
+    """The entries of ``column`` plus ``shift`` in lanes of ``width`` bits,
+    forward, sum_k (c_k + M) 2^(W k), and reversed,
+    sum_k (c_k + M) 2^(W (n-1-k))."""
+    forward = reverse = 0
+    for c in column:
+        reverse = reverse << width | c + shift
+    for c in reversed(column):
+        forward = forward << width | c + shift
+    return forward, reverse
+
+
+def _column_products(rows: list, pairs: bool) -> Iterator[list]:
+    """For each column u of ``rows``, the lifted coefficient rows of a group
+    of polys with one support, the list of sum_k rows[k][u] * rows[k][v] over
+    v = u, u + 1, ..., as ints, or as (re, im) pairs of ints when ``pairs``.
+
+    A row of pairs is split into its real and imaginary parts.  Every part
+    is shifted to integers >= 0 by M = max(0, -min).  Part a of column u is
+    packed as P_u = sum_k c_ku 2^(W k) and reversed as
+    Q_u = sum_k c_ku 2^(W (n-1-k)), W from ``_lane_width``, so lane n - 1 of
+    P_u * Q_v is sum_k c_ku c_kv, exact because no lane reaches 2^W: one
+    integer product per pair of columns and pair of parts.  The shift comes
+    back off as M (S_u + S_v) + n M^2, with S the unshifted column sums, and
+    the dots of the parts combine as (x + yi)(u + vi) = (xu - yv) + (xv + yu)i."""
+    n = len(rows)
+    parts = [([c[0] for c in row], [c[1] for c in row]) if pairs else (row,) for row in rows]
+    values = {v for row in parts for part in row for v in part}
+    shift = max(0, -min(values, default=0))
+    width = _lane_width(n, max(values, default=0) + shift)
+    at, mask = width * (n - 1), (1 << width) - 1
+    packed = []  # per part: the columns packed forward (P) and reversed (Q), and their sums S
+    for part_rows in zip(*parts):
+        forward, reverse, sums = [], [], []
+        for column in zip(*part_rows):  # one column tuple at a time: only the packed ints stay
+            p, q = _pack(column, shift, width)
+            forward.append(p)
+            reverse.append(q)
+            sums.append(sum(column) if shift else 0)
+        packed.append((forward, reverse, sums))
+    offset = n * shift * shift
+    for u in range(len(packed[0][0])):
+        dots = []  # part a of column u against part b of columns u, u + 1, ..., for (a, b) in order
+        for p, _, s in packed:
+            pu, su = p[u], s[u]
+            for _, q, t in packed:
+                lanes = [pu * qv >> at & mask for qv in q[u:]]
+                if shift:
+                    lanes = [x - shift * (su + tv) - offset for x, tv in zip(lanes, t[u:])]
+                dots.append(lanes)
+        if pairs:
+            rr, ri, ir, ii = dots
+            yield [(a - d, b + c) for a, b, c, d in zip(rr, ri, ir, ii)]
+        else:
+            yield dots[0]
+
+
+def oracle_row_dots(rows, pairs):
+    """The former kernel's dots, with the cross sums doubled as ``_row_dots``
+    gives them; nothing for a group with no column."""
+    if not rows[0]:
+        return []
+    twice = (lambda d: (2 * d[0], 2 * d[1])) if pairs else (lambda d: 2 * d)
+    return [[dots[0], *map(twice, dots[1:])] for dots in _column_products(rows, pairs)]
+
+
+def lifted_rows(ring, rows):
+    """(pairs, rows): the ring elements of ``rows`` lifted as ``sum_of_squares``
+    lifts them, with 0, or (0, 0) over a Gaussian ring, for each zero, as in
+    a row filled over a union support."""
+    polys = [SparsePoly(ring, {((u, 1),): c for u, c in enumerate(row)}) for row in rows]
+    pairs, _, maps = _lift(ring, polys)
+    zero = (0, 0) if pairs else 0
+    return pairs, [[m.get(((u, 1),), zero) for u in range(len(rows[0]))] for m in maps]
+
+
+KERNEL_RINGS = [ZZ, QQ, PrimeField(3), PrimeField(1259), gaussian_ext(ZZ), gaussian_ext(PrimeField(7))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_dots_match_the_former_column_kernel(data):
+    """Rows of up to 12 coefficients of up to 6 columns, none included, often
+    zero (a union row's fill, or a whole zero column), small or up to
+    +-2^130 (the wide reader), and negative over Z and Q."""
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    n, size = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 6))
+    element = coefficients(ring)
+    if data.draw(st.booleans()):
+        part = wide_parts(ring)
+        element = st.one_of(element, st.tuples(part, part) if isinstance(ring, GaussianExt) else part).map(ring.coerce)
+    element = st.one_of(st.just(ring.zero()), element)
+    rows = data.draw(st.lists(st.lists(element, min_size=size, max_size=size), min_size=n, max_size=n))
+    pairs, rows = lifted_rows(ring, rows)
+    assert [list(dots) for dots in _row_dots(rows, pairs)] == oracle_row_dots(rows, pairs)
+
+
+# Four squares summing to 2^(W-2) - 1, for each C lane width W: a column of
+# them dotted with itself, or with its negative, puts twice that,
+# +-(2^(W-1) - 2), in its lane, the largest even lane within +-(2^(W-1) - 1)
+EDGE_SQUARES = {8: (7, 3, 2, 1), 16: (127, 15, 5, 2), 32: (32767, 255, 22, 5), 64: (2147483647, 65535, 362, 5)}
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+@pytest.mark.parametrize("width", sorted(EDGE_SQUARES))
+def test_row_dots_read_lanes_at_the_edge_of_each_width(monkeypatch, width, pairs):
+    """With the lane width forced to W, columns a, -a (over Z[i] a, i a, -a)
+    fill lanes at +-(2^(W-1) - 2), and they read back exactly; with a column
+    of norm 2^(W-2), lanes reach +-2^(W-1), and the read is wrong."""
+    assert sum(a * a for a in EDGE_SQUARES[width]) == 2 ** (width - 2) - 1
+    monkeypatch.setattr(sosforms.poly, "_lane_width", lambda bound: width)
+    for column, exact in ((EDGE_SQUARES[width], True), ((2 ** (width // 2 - 1), 0, 0, 0), False)):
+        if pairs:
+            rows = [[(a, 0), (0, a), (-a, 0)] for a in column]
+        else:
+            rows = [[a, -a] for a in column]
+        assert reads_wrong(lambda: [list(dots) for dots in _row_dots(rows, pairs)], oracle_row_dots(rows, pairs)) != exact
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_row_dots_just_past_64_bits_take_the_wide_reader(monkeypatch, pairs):
+    """Lifts of 2^31 in two rows put 2^64 in a lane, past every C format: the
+    lanes are read by shift and mask."""
+    widths, lane_width = [], sosforms.poly._lane_width
+    monkeypatch.setattr(sosforms.poly, "_lane_width", lambda bound: widths.append(lane_width(bound)) or widths[-1])
+    big = 2**31
+    rows = [[(big, -3), (0, big), (-big, 0)], [(big, big), (1, -big), (0, 0)]] if pairs else [[big, -big, 3], [big, 0, -big]]
+    assert [list(dots) for dots in _row_dots(rows, pairs)] == oracle_row_dots(rows, pairs)
+    assert widths and widths[0] > 64 and widths[0] not in sosforms.poly._FORMATS
+    assert widths[0] <= 67
 
 
 # -- packed monomials: field widths that differ from call to call -----------------
