@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from itertools import combinations_with_replacement
 from math import lcm
 
 from .poly import SparsePoly, poly_sum, sum_of_squares
@@ -147,41 +148,68 @@ class SosFormula:
         the first failing row is the witness, as G is symmetric; its digits
         before it are read exactly.
         """
-        ring, r, s, n = self.ring, self.r, self.s, self.n
-        p, gaussian = ring.characteristic(), isinstance(ring, GaussianExt)
-        lanes = 2 if gaussian else 1
-        values = {c for entries in self.nonzeros for _, _, c in entries}
-        values = {v for c in values for v in c} if gaussian else values
-        if p:
-            scale, lift = 1, {v: v - p if 2 * v > p else v for v in values}
+        return self._gram_defect(None)
+
+    def _gram_defect(self, memo):
+        """``gram_defect``, less the pairs of matrices that ``memo`` has shown
+        to hold.  ``memo`` is None, or a dict that the Gram checks of the
+        formulas of one ring and one (r, s, n) share, empty at first.  G_ab
+        depends on nothing but B_a, B_b and whether a = b, so a pair left out
+        has no failing row, and the witness is unchanged.
+
+        The memo interns each distinct matrix to a small int, keyed on its
+        ring entries, not their lifts (over Q a lift depends on the
+        denominators), and holds a pair as (id of B_a, id of B_b, a = b): the
+        target 2 delta_ab I differs between the two cases, so B_a = B_b with
+        a != b is still checked after B_a passed its diagonal pair.  It packs
+        only the matrices of pairs still to check, each once, with one layout
+        that covers every value packed so far; a value it does not cover
+        widens it, and every matrix is packed again."""
+        r, s, n = self.r, self.s, self.n
+        if memo is None:
+            pairs = _pairs(r)
+            layout = _gram_layout(self.ring, s, n, {c for entries in self.nonzeros for _, _, c in entries})
+            packed, nz = _gram_pack(enumerate(self.nonzeros), r, n, layout)
         else:
-            scale = lcm(*{v.denominator for v in values})
-            lift = {v: v.numerator * (scale // v.denominator) for v in values}
-        beta = lanes * n * max(map(abs, lift.values()), default=0) ** 2
-        bound = 2 * beta + 2 * scale**2
-        w = bound.bit_length()
-        if p:
-            t = (bound // p).bit_length() + 1
-            w = t + p.bit_length()
-            ones = ((1 << (w * lanes * s)) - 1) // ((1 << w) - 1)
-            bias, outside = ones << (t - 1), ~(ones * ((1 << t) - 1))
-        # packed[i][lanes * m + u] is i^u times row m of B_i; nz[i] holds the (j, slot, x) of B_i
-        packed, nz = [[0] * (lanes * n) for _ in range(r)], [[] for _ in range(r)]
-        for m, entries in enumerate(self.nonzeros):
-            for i, j, c in entries:
-                if gaussian:
-                    x, y, shift = lift[c[0]], lift[c[1]], 2 * w * j
-                    packed[i][2 * m] += (x << shift) + (y << (shift + w))
-                    packed[i][2 * m + 1] += (x << (shift + w)) - (y << shift)
-                    nz[i] += [(j, 2 * m, x), (j, 2 * m + 1, y)]
-                else:
-                    packed[i][m] += lift[c] << (w * j)
-                    nz[i].append((j, m, lift[c]))
-        minus_target = [-2 * scale**2 << (lanes * w * j) for j in range(s)]
+            scope = (self.ring, r, s, n)
+            if not memo:
+                memo.update(scope=scope, ids={}, held=set(), packs={}, covered=set(), layout=None)
+            elif memo["scope"] != scope:
+                raise ValueError(f"a Gram memo of {memo['scope']} cannot serve a formula of {scope}")
+            ids, held, packs, covered = memo["ids"], memo["held"], memo["packs"], memo["covered"]
+            layout = memo["layout"]
+            groups = [[] for _ in range(r)]  # groups[i] holds the (j, m, c) of B_i
+            for m, entries in enumerate(self.nonzeros):
+                for i, j, c in entries:
+                    groups[i].append((j, m, c))
+            index = [ids.setdefault(tuple(g), len(ids)) for g in groups]
+            pairs, keys, need = [], [], set()
+            for a, b in _pairs(r):
+                key = (index[a], index[b], a == b)
+                if key not in held:
+                    pairs.append((a, b))
+                    keys.append(key)
+                    need.update((a, b))
+            if not pairs:
+                return None
+            fresh = [i for i in need if index[i] not in packs]
+            if fresh and (layout is None or not {c for i in fresh for _, _, c in groups[i]} <= covered):
+                # cover every value of this formula, and pack every matrix again
+                covered.update(c for g in groups for _, _, c in g)
+                layout = memo["layout"] = _gram_layout(self.ring, s, n, covered)
+                packs.clear()
+                fresh = need
+            for i in fresh:
+                (rows,), (nz,) = _gram_pack([(m, ((0, j, c),)) for j, m, c in groups[i]], 1, n, layout)
+                packs[index[i]] = rows, nz
+            packed, nz = [[0] * (layout[1] * n)] * r, [()] * r
+            for i in need:
+                packed[i], nz[i] = packs[index[i]]
+        p, lanes, _, w, beta, bias, outside, minus_target = layout
         if sum(map(len, nz)) > _BLOCK_DENSITY * (r + 1) * s:
-            rows = _block_gram_rows(packed, nz, minus_target, w, lanes * s, beta)
+            rows = _block_gram_rows(packed, nz, minus_target, w, lanes * s, beta, pairs)
         else:
-            rows = _pair_gram_rows(packed, nz, minus_target)
+            rows = _pair_gram_rows(packed, nz, minus_target, pairs)
         for a, b, g in rows:
             for j, v in enumerate(g) if any(g) else ():
                 if v and (not p or v % p or (v // p + bias) & outside):
@@ -190,6 +218,8 @@ class SosFormula:
                     while v and (d := ((v + half) & (2 * half - 1)) - half) % q == 0:
                         v, k = (v - d) >> w, k + 1
                     return (a, b, j, k // lanes)
+        if memo is not None:
+            held.update(keys)
         return None
 
     def verify_by_hurwitz(self) -> bool:
@@ -264,9 +294,10 @@ class SosFormula:
 
 # -- the two row kernels of the Gram check ------------------------------------------------
 #
-# Each yields (a, b, g) for a <= b in lexicographic order, g[j] being row j of
-# G_ab - target as one signed packed int.  For N nonzeros (two slots per
-# Gaussian entry) the pair kernel makes (r + 1) N multiply-adds, the block
+# Each yields (a, b, g) for the pairs (a, b) it is given, a <= b in
+# lexicographic order, g[j] being row j of G_ab - target as one signed packed
+# int.  For N nonzeros (two slots per Gaussian entry) and all the pairs, the
+# pair kernel makes (r + 1) N multiply-adds, the block
 # kernel N plus r (r + 1) s block reads of about c multiply-adds each, so it
 # wins once N > c (r + 1) s.  On HR(8), HR(12) and HR(16) with 2 to n of their
 # z changed, over GF(5), GF(7), GF(13) and Q, the two broke even at
@@ -277,22 +308,27 @@ class SosFormula:
 _BLOCK_DENSITY = 2
 
 
-def _pair_gram_rows(packed, nz, minus_target):
+@functools.cache
+def _pairs(r):
+    """The pairs (a, b) with a <= b < r, in lexicographic order."""
+    return tuple(combinations_with_replacement(range(r), 2))
+
+
+def _pair_gram_rows(packed, nz, minus_target, pairs):
     """Row j of G_ab as the sum of x R[b][m] over the nonzeros x = B_a[m][j]
     and of y R[a][m] over y = B_b[m][j]: nnz(B_a) + nnz(B_b) integer
     multiply-adds per pair."""
     s = len(minus_target)
-    for a, rows_a in enumerate(packed):
-        for b in range(a, len(packed)):
-            g, rows_b = minus_target[:] if a == b else [0] * s, packed[b]
-            for j, m, x in nz[a]:
-                g[j] += x * rows_b[m]
-            for j, m, y in nz[b]:
-                g[j] += y * rows_a[m]
-            yield a, b, g
+    for a, b in pairs:
+        g, rows_a, rows_b = minus_target[:] if a == b else [0] * s, packed[a], packed[b]
+        for j, m, x in nz[a]:
+            g[j] += x * rows_b[m]
+        for j, m, y in nz[b]:
+            g[j] += y * rows_a[m]
+        yield a, b, g
 
 
-def _block_gram_rows(packed, nz, minus_target, w: int, lanes: int, beta: int):
+def _block_gram_rows(packed, nz, minus_target, w: int, lanes: int, beta: int, pairs):
     """Slot m of every B_i stacked into one int R[m], B_i in block i of
     ``lanes`` lanes of w bits, and U_a[j] = sum of x R[m] over the nonzeros
     x = B_a[m][j]: block b of U_a[j] is row j of H_ab = B_a^T B_b, for every b
@@ -312,11 +348,56 @@ def _block_gram_rows(packed, nz, minus_target, w: int, lanes: int, beta: int):
         products.append(u)
     mask, twice = (1 << block) - 1, 2 * bias
     diagonal, cross = [t - twice for t in minus_target], [-twice] * s
-    for a, u_a in enumerate(products):
-        at = block * a
-        for b in range(a, r):
-            bt, offsets = block * b, diagonal if a == b else cross
-            yield a, b, [(x >> bt & mask) + (y >> at & mask) + o for x, y, o in zip(u_a, products[b], offsets)]
+    for a, b in pairs:
+        at, bt, offsets = block * a, block * b, diagonal if a == b else cross
+        rows = zip(products[a], products[b], offsets)
+        yield a, b, [(x >> bt & mask) + (y >> at & mask) + o for x, y, o in rows]
+
+
+def _gram_layout(ring, s, n, values):
+    """(p, lanes, lift, w, beta, bias, outside, minus_target): how
+    ``gram_defect`` packs and reads matrices of n rows and s columns whose
+    entries all lie in ``values`` (see there).  A real value v lifts to
+    lift[v], a Gaussian one part by part, and each row of G less its target
+    is read in lanes of w bits."""
+    p, gaussian = ring.characteristic(), isinstance(ring, GaussianExt)
+    lanes = 2 if gaussian else 1
+    values = {v for c in values for v in c} if gaussian else values
+    if p:
+        scale, lift = 1, {v: v - p if 2 * v > p else v for v in values}
+    else:
+        scale = lcm(*{v.denominator for v in values})
+        lift = {v: v.numerator * (scale // v.denominator) for v in values}
+    beta = lanes * n * max(map(abs, lift.values()), default=0) ** 2
+    bound = 2 * beta + 2 * scale**2
+    w, bias, outside = bound.bit_length(), 0, 0
+    if p:
+        t = (bound // p).bit_length() + 1
+        w = t + p.bit_length()
+        ones = ((1 << (w * lanes * s)) - 1) // ((1 << w) - 1)
+        bias, outside = ones << (t - 1), ~(ones * ((1 << t) - 1))
+    minus_target = [-2 * scale**2 << (lanes * w * j) for j in range(s)]
+    return p, lanes, lift, w, beta, bias, outside, minus_target
+
+
+def _gram_pack(slices, r, n, layout):
+    """(packed, nz) for r matrices of n rows whose nonzeros are the (i, j, c)
+    with B_i[m][j] = c of the (m, entries) in ``slices``: packed[i][lanes * m
+    + u] is i^u times row m of B_i, and nz[i] lists the (j, slot, lift) of
+    B_i."""
+    _, lanes, lift, w = layout[:4]
+    packed, nz, gaussian = [[0] * (lanes * n) for _ in range(r)], [[] for _ in range(r)], lanes == 2
+    for m, entries in slices:
+        for i, j, c in entries:
+            if gaussian:
+                x, y, shift = lift[c[0]], lift[c[1]], 2 * w * j
+                packed[i][2 * m] += (x << shift) + (y << (shift + w))
+                packed[i][2 * m + 1] += (x << (shift + w)) - (y << shift)
+                nz[i] += [(j, 2 * m, x), (j, 2 * m + 1, y)]
+            else:
+                packed[i][m] += lift[c] << (w * j)
+                nz[i].append((j, m, lift[c]))
+    return packed, nz
 
 
 # -- classical constructions ------------------------------------------------------

@@ -37,10 +37,14 @@ existence is unaffected.  Disabling the pin recovers the full solution set
 A result says why the search stopped: ``exhausted`` (the whole tree was
 walked), ``max_solutions`` or ``timeout``.  An empty exhausted result is a
 proof of nonexistence within the searched class; timeouts never masquerade
-as proofs.  Every emitted formula is built as its nonzeros straight from the
-placed columns, and passes the Hurwitz Gram check (``SosFormula.gram_defect``)
-before it is returned.  A search that would keep more than
-MAX_KEPT_FORMULAS formulas raises ValueError instead of exhausting memory.
+as proofs.  Every emitted formula is built as its nonzeros in one pass over
+the placed columns, and passes the Hurwitz Gram check (``SosFormula``'s
+``gram_defect``) before it is returned.  The formulas of a search share
+their matrices, and G_ab = B_a^T B_b + B_b^T B_a depends on nothing but
+(B_a, B_b, a = b), so the search checks each distinct such triple once,
+through one memo that it drops when it ends.  A search that would keep more
+than MAX_KEPT_FORMULAS formulas raises ValueError instead of exhausting
+memory.
 """
 
 from __future__ import annotations
@@ -62,10 +66,12 @@ from .rings import PrimeField, ValueTuple, require_flags, require_ints
 # both by about 3, so n = 18 would need some 25 GB.
 MAX_FULL_VECTORS = 3**13
 
-# Most formulas a search may keep.  A kept formula costs about 2.3 KB
-# (tracemalloc, the 240 formulas of the pinned (3, 3, 4, 5) search, Python
-# 3.11), so the cap holds a result to about 230 MB.  The unpinned
-# (3, 3, 4, 5) search, uncapped, kept 245,037 formulas at 623 MB RSS in 15 s.
+# Most formulas a search may keep.  A kept formula costs about 2.7 KB while
+# the search runs, its share of the Gram memo included, and 1.7 KB once it
+# ends (tracemalloc peak and retained, the 240 formulas of the pinned
+# (3, 3, 4, 5) search, Python 3.11), so the cap holds a search to about
+# 270 MB.  The unpinned (3, 3, 4, 5) search, uncapped, kept 245,037 formulas
+# at 623 MB RSS in 15 s.
 MAX_KEPT_FORMULAS = 100_000
 
 # Bytes of partitions a space keeps (see above), charged as the getsizeof
@@ -270,6 +276,8 @@ def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResul
     matrices: list[list[tuple[int, ...]]] = []  # per matrix: list of placed columns
     partitions: list[list[dict[int, int]]] = []  # per placed column
     places = [(i, j) for i in range(r) for j in range(s)]
+    rows = range(n)
+    memo: dict = {}  # what the Gram checks of the emitted formulas share
 
     def diagonal(mi: int, c: int) -> int:
         """The candidates that meet the diagonal constraints on column c of
@@ -294,15 +302,22 @@ def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResul
         return bits
 
     def emit():
-        # T[k][i][j] is entry k of column j of B_i: rows[k] lists them in (i, j) order
-        rows = list(zip(*itertools.chain.from_iterable(matrices[:r])))
-        flat = tuple(itertools.chain.from_iterable(rows))
-        nonzeros = tuple(tuple((i, j, a) for (i, j), a in zip(places, row) if a) for row in rows)
-        f = SosFormula._of_nonzeros(r, s, n, space.field, nonzeros)
+        # T[k][i][j] is entry k of column j of B_i, so slice k lists the
+        # nonzero entries k of the columns in (i, j) order
+        columns = list(itertools.chain.from_iterable(matrices[:r]))
+        flat = tuple(itertools.chain.from_iterable(zip(*columns)))
+        slices = [[] for _ in range(n)]
+        for (i, j), u in zip(places, columns):
+            for k in itertools.compress(rows, u):
+                slices[k].append((i, j, u[k]))
+        f = SosFormula._of_nonzeros(r, s, n, space.field, tuple(map(tuple, slices)))
         # The constraints imply this; the Gram check reads the built formula,
-        # not the bitsets, so it does not share the search's code.
-        if f.gram_defect() is not None:
-            raise AssertionError("search emitted a formula that fails verification")
+        # not the bitsets, so it does not share the search's code.  Each
+        # distinct (B_a, B_b, a = b) is checked once per search, in ``memo``:
+        # G_ab depends on nothing else.
+        witness = f._gram_defect(memo)
+        if witness is not None:
+            raise AssertionError(f"search emitted a formula that fails the Gram check at (a, b, j, k) = {witness}")
         if len(solutions) >= MAX_KEPT_FORMULAS:
             raise ValueError(
                 f"the search would keep more than {MAX_KEPT_FORMULAS} formulas; cap them with "
@@ -322,29 +337,42 @@ def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResul
             return
         cols, parts = matrices[mi], partitions[mi]
         nxt = ci + 1
-        if bits and nxt < s:
+        # A candidate gets its partition only if a later column reads it, and
+        # enters its child node, which checks the deadline first; where column
+        # nxt has no candidate left, each child is counted without entering it.
+        if nxt < s:
             # what the columns placed before ci allow in column nxt, once for
             # all the candidates tried here
-            shared = diagonal(mi, nxt)
+            shared = diagonal(mi, nxt) if bits else 0
             for l in range(ci):
                 if not shared:
                     break
                 shared = narrow(shared, mi, l, nxt)
-        # each candidate gets its partition and then enters the child node,
-        # which checks the deadline first
-        for k in _members(bits):
-            cols.append(candidates[k])
-            parts.append(partitions_of(k))
-            if nxt < s:
-                extend(mi, nxt, shared and narrow(shared, mi, ci, nxt))
-            else:
-                matrices.append([])
-                partitions.append([])
-                extend(mi + 1, 0, diagonal(mi + 1, 0) if mi + 1 < r else 0)  # a leaf reads none
-                matrices.pop()
-                partitions.pop()
-            cols.pop()
-            parts.pop()
+            if not shared:
+                state["nodes"] += bits.bit_count()  # each child is a node with no candidate
+                return
+            for k in _members(bits):
+                cols.append(candidates[k])
+                parts.append(partitions_of(k))
+                extend(mi, nxt, narrow(shared, mi, ci, nxt))
+                cols.pop()
+                parts.pop()
+        elif mi + 1 < r:
+            matrices.append([])
+            partitions.append([])
+            for k in _members(bits):
+                cols.append(candidates[k])
+                parts.append(partitions_of(k))
+                extend(mi + 1, 0, diagonal(mi + 1, 0))
+                cols.pop()
+                parts.pop()
+            matrices.pop()
+            partitions.pop()
+        else:
+            for k in _members(bits):  # each child is a leaf, which reads no partition
+                cols.append(candidates[k])
+                extend(r, 0, 0)
+                cols.pop()
 
     pinned = int(opts.canonical_first_matrix)
     key = (p, n, opts.signed_monomial_only)
@@ -369,6 +397,8 @@ def search(problem: SearchProblem, *, spaces: dict | None = None) -> SearchResul
         stop_reason = "max_solutions"
     except _Timeout:
         stop_reason = "timeout"
+    finally:
+        memo.clear()  # the nested functions hold it in a reference cycle
 
     solutions.sort(key=operator.itemgetter(0))
     return SearchResult(

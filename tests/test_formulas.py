@@ -569,8 +569,8 @@ def test_integer_expansion_edge_cases(ring):
 
 def kernel_rows(f):
     """The rows (a, b, g) that each kernel forms for f, called directly on the
-    packed rows, nonzeros, targets, block width and bias that gram_defect
-    builds: (pair kernel's, block kernel's)."""
+    packed rows, nonzeros, targets, block width, bias and pairs that
+    gram_defect builds: (pair kernel's, block kernel's)."""
     captured = []
 
     def capture(*args):
@@ -583,7 +583,7 @@ def kernel_rows(f):
         f.gram_defect()
     (args,) = captured
     packed, nz, minus_target = args[:3]
-    pair = list(sosforms.formulas._pair_gram_rows(packed, nz, minus_target))
+    pair = list(sosforms.formulas._pair_gram_rows(packed, nz, minus_target, args[-1]))
     return pair, list(sosforms.formulas._block_gram_rows(*args))
 
 
@@ -656,6 +656,81 @@ def test_the_kernel_rule_reads_the_count_of_nonzeros(monkeypatch):
     assert kernel_of(construct_hurwitz_radon(32)) == kernel_of(densest) == ["_pair_gram_rows"]
     assert kernel_of(SosFormula(1, 1, 4, ZZ, [[[1]]] * 4)) == ["_pair_gram_rows"]
     assert kernel_of(SosFormula(1, 1, 5, ZZ, [[[1]]] * 5)) == ["_block_gram_rows"]
+
+
+# -- a Gram memo shared by the formulas of one ring and one type -----------------------------
+
+
+@st.composite
+def memo_streams(draw):
+    """Formulas of one ring and one (r, s, n), for one Gram memo: HR(n),
+    n <= 8, over a ring of RINGS_AND_ENTRIES, reflected as in kernel_cases
+    where the field allows, and then copies of it, each either unchanged,
+    with up to three entries set to the ring's entries (zero too), or with
+    one matrix copied over another."""
+    ring, nonzero = draw(st.sampled_from(RINGS_AND_ENTRIES))
+    f = construct_hurwitz_radon(draw(st.integers(1, 8)))
+    t = draw(st.integers(0, f.n))
+    p = ring.characteristic()
+    if ring not in (ZZ, gaussian_ext(ZZ)) and t and t % (p or t + 1):
+        f = householder_dense(f, ring, (1,) * t + (0,) * (f.n - t))
+    base = dense_tensor(f.change_ring(ring))
+    places = st.tuples(st.integers(0, f.n - 1), st.integers(0, f.r - 1), st.integers(0, f.s - 1))
+    stream = []
+    for _ in range(draw(st.integers(1, 8))):
+        tensor = [[list(row) for row in slice_k] for slice_k in base]
+        kind = draw(st.sampled_from(["same", "entries", "copy"]))
+        if kind == "entries":
+            for k, i, j in draw(st.lists(places, min_size=1, max_size=3)):
+                tensor[k][i][j] = ring.coerce(draw(st.sampled_from([0, *nonzero])))
+        elif kind == "copy":
+            a, b = draw(st.integers(0, f.r - 1)), draw(st.integers(0, f.r - 1))
+            for slice_k in tensor:
+                slice_k[b] = list(slice_k[a])
+        stream.append(SosFormula(f.r, f.s, f.n, ring, tensor))
+    return stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_streams())
+def test_a_gram_memo_gives_the_witness_of_a_fresh_check(stream):
+    """One memo across the stream, under each kernel rule: every formula gets
+    exactly the witness that gram_defect() gives it alone."""
+    fresh = [f.gram_defect() for f in stream]
+    assert fresh == [naive_gram_defect(f) for f in stream]
+    for density in KERNEL_RULES.values():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sosforms.formulas, "_BLOCK_DENSITY", density)
+            memo = {}
+            assert [f._gram_defect(memo) for f in stream] == fresh
+
+
+def test_a_gram_memo_checks_a_repeated_matrix_as_a_cross_pair():
+    """A formula of the pinned (3, 3, 4) search over GF(5) holds, so the
+    memo holds its pairs, B_2 with itself among them.  The copy with
+    B_3 := B_2 reuses (B_2, B_2), but as the cross pair (2, 3), whose target
+    is 0, not 2I: the memo must check it and fail it exactly as gram_defect()
+    does, at G_23."""
+    from sosforms.search import SearchProblem, search
+
+    f = search(SearchProblem(3, 3, 4, 5)).formulas[0]
+    tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
+    for slice_k in tensor:
+        slice_k[2] = list(slice_k[1])
+    g = SosFormula(3, 3, 4, f.ring, tensor)
+    memo = {}
+    assert f._gram_defect(memo) is None
+    assert g._gram_defect(memo) == g.gram_defect() == naive_gram_defect(g)
+    assert g.gram_defect()[:2] == (1, 2)
+
+
+def test_a_gram_memo_serves_one_ring_and_one_type():
+    f = construct_hurwitz_radon(4).change_ring(PrimeField(5))
+    memo = {}
+    assert f._gram_defect(memo) is None and f._gram_defect(memo) is None
+    for other in (f.change_ring(PrimeField(7)), f.restrict(3, 4), construct_hurwitz_radon(4)):
+        with pytest.raises(ValueError, match="Gram memo"):
+            other._gram_defect(memo)
 
 
 # -- split supports squared as one group ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Backtracking search over GF(p) and the existence-vs-Hopf sweep."""
 
+import functools
 import importlib
 import itertools
 import sys
@@ -181,6 +182,73 @@ def test_emitted_formulas_verify_by_expansion():
             assert f.verify_by_expansion(), (cell, dense_tensor(f))
         checked += len(result.formulas)
     assert checked > 1000
+
+
+def test_a_wrong_partition_makes_the_search_raise_with_a_witness(monkeypatch):
+    """The Gram check of each emitted formula is what stands between a wrong
+    partition and a wrong result.  With the partition of the first candidate,
+    (0, 0, 1), made one class, column 2 of B_2 in the (2, 2, 3) search over
+    GF(3) may repeat column 1, and the search raises at G_22[0][1]."""
+    partition = search_module._partition
+
+    def one_class_for_the_first(coord, candidates, u, field, everything):
+        if u == candidates[0]:
+            return {0: everything}
+        return partition(coord, candidates, u, field, everything)
+
+    monkeypatch.setattr(search_module, "_partition", one_class_for_the_first)
+    with pytest.raises(AssertionError, match=r"fails the Gram check at \(a, b, j, k\) = \(1, 1, 0, 1\)"):
+        run(2, 2, 3, 3)
+
+
+def test_the_search_forms_each_distinct_gram_pair_once(monkeypatch):
+    """The pinned (3, 3, 4) search over GF(5) emits 240 formulas, with the 6
+    pairs a <= b of their 3 matrices: 1,440 pair checks.  G_ab depends only
+    on (B_a, B_b, a = b), taken in the order of the pair, and the formulas
+    hold 361 distinct such keys, so the Gram kernels form 361 pair rows."""
+    import sosforms.formulas
+
+    rows = []
+
+    def counted(kernel):
+        return lambda *args: (rows.append(row) or row for row in kernel(*args))
+
+    for name in ("_pair_gram_rows", "_block_gram_rows"):
+        monkeypatch.setattr(sosforms.formulas, name, counted(getattr(sosforms.formulas, name)))
+    formulas = run(3, 3, 4, 5).formulas
+    matrices = [[tuple(tuple(row[i]) for row in dense_tensor(f)) for i in range(3)] for f in formulas]
+    keys = {(b[x], b[y], x == y) for b in matrices for x, y in itertools.combinations_with_replacement(range(3), 2)}
+    assert (len(formulas), len(keys), len(rows)) == (240, 361, 361)
+
+
+# the pinned searches, the last in signed-monomial mode
+SHARED_MEMO_CELLS = [((3, 3, 4, 5), False), ((3, 3, 5, 3), False), ((2, 2, 5, 3), False), ((4, 4, 5, 3), True)]
+
+
+@functools.cache
+def solutions_of(cell, signed):
+    return run(*cell, signed_monomial_only=signed).formulas
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_search_memo_gives_the_witness_of_a_fresh_check(data):
+    """The solutions of four searches, in a drawn order, with copies carrying
+    one entry changed to another residue interleaved: through one memo each
+    formula gets exactly the witness that gram_defect() gives it alone."""
+    cell, signed = data.draw(st.sampled_from(SHARED_MEMO_CELLS))
+    formulas = solutions_of(cell, signed)
+    r, s, n, p = cell
+    stream = data.draw(st.permutations(range(len(formulas))))
+    memo = {}
+    for index in stream[: data.draw(st.integers(1, len(formulas)))]:
+        f = formulas[index]
+        if data.draw(st.integers(0, 3)) == 0:
+            tensor = [[list(row) for row in slice_k] for slice_k in dense_tensor(f)]
+            k, i, j = (data.draw(st.integers(0, d - 1)) for d in (n, r, s))
+            tensor[k][i][j] = data.draw(st.sampled_from([v for v in range(p) if v != tensor[k][i][j]]))
+            f = SosFormula(r, s, n, f.ring, tensor)
+        assert f._gram_defect(memo) == f.gram_defect()
 
 
 def partition_charge(part):
