@@ -8,6 +8,10 @@ summed), and ``UNIT`` is the ``(key, coefficient)`` of the ring's one.
 Coefficients need only ``+``, ``*`` and truthiness (zero is false), so the
 same kernel serves the Z/2[tau, rho] polynomials of the motivic rings and
 the integers of the Chow rings.
+
+``**`` squares its base through the ``_square`` hook, which is the generic
+product ``self * self`` unless a subclass knows a cheaper square: the
+motivic rings have characteristic 2 and square term by term.
 """
 
 from __future__ import annotations
@@ -113,8 +117,12 @@ class NormalForm:
                 result = result * base
             exp >>= 1
             if exp:
-                base = base * base
+                base = base._square()
         return result
+
+    def _square(self):
+        """self * self; a subclass may form it more cheaply."""
+        return self * self
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

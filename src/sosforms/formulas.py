@@ -40,6 +40,7 @@ from .rings import (
     CoeffRing,
     GaussianExt,
     IntegerRing,
+    RationalField,
     ZZ,
     gaussian_ext,
     require_ints,
@@ -168,7 +169,7 @@ class SosFormula:
         r, s, n = self.r, self.s, self.n
         if memo is None:
             pairs = _pairs(r)
-            layout = _gram_layout(self.ring, s, n, {c for entries in self.nonzeros for _, _, c in entries})
+            layout = _gram_layout(self.ring, s, n, [c for entries in self.nonzeros for _, _, c in entries])
             packed, nz = _gram_pack(enumerate(self.nonzeros), r, n, layout)
         else:
             scope = (self.ring, r, s, n)
@@ -205,7 +206,7 @@ class SosFormula:
             packed, nz = [[0] * (layout[1] * n)] * r, [()] * r
             for i in need:
                 packed[i], nz[i] = packs[index[i]]
-        p, lanes, _, w, beta, bias, outside, minus_target = layout
+        p, lanes, _, w, beta, bias, outside, minus_target, _ = layout
         if sum(map(len, nz)) > _BLOCK_DENSITY * (r + 1) * s:
             rows = _block_gram_rows(packed, nz, minus_target, w, lanes * s, beta, pairs)
         else:
@@ -355,20 +356,28 @@ def _block_gram_rows(packed, nz, minus_target, w: int, lanes: int, beta: int, pa
 
 
 def _gram_layout(ring, s, n, values):
-    """(p, lanes, lift, w, beta, bias, outside, minus_target): how
+    """(p, lanes, lift, w, beta, bias, outside, minus_target, rational): how
     ``gram_defect`` packs and reads matrices of n rows and s columns whose
-    entries all lie in ``values`` (see there).  A real value v lifts to
-    lift[v], a Gaussian one part by part, and each row of G less its target
-    is read in lanes of w bits."""
+    entries all lie in ``values``, which may repeat (see there).  A real
+    value v lifts to lift[v], or over Q (``rational``) to v.numerator *
+    lift[v.denominator], as a Fraction hashes by a modular inverse in
+    Python; a Gaussian value lifts part by part.  Each row of G less its
+    target is read in lanes of w bits."""
     p, gaussian = ring.characteristic(), isinstance(ring, GaussianExt)
     lanes = 2 if gaussian else 1
-    values = {v for c in values for v in c} if gaussian else values
-    if p:
-        scale, lift = 1, {v: v - p if 2 * v > p else v for v in values}
+    values = [v for c in values for v in c] if gaussian else values
+    rational = isinstance(ring.base if gaussian else ring, RationalField)
+    if rational:
+        denominators = {v.denominator for v in values}
+        scale = lcm(*denominators)
+        lift = {d: scale // d for d in denominators}
+        top = 0
+        for v in values:
+            top = max(top, abs(v.numerator) * lift[v.denominator])
     else:
-        scale = lcm(*{v.denominator for v in values})
-        lift = {v: v.numerator * (scale // v.denominator) for v in values}
-    beta = lanes * n * max(map(abs, lift.values()), default=0) ** 2
+        lift = {v: v - p if p and 2 * v > p else v for v in set(values)}
+        scale, top = 1, max(map(abs, lift.values()), default=0)
+    beta = lanes * n * top**2
     bound = 2 * beta + 2 * scale**2
     w, bias, outside = bound.bit_length(), 0, 0
     if p:
@@ -377,7 +386,7 @@ def _gram_layout(ring, s, n, values):
         ones = ((1 << (w * lanes * s)) - 1) // ((1 << w) - 1)
         bias, outside = ones << (t - 1), ~(ones * ((1 << t) - 1))
     minus_target = [-2 * scale**2 << (lanes * w * j) for j in range(s)]
-    return p, lanes, lift, w, beta, bias, outside, minus_target
+    return p, lanes, lift, w, beta, bias, outside, minus_target, rational
 
 
 def _gram_pack(slices, r, n, layout):
@@ -386,17 +395,24 @@ def _gram_pack(slices, r, n, layout):
     + u] is i^u times row m of B_i, and nz[i] lists the (j, slot, lift) of
     B_i."""
     _, lanes, lift, w = layout[:4]
+    rational = layout[-1]
     packed, nz, gaussian = [[0] * (lanes * n) for _ in range(r)], [[] for _ in range(r)], lanes == 2
     for m, entries in slices:
         for i, j, c in entries:
             if gaussian:
-                x, y, shift = lift[c[0]], lift[c[1]], 2 * w * j
+                x, y = c
+                if rational:
+                    x, y = x.numerator * lift[x.denominator], y.numerator * lift[y.denominator]
+                else:
+                    x, y = lift[x], lift[y]
+                shift = 2 * w * j
                 packed[i][2 * m] += (x << shift) + (y << (shift + w))
                 packed[i][2 * m + 1] += (x << (shift + w)) - (y << shift)
                 nz[i] += [(j, 2 * m, x), (j, 2 * m + 1, y)]
             else:
-                packed[i][m] += lift[c] << (w * j)
-                nz[i].append((j, m, lift[c]))
+                v = c.numerator * lift[c.denominator] if rational else lift[c]
+                packed[i][m] += v << (w * j)
+                nz[i].append((j, m, v))
     return packed, nz
 
 

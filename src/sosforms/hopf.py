@@ -66,6 +66,12 @@ def hopf_violation_witness(r: int, s: int, n: int) -> int | None:
     most n.bit_length() + 1 times.
     """
     require_ints("r, s, n", r, s, n)
+    return _violation_witness(r, s, n)
+
+
+def _violation_witness(r: int, s: int, n: int) -> int | None:
+    """hopf_violation_witness on arguments already checked, for sweeps that
+    check their ranges once."""
     i, end = max(n - r + 1, 0), min(s, n + 1)
     while i < end and i & ~n:
         h = (i & ~n).bit_length() - 1

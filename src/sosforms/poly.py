@@ -276,7 +276,9 @@ def _lift(ring: CoeffRing, polys) -> tuple[bool, Callable, list]:
     with each coefficient an int, or a (re, im) pair of ints when ``pairs``,
     and ``read``, which maps one part of a sum of their products to the base
     ring.  Over Q and Q[i] each part is multiplied by the lcm D of every
-    denominator in ``polys``, so ``read`` divides by D^2."""
+    denominator in ``polys``, so ``read`` divides by D^2.  Each part is
+    lifted from its own numerator and denominator: a Fraction hashes by a
+    modular inverse in Python, so none is used as a key."""
     pairs = isinstance(ring, GaussianExt)
     base = ring.base if pairs else ring
     for p in polys:
@@ -284,10 +286,14 @@ def _lift(ring: CoeffRing, polys) -> tuple[bool, Callable, list]:
     maps = [p.terms for p in polys]
     if not isinstance(base, RationalField):  # ints already: read v mod p, or v itself
         return pairs, base.p.__rmod__ if isinstance(base, PrimeField) else int, maps
-    parts = {v for terms in maps for c in terms.values() for v in (c if pairs else (c,))}
-    scale = lcm(*{v.denominator for v in parts})
-    lift = {v: v.numerator * (scale // v.denominator) for v in parts}
-    maps = [{m: (lift[c[0]], lift[c[1]]) if pairs else lift[c] for m, c in terms.items()} for terms in maps]
+    denominators = {v.denominator for terms in maps for c in terms.values() for v in (c if pairs else (c,))}
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+
+    def lift(v):
+        return v.numerator * factor[v.denominator]
+
+    maps = [{m: (lift(c[0]), lift(c[1])) if pairs else lift(c) for m, c in terms.items()} for terms in maps]
     square = scale * scale
     return pairs, lambda v: Fraction(v, square), maps
 

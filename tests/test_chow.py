@@ -43,6 +43,16 @@ def test_dimension_mismatch():
         ChowClass.x(3) * ChowClass.x(4)
 
 
+def test_powers_match_repeated_products():
+    # ChowClass is over Z and keeps the generic square
+    for m in range(0, 13):
+        for x in (ChowClass.x(m), ChowClass.y(m), ChowClass.x(m) * 3 - ChowClass.y(m)):
+            expected = ChowClass.one(m)
+            for e in range(0, m + 4):
+                assert x ** e == expected, (m, e)
+                expected = expected * x
+
+
 def test_top_truncation():
     # codim beyond the dimension is zero
     assert (ChowClass.x(3) ** 4).is_zero
@@ -175,14 +185,16 @@ def test_projection_formula():
 
 
 def test_projection_formula_check_catches_a_wrong_map(monkeypatch):
-    # coefficient 1 instead of 2 on pure x powers: the doubling range is lost
-    def wrong_pushforward(n, cls):
+    # coefficient 1 instead of 2 on pure x powers: the doubling range is lost;
+    # the check may read j_* through the public function or its unchecked core
+    def wrong_pushforward(cls):
         pushed = {}
         for (i, ybit), c in cls.terms.items():
             accumulate(pushed, i + ybit * y_codim(cls.m) + 1, c)
         return pushed
 
-    monkeypatch.setattr(chow, "pushforward_class", wrong_pushforward)
+    monkeypatch.setattr(chow, "pushforward_class", lambda n, cls: wrong_pushforward(cls))
+    monkeypatch.setattr(chow, "_pushforward", wrong_pushforward)
     assert not any(projection_formula_check(n) for n in range(2, 13))
     monkeypatch.undo()
 

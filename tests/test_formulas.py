@@ -564,6 +564,22 @@ def test_integer_expansion_edge_cases(ring):
     assert halves.expansion_defect().terms == {((0, 2), (1, 2)): ring.coerce(Fraction(-3, 4))}
 
 
+@pytest.mark.parametrize("ring", [QQ, QI])
+def test_verifying_a_dense_rational_formula_hashes_no_fraction(ring, monkeypatch):
+    # a Fraction hashes by a modular inverse in Python, so the lifts to
+    # integers key on denominators only, and each entry lifts itself
+    f = dense_eight("hurwitz-radon", QQ).change_ring(ring)
+    f = rotate_gaussian(f) if ring == QI else f
+    assert all(c != ring.zero() for slice_k in dense_tensor(f) for row in slice_k for c in row)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert f.verify_by_expansion()
+    assert f.gram_defect() is None
+
+
 # -- the two row kernels of the Gram check -------------------------------------------------
 
 

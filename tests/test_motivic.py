@@ -143,6 +143,60 @@ def test_power_closed_form_before_truncation():
         assert odd == DQClass(big, {(1, m): tau_pow(m)})
 
 
+def _product_powers(one, x, top):
+    """x^0 = one, ..., x^top, each one generic product from the last: the
+    oracle of ``**``, which squares through the Frobenius hook."""
+    powers = [one]
+    for _ in range(top):
+        powers.append(powers[-1] * x)
+    return powers
+
+
+@pytest.mark.parametrize("rho, eps", MODELS)
+def test_powers_of_a_match_repeated_products(rho, eps):
+    for n in range(0, 25):
+        spec = DQRingSpec(n, rho=rho, eps_is_rho=eps)
+        for m, expected in enumerate(_product_powers(DQClass.one(spec), DQClass.gen_a(spec), 2 * n + 4)):
+            assert dq_power_a(spec, m) == expected, (n, m)
+
+
+def test_diagonal_powers_match_repeated_products():
+    for r in range(1, 13):
+        for s in range(1, 13):
+            left, right = DQRingSpec(r - 1), DQRingSpec(s - 1)
+            x = TensorClass.a_left(left, right) + TensorClass.a_right(left, right)
+            for n, expected in enumerate(_product_powers(TensorClass.one(left, right), x, 24)):
+                assert diagonal_power(r, s, n) == expected, (r, s, n)
+
+
+@pytest.mark.parametrize("rho, eps", MODELS)
+def test_a_power_makes_one_generic_product_per_bit_of_its_exponent(monkeypatch, rho, eps):
+    # every square goes through the Frobenius hook; only the products that
+    # fold a bit of m into the result are generic
+    calls = []
+    mul = algebra.NormalForm.__mul__
+    monkeypatch.setattr(algebra.NormalForm, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for n in range(0, 25):
+        spec = DQRingSpec(n, rho=rho, eps_is_rho=eps)
+        for m in range(0, 2 * n + 5):
+            calls.clear()
+            dq_power_a(spec, m)
+            assert len(calls) == m.bit_count(), (n, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_frobenius_square_matches_the_product(data):
+    rho, eps = data.draw(st.sampled_from(MODELS))
+    spec = DQRingSpec(data.draw(st.integers(0, 12)), rho=rho, eps_is_rho=eps)
+    x = data.draw(dq_classes(spec))
+    assert x._square() == x * x
+    left = DQRingSpec(data.draw(st.integers(0, 6)), rho=rho, eps_is_rho=eps)
+    right = DQRingSpec(data.draw(st.integers(0, 6)), rho=rho, eps_is_rho=eps)
+    u = data.draw(tensor_classes(left, right))
+    assert u._square() == u * u
+
+
 # -- Bockstein ---------------------------------------------------------------------------
 
 
@@ -302,6 +356,13 @@ def test_engines_agree_small_sweep():
     assert motivic_binomial_mismatches(8, 8, 16) == []
 
 
+def negated_witness(r, s, n):
+    """A parity oracle for the sweep's unchecked witness core that negates
+    every verdict: a witness 0 where the Hopf condition holds, none where it
+    fails."""
+    return 0 if hopf_admissible(r, s, n) else None
+
+
 @pytest.mark.parametrize(
     "rmax, smax, nmax", [(8, 8, 16), (12, 5, 20), (5, 12, 20), (9, 6, 7), (0, 5, 8), (5, 0, 8)]
 )
@@ -310,7 +371,7 @@ def test_the_sweep_reports_every_cell(monkeypatch, rmax, smax, nmax):
     # the sweep's ring verdicts (read off restrictions of the powers in the
     # largest ring) can be checked against the per-cell engine, which builds
     # its own power in each cell's ring
-    monkeypatch.setattr(motivic, "hopf_admissible", lambda r, s, n: not hopf_admissible(r, s, n))
+    monkeypatch.setattr(motivic, "_violation_witness", negated_witness)
     reported = motivic_binomial_mismatches(rmax, smax, nmax)
     cells = [
         (r, s, n) for r in range(1, rmax + 1) for s in range(1, smax + 1) for n in range(max(r, s), nmax + 1)
@@ -379,7 +440,7 @@ def test_the_sweep_reads_each_verdict_off_the_degrees_as_the_restriction_does(mo
     # each cell's verdict, read off the degree pairs of the terms of P_n,
     # equals whether the image of P_n in the cell's ring is zero, computed
     # for every n by restriction (so without the reuse of an earlier zero)
-    monkeypatch.setattr(motivic, "hopf_admissible", lambda r, s, n: not hopf_admissible(r, s, n))
+    monkeypatch.setattr(motivic, "_violation_witness", negated_witness)
     reported = motivic_binomial_mismatches(rmax, smax, nmax)
     assert [row[:3] for row in reported] == _sweep_cells(rmax, smax, nmax)
     powers = _sweep_powers(rmax, smax, nmax)
